@@ -2,8 +2,8 @@
 
 Every blob lives under the lowercase hex SHA-256 digest of its bytes, so
 equal content maps to one address and one file. The store never rewrites
-an existing blob; writers go through a temp file plus rename so readers
-see either nothing or the full blob.
+an existing blob; writers go through :func:`write_atomic` so readers see
+either nothing or the full blob.
 
 Note that :meth:`BlobStore.get` returns the stored bytes verbatim without
 re-hashing them. Integrity is the *consumer's* job (a retrieved asset is
@@ -31,6 +31,13 @@ def is_address(value: str) -> bool:
     return len(value) == 64 and set(value) <= _HEX
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` via a sibling ``.tmp`` file and a rename: never a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 class BlobStore:
     """One directory of immutable blobs, laid out ``blobs/<2 hex>/<64 hex>``."""
 
@@ -50,9 +57,7 @@ class BlobStore:
         if path.exists():
             return addr
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        write_atomic(path, data)
         return addr
 
     def get(self, addr: str) -> bytes:

@@ -21,8 +21,9 @@ line, ``#`` starting a comment::
 
 Resource references accept a bare local id, ``node/id``, a full
 ``isl://`` IRI, or (where an address makes sense) a 64-char content
-address. The workspace directory is rewritten after every command, so
-on failure it holds the state up to and including the failing entry.
+address. The workspace is written once, via temp file plus rename, when
+the scenario ends or stops at its first failing command, so on failure
+it holds the state up to and including that command.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 from pathlib import Path
 
 from . import kgstore
-from .cas import is_address
+from .cas import is_address, write_atomic
 from .errors import IslError, NotFound, ParseError, UnknownResource, UnknownWorkspace
 from .ledger import Ledger, canonical_json, log_lines, parse_log_line, replay
 from .mlsim import RoomProfile
@@ -168,26 +169,21 @@ class ScenarioRunner:
             ledger = Ledger()
             for contract in Network.contract_factory():
                 ledger.register_contract(contract)
-            payload = {
-                "balances": {},
-                "contract_balances": dict(sorted(ledger.contract_balances().items())),
-                "oracle": ledger.contract("oracle").state_dict(),
-                "isl": ledger.contract("isl").state_dict(),
-                "meta": {"owner": None, "nodes": {}},
+            meta = {"owner": None, "nodes": {}}
+        else:
+            ledger = net.ledger
+            meta = {
+                "owner": net.owner_account,
+                "nodes": {name: net.node(name).account for name in net.node_names()},
             }
-            (self.workspace / LEDGER_FILE).write_text("", encoding="ascii")
-            (self.workspace / CHAINSTATE_FILE).write_bytes(canonical_json(payload) + b"\n")
-            return
-        lines = log_lines(net.ledger)
+        lines = log_lines(ledger)
         text = "\n".join(lines) + ("\n" if lines else "")
-        (self.workspace / LEDGER_FILE).write_text(text, encoding="ascii")
-        payload = _chainstate_payload(net)
-        payload["meta"] = {
-            "owner": net.owner_account,
-            "nodes": {name: net.node(name).account for name in net.node_names()},
-        }
-        (self.workspace / CHAINSTATE_FILE).write_bytes(canonical_json(payload) + b"\n")
-        net.persist()
+        write_atomic(self.workspace / LEDGER_FILE, text.encode("ascii"))
+        payload = _chainstate_payload(ledger)
+        payload["meta"] = meta
+        write_atomic(self.workspace / CHAINSTATE_FILE, canonical_json(payload) + b"\n")
+        if net is not None:
+            net.persist()
 
     def _net(self) -> Network:
         assert self.network is not None
@@ -343,12 +339,13 @@ class ScenarioRunner:
 
 # ----------------------------------------------------------------- inspect
 
-def _chainstate_payload(net: Network) -> dict:
+def _chainstate_payload(ledger: Ledger) -> dict:
+    """``chainstate.json`` without its ``meta`` key: what replay must reproduce."""
     return {
-        "balances": dict(sorted(net.ledger.balances().items())),
-        "contract_balances": dict(sorted(net.ledger.contract_balances().items())),
-        "oracle": net.oracle.state_dict(),
-        "isl": net.isl.state_dict(),
+        "balances": ledger.balances(),
+        "contract_balances": ledger.contract_balances(),
+        "oracle": ledger.contract("oracle").state_dict(),
+        "isl": ledger.contract("isl").state_dict(),
     }
 
 
@@ -439,14 +436,8 @@ def _cmd_replay(ns: argparse.Namespace) -> int:
     stored = _load_chainstate(workspace)
     entries = [parse_log_line(line) for line in log_path.read_text(encoding="ascii").split("\n") if line]
     replica = replay(entries, Network.contract_factory)
-    rebuilt = {
-        "balances": dict(sorted(replica.balances().items())),
-        "contract_balances": dict(sorted(replica.contract_balances().items())),
-        "oracle": replica.contract("oracle").state_dict(),
-        "isl": replica.contract("isl").state_dict(),
-    }
     expected = {k: v for k, v in stored.items() if k != "meta"}
-    if canonical_json(rebuilt) == canonical_json(expected):
+    if canonical_json(_chainstate_payload(replica)) == canonical_json(expected):
         print("MATCH")
         return 0
     print("MISMATCH")

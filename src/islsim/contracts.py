@@ -12,22 +12,17 @@ The exchange contract handles money and access: owners post prices,
 buyers pay exactly the posted price, and each successful acquisition
 mints a token that authorizes that one buyer to fetch that one asset.
 
-Only ``ledger.submit`` may invoke the ``op_*`` methods (they mutate
-state and must stay inside transaction atomicity). The plain read-only
-methods are free to call from anywhere.
+Only ``ledger.submit`` may invoke the ``op_*`` methods, and they write
+state only through ``ctx.put`` so a failed transaction is undone. The
+plain read-only methods are free to call from anywhere.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 
 from .errors import CorruptLog
 from .ledger import CallContext, Revert
-
-
-def tx_id_for(seq: int) -> str:
-    return f"tx-{seq}"
 
 
 class Contract:
@@ -36,12 +31,6 @@ class Contract:
 
     def __init__(self) -> None:
         self.state: dict = {}
-
-    def snapshot(self) -> object:
-        return copy.deepcopy(self.state)
-
-    def restore(self, snap: object) -> None:
-        self.state = snap  # type: ignore[assignment]
 
     def call(self, ctx: CallContext, method: str, args: tuple) -> object:
         if method not in self.METHODS:
@@ -64,10 +53,10 @@ class OracleContract(Contract):
         super().__init__()
         self.state = {
             "owner": None,
-            "trusted": set(),
+            "trusted": {},  # addr -> True
             "shared_datasets": {},  # addr -> {owner, iri, tx_id}
             "shared_models": {},  # addr -> {owner, iri, tx_id, task, dataset_addr, base_model_addr}
-            "task_index": {},  # task iri -> [addr, ...] in share order
+            "task_index": {},  # task iri -> {addr: True, ...} in share order
         }
 
     # Owner binding happens at account creation, not through a transaction:
@@ -85,18 +74,17 @@ class OracleContract(Contract):
             raise Revert("Unauthorized: only the network owner may register nodes")
         if node_addr in self.state["trusted"]:
             raise Revert(f"AlreadyRegistered: {node_addr} is already trusted")
-        self.state["trusted"].add(node_addr)
+        ctx.put(self.state["trusted"], node_addr, True)
 
     def op_share_dataset(self, ctx: CallContext, iri: str, addr: str) -> str:
         self._require_trusted(ctx.sender)
         self._require_fresh(addr)
-        tx = tx_id_for(ctx.seq)
-        self.state["shared_datasets"][addr] = {
+        ctx.put(self.state["shared_datasets"], addr, {
             "owner": ctx.sender,
             "iri": iri,
-            "tx_id": tx,
-        }
-        return tx
+            "tx_id": ctx.tx_id,
+        })
+        return ctx.tx_id
 
     def op_share_model(
         self,
@@ -113,17 +101,19 @@ class OracleContract(Contract):
             raise Revert(f"IncompleteChain: training dataset {dataset_addr} is not shared")
         if base_model_addr is not None and base_model_addr not in self.state["shared_models"]:
             raise Revert(f"IncompleteChain: base model {base_model_addr} is not shared")
-        tx = tx_id_for(ctx.seq)
-        self.state["shared_models"][addr] = {
+        ctx.put(self.state["shared_models"], addr, {
             "owner": ctx.sender,
             "iri": iri,
-            "tx_id": tx,
+            "tx_id": ctx.tx_id,
             "task": task,
             "dataset_addr": dataset_addr,
             "base_model_addr": base_model_addr,
-        }
-        self.state["task_index"].setdefault(task, []).append(addr)
-        return tx
+        })
+        index = self.state["task_index"]
+        if task not in index:
+            ctx.put(index, task, {})
+        ctx.put(index[task], addr, True)
+        return ctx.tx_id
 
     def _require_trusted(self, sender: str) -> None:
         if sender not in self.state["trusted"]:
@@ -155,9 +145,6 @@ class OracleContract(Contract):
     def owner_of_resource(self, addr: str) -> str | None:
         entry = self.state["shared_datasets"].get(addr) or self.state["shared_models"].get(addr)
         return entry["owner"] if entry else None
-
-    def has_resource(self, addr: str) -> bool:
-        return addr in self.state["shared_datasets"] or addr in self.state["shared_models"]
 
     def find_model_by_iri(self, iri: str) -> str | None:
         """Content address of the registered model with this iri, if any."""
@@ -197,9 +184,8 @@ class OracleContract(Contract):
                 if addr not in models or models[addr]["task"] != task:
                     return f"task index entry {task} -> {addr} is inconsistent"
         for addr, entry in models.items():
-            listed = self.state["task_index"].get(entry["task"], [])
-            if listed.count(addr) != 1:
-                return f"model {addr} appears {listed.count(addr)} times under {entry['task']}"
+            if addr not in self.state["task_index"].get(entry["task"], {}):
+                return f"model {addr} is not listed under {entry['task']}"
         overlap = set(datasets) & set(models)
         if overlap:
             return f"addresses registered in both roles: {sorted(overlap)}"
@@ -219,7 +205,8 @@ class IslContract(Contract):
     """Pricing, payment, and access tokens.
 
     Holds a reference to the oracle for trust/ownership checks but never
-    mutates it; the reference is wiring, not state, so snapshots exclude it.
+    mutates it; the reference is wiring, not state, so ``state_dict`` leaves
+    it out.
     """
 
     name = "isl"
@@ -244,7 +231,7 @@ class IslContract(Contract):
             raise Revert(f"UnknownResource: {addr} is not registered")
         if owner != ctx.sender:
             raise Revert("Unauthorized: only the resource owner may set its price")
-        self.state["prices"][addr] = price
+        ctx.put(self.state["prices"], addr, price)
 
     def op_acquire(self, ctx: CallContext, addr: str) -> dict:
         if not self.oracle.is_trusted(ctx.sender):
@@ -257,12 +244,12 @@ class IslContract(Contract):
             raise Revert(f"WrongPayment: posted price is {price}, payment was {ctx.value}")
         ctx.pay_out(owner, ctx.value)
         token = hashlib.sha256(f"{ctx.seq}:{addr}:{ctx.sender}".encode()).hexdigest()
-        self.state["acquisitions"][token] = {
+        ctx.put(self.state["acquisitions"], token, {
             "buyer": ctx.sender,
             "resource": addr,
             "granted_at_seq": ctx.seq,
-        }
-        self.state["tokens"][token] = True
+        })
+        ctx.put(self.state["tokens"], token, True)
         return {"token": token, "resource_location": addr}
 
     # ------------------------------------------------------------- read-only

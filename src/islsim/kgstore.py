@@ -5,7 +5,7 @@ triples are the source of truth; dataset, model, and space descriptors
 are materialized views rebuilt by scanning the set. Everything a node
 knows about its own assets, its spaces, and any remote shared assets it
 has cached lives here, so the ``.nt`` export of the graph is a complete
-snapshot of the node's metadata.
+record of the node's metadata.
 
 Identifier discipline: all entity identifiers are IRIs under the
 ``isl://`` scheme, ``isl://<node>/<kind>/<local-id>``. Controlled

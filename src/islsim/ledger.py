@@ -3,9 +3,13 @@
 There are no blocks, no consensus, and no signatures; the ledger is a
 strictly serial state machine. A transaction debits the sender by
 ``value``, credits the target contract's held balance, and runs one
-contract method. If the method raises :class:`Revert`, every contract's
-state and all balances are restored from the pre-execution snapshot, so
-a reverted transaction is observationally nothing but its receipt.
+contract method. Each write goes through :meth:`CallContext.put`, which
+journals the old value first, so undoing costs what the transaction
+wrote, not the size of the state. If the method raises *any* exception
+the journal is unwound, newest first. A :class:`Revert` stays in the log
+as a ``reverted`` receipt; any other exception is a crash: the
+transaction also leaves the log, its sequence number is reused, and the
+exception propagates, so replay never meets it.
 
 Determinism matters more than anything else here: token and id
 generation derive from the transaction sequence number, account
@@ -20,7 +24,6 @@ alone reconstructs balances during replay.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -40,7 +43,6 @@ class Revert(Exception):
 @dataclass(frozen=True)
 class Account:
     address: str  # 40 lowercase hex chars
-    balance: int  # balance at creation time
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,9 @@ class Receipt:
     return_value: object
 
 
+_MISSING = object()  # journaled "previous value" of a key that did not exist
+
+
 @dataclass
 class CallContext:
     """What a contract method sees of the transaction executing it."""
@@ -78,22 +83,45 @@ class CallContext:
     contract: str
     _ledger: "Ledger"
 
+    @property
+    def tx_id(self) -> str:
+        """The transaction's id, as receipts and registry entries carry it."""
+        return f"tx-{self.seq}"
+
+    def put(self, table: dict, key: object, value: object) -> None:
+        """Set ``table[key] = value``, journaled so a failed transaction undoes it."""
+        self._ledger._journal.append((table, key, table.get(key, _MISSING)))
+        table[key] = value
+
     def pay_out(self, to: str, amount: int) -> None:
         """Move ``amount`` from this contract's held funds to an account."""
-        self._ledger._pay_out(self.contract, to, amount)
+        balances = self._ledger._balances
+        held = self._ledger._contract_balances
+        if amount < 0:
+            raise Revert(f"PayoutFailed: negative amount {amount}")
+        if to not in balances:
+            raise Revert(f"PayoutFailed: no account {to}")
+        if held[self.contract] < amount:
+            raise Revert(f"PayoutFailed: contract holds {held[self.contract]}")
+        self.put(held, self.contract, held[self.contract] - amount)
+        self.put(balances, to, balances[to] + amount)
 
 
 class ContractLike(Protocol):
     name: str
 
-    def snapshot(self) -> object: ...
-    def restore(self, snap: object) -> None: ...
     def call(self, ctx: CallContext, method: str, args: tuple) -> object: ...
     def state_dict(self) -> dict: ...
 
 
 def canonical_json(obj: object) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _require_amount(amount: object, what: str) -> None:
+    # bool is an int subclass, but "True" in a log line does not parse back
+    if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
+        raise ValueError(f"{what} must be a non-negative int, got {amount!r}")
 
 
 class Ledger:
@@ -104,13 +132,13 @@ class Ledger:
         self._account_counter = 0
         self._next_seq = 1
         self.log: list[AccountCreation | Transaction] = []
-        self.receipts: dict[int, Receipt] = {}
+        # (table, key, previous value) per write of the running transaction
+        self._journal: list[tuple[dict, object, object]] = []
 
     # ---------------------------------------------------------------- accounts
 
     def create_account(self, initial_balance: int, owner: bool = False) -> Account:
-        if initial_balance < 0:
-            raise ValueError("initial balance must be non-negative")
+        _require_amount(initial_balance, "initial balance")
         self._account_counter += 1
         address = hashlib.sha256(str(self._account_counter).encode()).hexdigest()[:40]
         self._balances[address] = initial_balance
@@ -120,7 +148,7 @@ class Ledger:
                 hook = getattr(contract, "on_owner_account", None)
                 if hook is not None:
                     hook(address)
-        return Account(address, initial_balance)
+        return Account(address)
 
     def balance_of(self, address: str) -> int:
         if address not in self._balances:
@@ -161,8 +189,7 @@ class Ledger:
             raise UnknownSender(f"no account {sender}")
         if contract not in self._contracts:
             raise ValueError(f"no contract {contract!r}")
-        if value < 0:
-            raise ValueError("value must be non-negative")
+        _require_amount(value, "value")
         if self._balances[sender] < value:
             raise InsufficientFunds(
                 f"balance {self._balances[sender]} cannot cover value {value}"
@@ -171,35 +198,25 @@ class Ledger:
         tx = Transaction(self._next_seq, sender, contract, method, tuple(args), value)
         self._next_seq += 1
         self.log.append(tx)
-
-        snapshots = {name: c.snapshot() for name, c in self._contracts.items()}
-        balances_before = dict(self._balances)
-        held_before = dict(self._contract_balances)
-
-        self._balances[sender] -= value
-        self._contract_balances[contract] += value
         ctx = CallContext(sender, tx.seq, value, contract, self)
         try:
+            ctx.put(self._balances, sender, self._balances[sender] - value)
+            ctx.put(self._contract_balances, contract, self._contract_balances[contract] + value)
             ret = self._contracts[contract].call(ctx, method, tx.args)
-            receipt = Receipt(f"tx-{tx.seq}", "ok", None, ret)
-        except Revert as r:
-            for name, c in self._contracts.items():
-                c.restore(snapshots[name])
-            self._balances = balances_before
-            self._contract_balances = held_before
-            receipt = Receipt(f"tx-{tx.seq}", "reverted", str(r), None)
-        self.receipts[tx.seq] = receipt
-        return receipt
-
-    def _pay_out(self, contract: str, to: str, amount: int) -> None:
-        if amount < 0:
-            raise Revert(f"PayoutFailed: negative amount {amount}")
-        if to not in self._balances:
-            raise Revert(f"PayoutFailed: no account {to}")
-        if self._contract_balances[contract] < amount:
-            raise Revert(f"PayoutFailed: contract holds {self._contract_balances[contract]}")
-        self._contract_balances[contract] -= amount
-        self._balances[to] += amount
+        except BaseException as exc:
+            while self._journal:
+                table, key, previous = self._journal.pop()
+                if previous is _MISSING:
+                    del table[key]
+                else:
+                    table[key] = previous
+            if not isinstance(exc, Revert):
+                self.log.pop()
+                self._next_seq = tx.seq
+                raise
+            return Receipt(ctx.tx_id, "reverted", str(exc), None)
+        self._journal.clear()
+        return Receipt(ctx.tx_id, "ok", None, ret)
 
     # ------------------------------------------------------------------- state
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import kgstore, mlsim
-from .cas import BlobStore, content_address, is_address
+from .cas import BlobStore, content_address, is_address, write_atomic
 from .contracts import IslContract, OracleContract
 from .depgraph import DependencyGraph
 from .errors import (
@@ -558,5 +558,5 @@ class IslNode:
 
     def persist(self) -> None:
         """Write the node's knowledge graph and account marker to disk."""
-        (self.root / "kg.nt").write_bytes(self.graph.export_bytes())
-        (self.root / "account.txt").write_text(self.account + "\n", encoding="ascii")
+        write_atomic(self.root / "kg.nt", self.graph.export_bytes())
+        write_atomic(self.root / "account.txt", (self.account + "\n").encode("ascii"))

@@ -223,6 +223,15 @@ class TestReplay:
         assert run(["replay", str(ws)]) == 0
         assert capsys.readouterr().out.strip() == "MATCH"
 
+    @pytest.mark.parametrize("scenario", [TWO_NODE, UNAUTHORIZED], ids=lambda p: p.stem)
+    def test_persist_leaves_no_temp_files(self, tmp_path, capsys, scenario):
+        ws = tmp_path / "ws"
+        run(["run", str(scenario), "--workspace", str(ws)])
+        capsys.readouterr()
+        assert sorted(ws.rglob("*.tmp")) == []
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out.strip() == "MATCH"
+
     def test_replay_flags_tampered_chainstate(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         run(["run", str(TWO_NODE), "--workspace", str(ws)])

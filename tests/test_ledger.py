@@ -1,6 +1,5 @@
 """Ledger semantics: serial execution, atomicity, conservation, replay."""
 
-import copy
 import hashlib
 
 import pytest
@@ -28,23 +27,17 @@ class Counter:
     def __init__(self):
         self.state = {"count": 0, "spent": 0}
 
-    def snapshot(self):
-        return copy.deepcopy(self.state)
-
-    def restore(self, snap):
-        self.state = snap
-
     def call(self, ctx, method, args):
         if method == "bump":
-            self.state["count"] += 1
+            ctx.put(self.state, "count", self.state["count"] + 1)
             return self.state["count"]
         if method == "pay":
             (to, amount) = args
-            self.state["spent"] += amount
+            ctx.put(self.state, "spent", self.state["spent"] + amount)
             ctx.pay_out(to, amount)
             return None
         if method == "boom":
-            self.state["count"] += 100  # must be rolled back
+            ctx.put(self.state, "count", self.state["count"] + 100)  # must be rolled back
             raise Revert("UnknownResource: deliberate failure")
         raise Revert(f"UnknownMethod: {method}")
 
@@ -61,6 +54,16 @@ def ledger():
 
 def counter_factory():
     return [Counter()]
+
+
+class CrashingCounter(Counter):
+    """Counter whose ``crash`` method writes state, then fails with a bug."""
+
+    def call(self, ctx, method, args):
+        if method == "crash":
+            ctx.put(self.state, "count", self.state["count"] + 1000)
+            raise RuntimeError("contract bug")
+        return super().call(ctx, method, args)
 
 
 def test_account_addresses_are_deterministic(ledger):
@@ -142,6 +145,38 @@ def test_conservation_across_mixed_session(ledger):
     ledger.submit(b.address, "counter", "boom", value=5)
     ledger.submit(b.address, "counter", "bump")
     assert ledger.total_supply() == supply
+
+
+@pytest.mark.parametrize("value", [0.5, True])
+def test_non_int_value_rejected_before_logging(ledger, value):
+    acct = ledger.create_account(5)
+    log_len = len(ledger.log)
+    with pytest.raises(ValueError):
+        ledger.submit(acct.address, "counter", "bump", value=value)
+    assert len(ledger.log) == log_len
+
+
+def test_non_int_initial_balance_rejected(ledger):
+    with pytest.raises(ValueError):
+        ledger.create_account(1.5)
+    assert ledger.log == []
+    assert ledger.create_account(1).address == hashlib.sha256(b"1").hexdigest()[:40]
+
+
+def test_crash_is_rolled_back_and_dropped_from_log():
+    led = Ledger()
+    led.register_contract(CrashingCounter())
+    acct = led.create_account(100)
+    led.submit(acct.address, "counter", "bump")
+
+    def observed():
+        return led.canonical_state(), led.balances(), led.contract_balances(), len(led.log)
+
+    before = observed()
+    with pytest.raises(RuntimeError, match="contract bug"):
+        led.submit(acct.address, "counter", "crash", value=30)
+    assert observed() == before
+    assert led.submit(acct.address, "counter", "bump").tx_id == "tx-2"
 
 
 # ------------------------------------------------------------------ log text
@@ -236,3 +271,32 @@ def test_replay_detects_unfunded_transaction():
     ]
     with pytest.raises(CorruptLog):
         replay(forged, counter_factory)
+
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["bump", "boom", "crash", "pay"]),
+            st.integers(0, 2),  # sender index
+            st.integers(0, 40),  # value carried
+            st.integers(0, 40),  # amount paid out: above what the contract holds fails
+        ),
+        max_size=25,
+    )
+)
+def test_every_live_log_replays_to_the_same_state(ops):
+    led = Ledger()
+    led.register_contract(CrashingCounter())
+    accounts = [led.create_account(60).address for _ in range(3)]
+    for method, who, value, amount in ops:
+        args = (accounts[(who + 1) % 3], amount) if method == "pay" else ()
+        try:
+            led.submit(accounts[who], "counter", method, args, value=value)
+        except (RuntimeError, InsufficientFunds):
+            pass
+    assert led.total_supply() == 180
+    entries = [parse_log_line(line) for line in log_lines(led)]
+    replica = replay(entries, lambda: [CrashingCounter()])
+    assert replica.canonical_state() == led.canonical_state()
+    assert log_lines(replica) == log_lines(led)

@@ -10,13 +10,7 @@ from .cas import BlobStore, content_address, is_address
 from .contracts import IslContract, OracleContract
 from .depgraph import DependencyGraph, ProvenanceChain
 from .errors import IslError
-from .kgstore import (
-    DatasetDescriptor,
-    KnowledgeGraph,
-    ModelRecord,
-    SpaceProfile,
-    Triple,
-)
+from .kgstore import DatasetDescriptor, KnowledgeGraph, ModelRecord, Triple
 from .ledger import Ledger, Receipt
 from .mlsim import (
     LinearModel,
@@ -49,7 +43,6 @@ __all__ = [
     "RankedModel",
     "Receipt",
     "RoomProfile",
-    "SpaceProfile",
     "TabularDataset",
     "Triple",
     "content_address",

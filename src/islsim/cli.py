@@ -35,10 +35,11 @@ from pathlib import Path
 
 from . import kgstore
 from .cas import is_address, write_atomic
+from .contracts import OracleContract
 from .errors import IslError, NotFound, ParseError, UnknownResource, UnknownWorkspace
 from .ledger import Ledger, canonical_json, log_lines, parse_log_line, replay
 from .mlsim import RoomProfile
-from .node import IslNode, Network
+from .node import ChainStep, IslNode, Network, walk_provenance
 
 LEDGER_FILE = "ledger.log"
 CHAINSTATE_FILE = "chainstate.json"
@@ -264,15 +265,12 @@ class ScenarioRunner:
     def _do_acquire(self, name: str, addr: str, price: str) -> None:
         node = self._node(name)
         resolved = self._resolve_address(addr)
-        entry = self._net().oracle.model_entry(resolved) or self._net().oracle.dataset_entry(resolved)
-        owner = self._net().node_name_of(entry["owner"]) if entry else None
-        node.acquire_model(resolved, _int(price, "PRICE"))
-        print(f"acquired {resolved} price={_int(price, 'PRICE')} from={owner}")
+        record = node.acquire_model(resolved, _int(price, "PRICE"))
+        print(f"acquired {resolved} price={_int(price, 'PRICE')} from={record.owner_node}")
 
     def _do_trace(self, addr: str) -> None:
-        resolved = self._resolve_address(addr)
-        steps = _format_chain(self._net().oracle.state_dict(), resolved)
-        for line in steps:
+        steps = walk_provenance(self._net().oracle, self._resolve_address(addr))
+        for line in _format_chain(steps):
             print(line)
 
     # -------------------------------------------------------------- references
@@ -359,31 +357,13 @@ def _load_chainstate(workspace: Path) -> dict:
         raise UnknownWorkspace(f"unreadable {CHAINSTATE_FILE}: {exc}") from None
 
 
-def _format_chain(oracle_state: dict, addr: str) -> list[str]:
-    """Render a model's ancestry, root first, from oracle contract state."""
-    models = oracle_state["shared_models"]
-    datasets = oracle_state["shared_datasets"]
-    if addr not in models:
-        raise UnknownResource(f"{addr} is not a shared model")
-    lineage = []
-    cur: str | None = addr
-    seen: set[str] = set()
-    while cur is not None:
-        if cur in seen or cur not in models:
-            raise UnknownResource(f"broken chain at {cur}")
-        seen.add(cur)
-        lineage.append(cur)
-        cur = models[cur]["base_model_addr"]
-    lineage.reverse()
-    lines = []
-    for i, model_addr in enumerate(lineage, start=1):
-        entry = models[model_addr]
-        ds = datasets.get(entry["dataset_addr"], {})
-        lines.append(
-            f"step {i}: model={entry['iri']} addr={model_addr} "
-            f"dataset={ds.get('iri', '?')} tx={entry['tx_id']} owner={entry['owner']}"
-        )
-    return lines
+def _format_chain(steps: list[ChainStep]) -> list[str]:
+    """One line per provenance step, root first."""
+    return [
+        f"step {i}: model={s.model_iri} addr={s.model_addr} "
+        f"dataset={s.dataset_iri} tx={s.tx_id} owner={s.owner}"
+        for i, s in enumerate(steps, start=1)
+    ]
 
 
 def _cmd_inspect(ns: argparse.Namespace) -> int:
@@ -420,7 +400,10 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
     if ns.what == "provenance":
         if not ns.arg or not is_address(ns.arg):
             raise ParseError("inspect provenance needs a content address")
-        for line in _format_chain(state["oracle"], ns.arg):
+        registry = OracleContract()
+        for table in ("shared_datasets", "shared_models"):
+            registry.state[table] = state["oracle"][table]
+        for line in _format_chain(walk_provenance(registry, ns.arg)):
             print(line)
         return 0
     raise ParseError(f"unknown inspect target {ns.what!r}")

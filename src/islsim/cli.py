@@ -36,7 +36,14 @@ from pathlib import Path
 from . import kgstore
 from .cas import is_address, write_atomic
 from .contracts import OracleContract
-from .errors import IslError, NotFound, ParseError, UnknownResource, UnknownWorkspace
+from .errors import (
+    CorruptLog,
+    IslError,
+    NotFound,
+    ParseError,
+    UnknownResource,
+    UnknownWorkspace,
+)
 from .ledger import Ledger, canonical_json, log_lines, parse_log_line, replay
 from .mlsim import RoomProfile
 from .node import ChainStep, IslNode, Network, walk_provenance
@@ -352,9 +359,15 @@ def _load_chainstate(workspace: Path) -> dict:
     if not path.is_file():
         raise UnknownWorkspace(f"{workspace} has no {CHAINSTATE_FILE}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        state = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or not UTF-8
         raise UnknownWorkspace(f"unreadable {CHAINSTATE_FILE}: {exc}") from None
+    if not isinstance(state, dict):
+        raise UnknownWorkspace(f"{CHAINSTATE_FILE} is not a JSON object")
+    for key in ("balances", "contract_balances", "oracle", "isl"):
+        if not isinstance(state.get(key), dict):
+            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
+    return state
 
 
 def _format_chain(steps: list[ChainStep]) -> list[str]:
@@ -417,7 +430,11 @@ def _cmd_replay(ns: argparse.Namespace) -> int:
     if not log_path.is_file():
         raise UnknownWorkspace(f"{workspace} has no {LEDGER_FILE}")
     stored = _load_chainstate(workspace)
-    entries = [parse_log_line(line) for line in log_path.read_text(encoding="ascii").split("\n") if line]
+    try:
+        text = log_path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptLog(f"{LEDGER_FILE} is not ASCII: {exc}") from None
+    entries = [parse_log_line(line) for line in text.split("\n") if line]
     replica = replay(entries, Network.contract_factory)
     expected = {k: v for k, v in stored.items() if k != "meta"}
     if canonical_json(_chainstate_payload(replica)) == canonical_json(expected):

@@ -1,11 +1,18 @@
 """Embedded triple store: one knowledge graph per node.
 
-The graph is a plain set of subject/predicate/object triples and the
-triples are the source of truth; dataset descriptors and model records
-are materialized views rebuilt by scanning the set. Everything a node
-knows about its own assets and any remote shared assets it has cached
-lives here, so the ``.nt`` export of the graph is a complete
-record of the node's metadata.
+The graph is a set of subject/predicate/object triples, and the triples
+are the source of truth. ``assert_triples`` is the only writer. Beside
+the set it keeps two indexes: subject -> that subject's triples, and
+type -> the subjects of that type. A lookup reads one subject's triples
+and never scans the set. Dataset descriptors and model records are
+views materialized from those triples on first read and cached per
+(type, subject); both are frozen, so the cached object is handed out
+as is. Every new triple drops the cached views of its subject, which
+keeps reads after ``mark_shared`` or ``import_bytes`` fresh.
+
+Everything a node knows about its own assets and any remote shared
+assets it has cached lives here, so the ``.nt`` export of the graph is
+a complete record of the node's metadata.
 
 Identifier discipline: all entity identifiers are IRIs under the
 ``isl://`` scheme, ``isl://<node>/<kind>/<local-id>``. Controlled
@@ -21,7 +28,7 @@ comma-joined literal instead of one triple per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from .errors import (
     AlreadyShared,
@@ -79,7 +86,7 @@ def model_iri(node_id: str, local_id: str) -> str:
     return f"isl://{node_id}/model/{local_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """Typed literal object. datatype is 'string' or 'decimal'."""
 
@@ -91,14 +98,14 @@ def decimal(value: float) -> Literal:
     return Literal(repr(float(value)), "decimal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     predicate: str
     obj: str | Literal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetDescriptor:
     iri: str
     owner_node: str
@@ -116,7 +123,7 @@ class DatasetDescriptor:
         return tuple(entry.split(":", 1)[0] for entry in self.feature_schema)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelRecord:
     iri: str
     task: str
@@ -143,6 +150,9 @@ class KnowledgeGraph:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self.triples: set[Triple] = set()
+        self._by_subject: dict[str, list[Triple]] = {}
+        self._by_type: dict[str | Literal, set[str]] = {}
+        self._views: dict[tuple[str, str], DatasetDescriptor | ModelRecord] = {}
 
     # ---------------------------------------------------------------- triples
 
@@ -153,9 +163,15 @@ class KnowledgeGraph:
             self._check_triple(t)
         added = 0
         for t in batch:
-            if t not in self.triples:
-                self.triples.add(t)
-                added += 1
+            if t in self.triples:
+                continue
+            self.triples.add(t)
+            self._by_subject.setdefault(t.subject, []).append(t)
+            if t.predicate == P_TYPE:
+                self._by_type.setdefault(t.obj, set()).add(t.subject)
+            self._views.pop((T_DATASET, t.subject), None)
+            self._views.pop((T_MODEL, t.subject), None)
+            added += 1
         return added
 
     @staticmethod
@@ -183,15 +199,12 @@ class KnowledgeGraph:
 
     def _props(self, subject: str) -> dict[str, list[str | Literal]]:
         out: dict[str, list[str | Literal]] = {}
-        for t in self.triples:
-            if t.subject == subject:
-                out.setdefault(t.predicate, []).append(t.obj)
+        for t in self._by_subject.get(subject, ()):
+            out.setdefault(t.predicate, []).append(t.obj)
         return out
 
     def _subjects_of_type(self, type_iri: str) -> list[str]:
-        return sorted(
-            t.subject for t in self.triples if t.predicate == P_TYPE and t.obj == type_iri
-        )
+        return sorted(self._by_type.get(type_iri, ()))
 
     # ------------------------------------------------------------ registration
 
@@ -265,7 +278,7 @@ class KnowledgeGraph:
     def _check_fresh(self, iri: str) -> None:
         if not _is_iri(iri):
             raise MalformedDescriptor(f"identifier is not an isl:// IRI: {iri!r}")
-        if any(t.subject == iri for t in self.triples):
+        if iri in self._by_subject:
             raise DuplicateId(f"{iri} is already registered")
 
     @staticmethod
@@ -355,10 +368,10 @@ class KnowledgeGraph:
     # ----------------------------------------------------------------- queries
 
     def datasets(self) -> list[DatasetDescriptor]:
-        return [self._materialize_dataset(s) for s in self._subjects_of_type(T_DATASET)]
+        return [self._view(T_DATASET, s) for s in self._subjects_of_type(T_DATASET)]
 
     def models(self) -> list[ModelRecord]:
-        return [self._materialize_model(s) for s in self._subjects_of_type(T_MODEL)]
+        return [self._view(T_MODEL, s) for s in self._subjects_of_type(T_MODEL)]
 
     def dataset(self, iri: str) -> DatasetDescriptor:
         d = self._maybe_dataset(iri)
@@ -379,21 +392,24 @@ class KnowledgeGraph:
         return self._maybe_model(iri) is not None
 
     def _maybe_dataset(self, iri: str) -> DatasetDescriptor | None:
-        props = self._props(iri)
-        if T_DATASET not in props.get(P_TYPE, []):
-            return None
-        return self._materialize_dataset(iri, props)
+        return self._view(T_DATASET, iri)
 
     def _maybe_model(self, iri: str) -> ModelRecord | None:
-        props = self._props(iri)
-        if T_MODEL not in props.get(P_TYPE, []):
-            return None
-        return self._materialize_model(iri, props)
+        return self._view(T_MODEL, iri)
 
-    def _materialize_dataset(
-        self, iri: str, props: dict[str, list[str | Literal]] | None = None
-    ) -> DatasetDescriptor:
-        props = props if props is not None else self._props(iri)
+    def _view(self, type_iri: str, iri: str) -> Any:
+        """The cached record of ``iri`` as a ``type_iri``; None if it lacks that type."""
+        key = (type_iri, iri)
+        view = self._views.get(key)
+        if view is None and iri in self._by_type.get(type_iri, ()):
+            materialize = (
+                self._materialize_dataset if type_iri == T_DATASET else self._materialize_model
+            )
+            view = self._views[key] = materialize(iri)
+        return view
+
+    def _materialize_dataset(self, iri: str) -> DatasetDescriptor:
+        props = self._props(iri)
         schema = self._one_literal(iri, props, P_FEATURE_SCHEMA)
         return DatasetDescriptor(
             iri=iri,
@@ -404,10 +420,8 @@ class KnowledgeGraph:
             tx_id=self._opt_literal(iri, props, P_TX_ID),
         )
 
-    def _materialize_model(
-        self, iri: str, props: dict[str, list[str | Literal]] | None = None
-    ) -> ModelRecord:
-        props = props if props is not None else self._props(iri)
+    def _materialize_model(self, iri: str) -> ModelRecord:
+        props = self._props(iri)
         features = self._one_literal(iri, props, P_INPUT_FEATURES)
         return ModelRecord(
             iri=iri,

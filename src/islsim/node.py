@@ -118,6 +118,7 @@ class Network:
         self.ledger = ledger
         self.owner_account = owner_account
         self._nodes: dict[str, IslNode] = {}
+        self._names_by_account: dict[str, str] = {}
 
     @classmethod
     def create(cls, root: str | Path, owner_balance: int) -> "Network":
@@ -157,6 +158,7 @@ class Network:
         node_dir.mkdir(parents=True, exist_ok=True)
         node = IslNode(self, name, account.address, node_dir)
         self._nodes[name] = node
+        self._names_by_account[account.address] = name
         return node
 
     def register_node(self, name: str) -> Receipt:
@@ -173,10 +175,7 @@ class Network:
         return sorted(self._nodes)
 
     def node_name_of(self, account: str) -> str | None:
-        for name, node in self._nodes.items():
-            if node.account == account:
-                return name
-        return None
+        return self._names_by_account.get(account)
 
     # ------------------------------------------------------------------ chain
 
@@ -437,6 +436,7 @@ class IslNode:
         task = self._task_ref(task)
         oracle = self.network.oracle
         isl = self.network.isl
+        sensors = set(sensors)
         matches = []
         for addr in oracle.query_task(task):
             entry = oracle.model_entry(addr)
@@ -446,7 +446,7 @@ class IslNode:
             if owner_name is None:
                 continue
             record = self.network.describe_model(entry["iri"])
-            if not set(record.input_features) <= set(sensors):
+            if not sensors.issuperset(record.input_features):
                 continue
             matches.append(
                 RankedModel(

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths:
 fitting goes through numpy's least-squares solver, metrics through
-numpy reductions, gradients through central finite differences, and
-closure checks through a plain reachability walk over raw state dicts.
+numpy reductions, gradients through central finite differences,
+closure checks through a plain reachability walk over raw state dicts,
+and knowledge-graph records through a full scan of the raw triple set.
 """
 
 from __future__ import annotations
@@ -80,3 +81,72 @@ def registry_closure_violation(oracle_state: dict) -> str | None:
         if base is not None and base not in models:
             return f"model {addr} depends on unregistered base {base}"
     return None
+
+
+VOCAB = "isl://vocab/"
+MALFORMED = "malformed"
+
+
+
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else ()
+
+
+# record field -> (predicate local name, required, converter)
+RECORD_FIELDS = {
+    "Dataset": {
+        "owner_node": ("ownerNode", True, str),
+        "feature_schema": ("featureSchema", True, _split),
+        "local_uri": ("localUri", True, str),
+        "content_address": ("contentAddress", False, str),
+        "tx_id": ("txId", False, str),
+    },
+    "Model": {
+        "task": ("task", True, str),
+        "dataset": ("trainedOn", True, str),
+        "model_uri": ("localUri", True, str),
+        "base_model": ("baseModel", False, str),
+        "input_features": ("inputFeatures", True, _split),
+        "mae": ("mae", True, float),
+        "mse": ("mse", True, float),
+        "owner_node": ("ownerNode", True, str),
+        "content_address": ("contentAddress", False, str),
+        "tx_id": ("txId", False, str),
+    },
+}
+
+
+def scan_subjects(triples, kind: str) -> list[str]:
+    """Sorted subjects typed ``isl://vocab/<kind>``, by scanning every triple."""
+    return sorted(
+        t.subject for t in triples if t.predicate == VOCAB + "type" and t.obj == VOCAB + kind
+    )
+
+
+def scan_has_subject(triples, iri: str) -> bool:
+    return any(t.subject == iri for t in triples)
+
+
+def scan_record(triples, iri: str, kind: str):
+    """Field values of ``iri`` read as a ``kind`` record by scanning every triple.
+
+    ``None`` if the subject has no such type, :data:`MALFORMED` if a
+    required field is missing or any field has more than one value.
+    """
+    values: dict[str, list] = {}
+    typed = False
+    for t in triples:
+        if t.subject != iri:
+            continue
+        if t.predicate == VOCAB + "type" and t.obj == VOCAB + kind:
+            typed = True
+        values.setdefault(t.predicate, []).append(getattr(t.obj, "lexical", t.obj))
+    if not typed:
+        return None
+    record = {"iri": iri}
+    for field, (pred, required, convert) in RECORD_FIELDS[kind].items():
+        found = values.get(VOCAB + pred, [])
+        if len(found) > 1 or (required and not found):
+            return MALFORMED
+        record[field] = convert(found[0]) if found else None
+    return record

@@ -284,6 +284,47 @@ class TestReplay:
         assert run(["replay", str(ws)]) == 1
         assert capsys.readouterr().err.startswith("CorruptLog: ")
 
+    def test_replay_rejects_non_ascii_log(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+
+        with open(ws / cli.LEDGER_FILE, "ab") as log:
+            log.write(b"tx\tseq=99\tsender=\xff\n")
+
+        assert run(["replay", str(ws)]) == 1
+        assert capsys.readouterr().err.startswith("CorruptLog: ")
+
+    @pytest.mark.parametrize("command", ["replay", "balances", "registry", "provenance"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]",
+            "{}",
+            "null",
+            '"state"',
+            '{"balances": {}, "contract_balances": {}, "oracle": {}}',
+            '{"balances": [], "contract_balances": {}, "oracle": {}, "isl": {}}',
+            b"\xff{}",
+        ],
+        ids=["list", "empty", "null", "string", "no-isl", "balances-list", "not-utf8"],
+    )
+    def test_malformed_chainstate_is_unknown_workspace(self, tmp_path, capsys, command, text):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+        state_path = ws / cli.CHAINSTATE_FILE
+        if isinstance(text, bytes):
+            state_path.write_bytes(text)
+        else:
+            state_path.write_text(text)
+
+        args = ["replay", str(ws)] if command == "replay" else ["inspect", str(ws), command]
+        if command == "provenance":
+            args.append("f" * 64)
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("UnknownWorkspace: ")
+
     def test_replay_rejects_forged_value(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         run(["run", str(TWO_NODE), "--workspace", str(ws)])

@@ -1,13 +1,15 @@
 """Knowledge graph behaviour: registration rules, queries, serialization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from islsim import kgstore
 from islsim.errors import (
     AlreadyShared,
     DuplicateId,
+    IslError,
     MalformedDescriptor,
     MalformedTriple,
     NotFound,
@@ -159,6 +161,20 @@ class TestSharing:
         with pytest.raises(AlreadyShared):
             kg.mark_shared(dataset().iri, "b" * 64, "tx-4")
 
+    def test_record_read_before_mark_shared_is_not_stale(self, kg):
+        kg.register_dataset(dataset())
+        kg.register_model(model())
+        # these reads fill the view cache
+        assert not kg.dataset(dataset().iri).shared
+        assert not kg.model(model().iri).shared
+        assert kg.datasets()[0].tx_id is None and kg.models()[0].tx_id is None
+        kg.mark_shared(dataset().iri, ADDR, "tx-3")
+        kg.mark_shared(model().iri, "b" * 64, "tx-4")
+        assert kg.dataset(dataset().iri).content_address == ADDR
+        assert kg.model(model().iri).tx_id == "tx-4"
+        assert [m.tx_id for m in kg.models()] == ["tx-4"]
+        assert [d.tx_id for d in kg.datasets()] == ["tx-3"]
+
     def test_mark_shared_unknown(self, kg):
         with pytest.raises(NotFound):
             kg.mark_shared(kgstore.dataset_iri("alice", "nope"), ADDR, "tx-1")
@@ -261,3 +277,117 @@ def test_assert_triples_counts_new():
     t = Triple("isl://a/dataset/x", kgstore.P_OWNER, Literal("alice"))
     assert kg.assert_triples([t, t]) == 1
     assert kg.assert_triples([t]) == 0
+
+
+# ------------------------------------------- index vs brute-force triple scan
+
+LOCALS = ("a", "b")
+ADDRS = (ADDR, "b" * 64)
+TX_IDS = ("tx-1", "tx-2")
+IRIS = tuple(
+    make(node, local)
+    for make in (kgstore.dataset_iri, kgstore.model_iri)
+    for node in ("alice", "bob")
+    for local in LOCALS
+)
+
+kg_op = st.one_of(
+    st.tuples(st.just("register_dataset"), st.sampled_from(LOCALS)),
+    st.tuples(
+        st.just("register_model"),
+        st.sampled_from(LOCALS),
+        st.sampled_from(LOCALS),
+        st.none() | st.sampled_from(LOCALS),
+    ),
+    st.tuples(
+        st.sampled_from(("cache_remote_dataset", "cache_remote_model")),
+        st.sampled_from(LOCALS),
+        st.sampled_from(ADDRS),
+        st.sampled_from(TX_IDS),
+    ),
+    st.tuples(
+        st.just("mark_shared"), st.sampled_from(IRIS), st.sampled_from(ADDRS),
+        st.sampled_from(TX_IDS),
+    ),
+    st.tuples(st.just("add_owner"), st.sampled_from(IRIS), st.sampled_from(("alice", "bob"))),
+    st.tuples(st.just("import")),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IslError as exc:
+        return type(exc)
+
+
+def _expected_record(kg, iri, kind):
+    fields = oracles.scan_record(kg.triples, iri, kind)
+    if fields is None:
+        return NotFound
+    if fields == oracles.MALFORMED:
+        return MalformedDescriptor
+    return (DatasetDescriptor if kind == "Dataset" else ModelRecord)(**fields)
+
+
+def _expected_listing(kg, kind):
+    records = [_expected_record(kg, s, kind) for s in oracles.scan_subjects(kg.triples, kind)]
+    return MalformedDescriptor if MalformedDescriptor in records else records
+
+
+def _expected_duplicate(kg, record, kind):
+    """Whether caching ``record`` into ``kg`` must raise DuplicateId."""
+    existing = _expected_record(kg, record.iri, kind)
+    if existing is not NotFound:
+        return existing not in (record, MalformedDescriptor)
+    return oracles.scan_has_subject(kg.triples, record.iri)
+
+
+def _check_against_scan(kg):
+    for iri in IRIS:
+        for kind, read, has in (
+            ("Dataset", kg.dataset, kg.has_dataset),
+            ("Model", kg.model, kg.has_model),
+        ):
+            expected = _expected_record(kg, iri, kind)
+            assert _outcome(read, iri) == expected
+            if expected is MalformedDescriptor:
+                assert _outcome(has, iri) is MalformedDescriptor
+            else:
+                assert has(iri) == (expected is not NotFound)
+    assert _outcome(kg.datasets) == _expected_listing(kg, "Dataset")
+    assert _outcome(kg.models) == _expected_listing(kg, "Model")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(kg_op, max_size=25))
+def test_index_agrees_with_a_triple_scan(ops):
+    kg = KnowledgeGraph("alice")
+    for op, *args in ops:
+        if op == "register_dataset":
+            d = dataset(local=args[0])
+            duplicate = oracles.scan_has_subject(kg.triples, d.iri)
+            assert (_outcome(kg.register_dataset, d) is DuplicateId) == duplicate
+        elif op == "register_model":
+            local, ds_local, base_local = args
+            m = model(
+                local=local,
+                dataset=kgstore.dataset_iri("alice", ds_local),
+                base_model=base_local and kgstore.model_iri("alice", base_local),
+            )
+            duplicate = oracles.scan_has_subject(kg.triples, m.iri)
+            assert (_outcome(kg.register_model, m) is DuplicateId) == duplicate
+        elif op.startswith("cache_remote"):
+            local, addr, tx_id = args
+            make, kind = (dataset, "Dataset") if op == "cache_remote_dataset" else (model, "Model")
+            record = make(node="bob", local=local, content_address=addr, tx_id=tx_id)
+            duplicate = _expected_duplicate(kg, record, kind)
+            assert (_outcome(getattr(kg, op), record) is DuplicateId) == duplicate
+        elif op == "mark_shared":
+            _outcome(kg.mark_shared, *args)
+        elif op == "add_owner":
+            iri, owner = args
+            kg.assert_triples([Triple(iri, kgstore.P_OWNER, Literal(owner))])
+        else:
+            kg = KnowledgeGraph.import_bytes("alice", kg.export_bytes())
+        _check_against_scan(kg)

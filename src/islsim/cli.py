@@ -187,7 +187,7 @@ class ScenarioRunner:
         lines = log_lines(ledger)
         text = "\n".join(lines) + ("\n" if lines else "")
         write_atomic(self.workspace / LEDGER_FILE, text.encode("ascii"))
-        payload = _chainstate_payload(ledger)
+        payload = ledger.state_dict()  # what replay must reproduce
         payload["meta"] = meta
         write_atomic(self.workspace / CHAINSTATE_FILE, canonical_json(payload) + b"\n")
         if net is not None:
@@ -344,14 +344,11 @@ class ScenarioRunner:
 
 # ----------------------------------------------------------------- inspect
 
-def _chainstate_payload(ledger: Ledger) -> dict:
-    """``chainstate.json`` without its ``meta`` key: what replay must reproduce."""
-    return {
-        "balances": ledger.balances(),
-        "contract_balances": ledger.contract_balances(),
-        "oracle": ledger.contract("oracle").state_dict(),
-        "isl": ledger.contract("isl").state_dict(),
-    }
+# the registry entry fields that ``inspect registry`` and ``inspect provenance`` read
+_ENTRY_KEYS = {
+    "shared_datasets": ("iri", "owner", "tx_id"),
+    "shared_models": ("iri", "owner", "tx_id", "task", "dataset_addr", "base_model_addr"),
+}
 
 
 def _load_chainstate(workspace: Path) -> dict:
@@ -368,6 +365,26 @@ def _load_chainstate(workspace: Path) -> dict:
         if not isinstance(state.get(key), dict):
             raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
     return state
+
+
+def _check_registry(state: dict) -> None:
+    """Refuse registry tables and entries that ``inspect`` could not read."""
+    for table, keys in _ENTRY_KEYS.items():
+        entries = state["oracle"].get(table)
+        if not isinstance(entries, dict):
+            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no oracle {table!r} object")
+        for addr, entry in entries.items():
+            if not _is_entry(entry, keys):
+                raise UnknownWorkspace(f"{CHAINSTATE_FILE} has a malformed {table} entry {addr}")
+
+
+def _is_entry(entry: object, keys: tuple[str, ...]) -> bool:
+    """An object with every key; each value is a string, but a model's base may be null."""
+    if not isinstance(entry, dict) or not all(k in entry for k in keys):
+        return False
+    return all(
+        isinstance(entry[k], str) or (k == "base_model_addr" and entry[k] is None) for k in keys
+    )
 
 
 def _format_chain(steps: list[ChainStep]) -> list[str]:
@@ -393,6 +410,7 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
         return 0
 
     state = _load_chainstate(workspace)
+    _check_registry(state)
     if ns.what == "balances":
         for addr, bal in sorted(state["balances"].items()):
             print(f"{addr} {bal}")
@@ -437,9 +455,11 @@ def _cmd_replay(ns: argparse.Namespace) -> int:
     entries = [parse_log_line(line) for line in text.split("\n") if line]
     replica = replay(entries, Network.contract_factory)
     expected = {k: v for k, v in stored.items() if k != "meta"}
-    if canonical_json(_chainstate_payload(replica)) == canonical_json(expected):
+    if replica.canonical_state() == canonical_json(expected):
         print("MATCH")
         return 0
+    # a file equal to the replayed state is well formed; only a mismatch is checked
+    _check_registry(stored)
     print("MISMATCH")
     return 1
 

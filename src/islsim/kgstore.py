@@ -1,14 +1,22 @@
 """Embedded triple store: one knowledge graph per node.
 
 The graph is a set of subject/predicate/object triples, and the triples
-are the source of truth. ``assert_triples`` is the only writer. Beside
-the set it keeps two indexes: subject -> that subject's triples, and
-type -> the subjects of that type. A lookup reads one subject's triples
-and never scans the set. Dataset descriptors and model records are
-views materialized from those triples on first read and cached per
-(type, subject); both are frozen, so the cached object is handed out
-as is. Every new triple drops the cached views of its subject, which
-keeps reads after ``mark_shared`` or ``import_bytes`` fresh.
+are the source of truth. One field table, ``RECORDS``, defines how each
+record type maps to triples: per field its predicate, its object kind
+(literal, IRI, decimal or comma-joined list) and whether it is required.
+``_encode`` writes a record's triples from that table and
+``_materialize`` reads its view back from it. Apart from
+``mark_shared``, which adds the two sharing triples, no other code
+knows the record format.
+
+``assert_triples`` is the only writer. Beside the set it keeps two
+indexes: subject -> that subject's triples, and type -> the subjects of
+that type. A lookup reads one subject's triples and never scans the
+set. Dataset descriptors and model records are views materialized on
+first read and cached per (type, subject); both are frozen, so the
+cached object is handed out as is. Every new triple drops the cached
+views of its subject, which keeps reads after ``mark_shared`` or
+``import_bytes`` fresh.
 
 Everything a node knows about its own assets and any remote shared
 assets it has cached lives here, so the ``.nt`` export of the graph is
@@ -28,7 +36,7 @@ comma-joined literal instead of one triple per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import (
     AlreadyShared,
@@ -146,6 +154,85 @@ def _is_iri(value: object) -> bool:
     return isinstance(value, str) and value.startswith("isl://") and len(value) > 6
 
 
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(text.split(",")) if text else ()
+
+
+# Object kinds: (class of the objects a view reads, value -> object, object -> value).
+LITERAL = (Literal, Literal, lambda o: o.lexical)
+IRI = (str, lambda v: v, lambda o: o)
+DECIMAL = (Literal, decimal, lambda o: float(o.lexical))
+LIST = (Literal, lambda v: Literal(",".join(v)), lambda o: _split(o.lexical))
+
+
+def _check_dataset(d: DatasetDescriptor) -> None:
+    if not d.feature_schema:
+        raise MalformedDescriptor("feature schema is empty")
+    for entry in d.feature_schema:
+        name, sep, unit = entry.partition(":")
+        if not sep or name not in FEATURE_UNITS or unit != FEATURE_UNITS[name]:
+            raise MalformedDescriptor(f"bad feature schema entry {entry!r}")
+
+
+def _check_model(m: ModelRecord) -> None:
+    if m.task not in TASK_IRIS:
+        raise MalformedDescriptor(f"unknown task {m.task!r}")
+    if not m.input_features:
+        raise MalformedDescriptor("model has no input features")
+    unknown = set(m.input_features) - set(FEATURE_UNITS)
+    if unknown:
+        raise MalformedDescriptor(f"unknown input features {sorted(unknown)}")
+    for key, value in (("MAE", m.mae), ("MSE", m.mse)):
+        if not (isinstance(value, (int, float)) and value >= 0):
+            raise MalformedDescriptor(f"{key} must be a non-negative number")
+
+
+class _RecordType(NamedTuple):
+    cls: type
+    noun: str
+    check: Callable[[Any], None]  # raises MalformedDescriptor for values it may not store
+    fields: tuple[tuple[str, str, tuple, bool], ...]  # (field, predicate, kind, required)
+
+
+# How each record type maps to triples. A view checks the fields in this
+# order, so the first bad field decides the MalformedDescriptor raised.
+RECORDS: dict[str, _RecordType] = {
+    T_DATASET: _RecordType(DatasetDescriptor, "dataset", _check_dataset, (
+        ("feature_schema", P_FEATURE_SCHEMA, LIST, True),
+        ("owner_node", P_OWNER, LITERAL, True),
+        ("local_uri", P_LOCAL_URI, LITERAL, True),
+        ("content_address", P_CONTENT_ADDRESS, LITERAL, False),
+        ("tx_id", P_TX_ID, LITERAL, False),
+    )),
+    T_MODEL: _RecordType(ModelRecord, "model", _check_model, (
+        ("input_features", P_INPUT_FEATURES, LIST, True),
+        ("task", P_TASK, IRI, True),
+        ("dataset", P_TRAINED_ON, IRI, True),
+        ("model_uri", P_LOCAL_URI, LITERAL, True),
+        ("base_model", P_BASE_MODEL, IRI, False),
+        ("mae", P_MAE, DECIMAL, True),
+        ("mse", P_MSE, DECIMAL, True),
+        ("owner_node", P_OWNER, LITERAL, True),
+        ("content_address", P_CONTENT_ADDRESS, LITERAL, False),
+        ("tx_id", P_TX_ID, LITERAL, False),
+    )),
+}
+
+
+def _encode(type_iri: str, record: Any) -> list[Triple]:
+    """The triples of ``record``; an optional field that is None has none.
+
+    A required field is encoded as given, so a bad value fails
+    ``_check_triple`` and nothing of the record is stored.
+    """
+    triples = [Triple(record.iri, P_TYPE, type_iri)]
+    for field, pred, (_, encode, _), required in RECORDS[type_iri].fields:
+        value = getattr(record, field)
+        if required or value is not None:
+            triples.append(Triple(record.iri, pred, encode(value)))
+    return triples
+
+
 class KnowledgeGraph:
     def __init__(self, node_id: str):
         self.node_id = node_id
@@ -169,8 +256,8 @@ class KnowledgeGraph:
             self._by_subject.setdefault(t.subject, []).append(t)
             if t.predicate == P_TYPE:
                 self._by_type.setdefault(t.obj, set()).add(t.subject)
-            self._views.pop((T_DATASET, t.subject), None)
-            self._views.pop((T_MODEL, t.subject), None)
+            for type_iri in RECORDS:
+                self._views.pop((type_iri, t.subject), None)
             added += 1
         return added
 
@@ -209,50 +296,24 @@ class KnowledgeGraph:
     # ------------------------------------------------------------ registration
 
     def register_dataset(self, d: DatasetDescriptor) -> str:
-        self._check_fresh(d.iri)
-        self._check_unshared_for_registration(d)
-        if d.owner_node != self.node_id:
-            raise MalformedDescriptor(
-                f"dataset {d.iri} is owned by {d.owner_node!r}; "
-                f"use cache_remote_dataset for foreign assets"
-            )
-        self._check_feature_schema(d.feature_schema)
-        self.assert_triples(self._dataset_triples(d))
+        self._check_local(T_DATASET, d)
+        self.assert_triples(_encode(T_DATASET, d))
         return d.iri
 
     def register_model(self, m: ModelRecord) -> str:
-        self._check_fresh(m.iri)
-        self._check_unshared_for_registration(m)
-        if m.owner_node != self.node_id:
-            raise MalformedDescriptor(
-                f"model {m.iri} is owned by {m.owner_node!r}; "
-                f"use cache_remote_model for foreign assets"
-            )
-        self._check_model_fields(m)
+        self._check_local(T_MODEL, m)
         if not self.has_dataset(m.dataset):
             raise UnresolvedDependency(f"dataset {m.dataset} is not known to this graph")
         if m.base_model is not None and not self.has_model(m.base_model):
             raise UnresolvedDependency(
                 f"base model {m.base_model} is not known to this graph"
             )
-        self.assert_triples(self._model_triples(m))
+        self.assert_triples(_encode(T_MODEL, m))
         return m.iri
 
     def cache_remote_dataset(self, d: DatasetDescriptor) -> str:
         """Cache a shared dataset owned by another node, keeping its own IRI."""
-        if not d.shared:
-            raise MalformedDescriptor(f"remote dataset {d.iri} must be shared")
-        if d.owner_node == self.node_id:
-            raise MalformedDescriptor(f"{d.iri} is local; register it instead")
-        existing = self._maybe_dataset(d.iri)
-        if existing is not None:
-            if existing != d:
-                raise DuplicateId(f"{d.iri} already cached with different metadata")
-            return d.iri
-        self._check_fresh(d.iri)
-        self._check_feature_schema(d.feature_schema)
-        self.assert_triples(self._dataset_triples(d))
-        return d.iri
+        return self._cache_remote(T_DATASET, d)
 
     def cache_remote_model(self, m: ModelRecord) -> str:
         """Cache a shared model owned by another node.
@@ -261,28 +322,11 @@ class KnowledgeGraph:
         validated them at registration, and an acquirer may know the
         model without knowing its ancestors' metadata.
         """
-        if not m.shared:
-            raise MalformedDescriptor(f"remote model {m.iri} must be shared")
-        if m.owner_node == self.node_id:
-            raise MalformedDescriptor(f"{m.iri} is local; register it instead")
-        existing = self._maybe_model(m.iri)
-        if existing is not None:
-            if existing != m:
-                raise DuplicateId(f"{m.iri} already cached with different metadata")
-            return m.iri
-        self._check_fresh(m.iri)
-        self._check_model_fields(m)
-        self.assert_triples(self._model_triples(m))
-        return m.iri
+        return self._cache_remote(T_MODEL, m)
 
-    def _check_fresh(self, iri: str) -> None:
-        if not _is_iri(iri):
-            raise MalformedDescriptor(f"identifier is not an isl:// IRI: {iri!r}")
-        if iri in self._by_subject:
-            raise DuplicateId(f"{iri} is already registered")
-
-    @staticmethod
-    def _check_unshared_for_registration(res: DatasetDescriptor | ModelRecord) -> None:
+    def _check_local(self, type_iri: str, res: DatasetDescriptor | ModelRecord) -> None:
+        """Refuse a record this node may not register as its own, new and unshared."""
+        self._check_fresh(res.iri)
         if res.content_address is not None or res.tx_id is not None:
             if not res.shared:
                 raise MalformedDescriptor(
@@ -292,65 +336,40 @@ class KnowledgeGraph:
                 f"{res.iri}: registration requires an unshared descriptor; "
                 f"sharing happens through the node workflow"
             )
+        record_type = RECORDS[type_iri]
+        if res.owner_node != self.node_id:
+            raise MalformedDescriptor(
+                f"{record_type.noun} {res.iri} is owned by {res.owner_node!r}; "
+                f"use cache_remote_{record_type.noun} for foreign assets"
+            )
+        record_type.check(res)
 
-    @staticmethod
-    def _check_feature_schema(schema: tuple[str, ...]) -> None:
-        if not schema:
-            raise MalformedDescriptor("feature schema is empty")
-        for entry in schema:
-            name, sep, unit = entry.partition(":")
-            if not sep or name not in FEATURE_UNITS or unit != FEATURE_UNITS[name]:
-                raise MalformedDescriptor(f"bad feature schema entry {entry!r}")
+    def _cache_remote(self, type_iri: str, res: DatasetDescriptor | ModelRecord) -> str:
+        record_type = RECORDS[type_iri]
+        if not res.shared:
+            raise MalformedDescriptor(f"remote {record_type.noun} {res.iri} must be shared")
+        if res.owner_node == self.node_id:
+            raise MalformedDescriptor(f"{res.iri} is local; register it instead")
+        existing = self._view(type_iri, res.iri)
+        if existing is not None:
+            if existing != res:
+                raise DuplicateId(f"{res.iri} already cached with different metadata")
+            return res.iri
+        self._check_fresh(res.iri)
+        record_type.check(res)
+        self.assert_triples(_encode(type_iri, res))
+        return res.iri
 
-    @staticmethod
-    def _check_model_fields(m: ModelRecord) -> None:
-        if m.task not in TASK_IRIS:
-            raise MalformedDescriptor(f"unknown task {m.task!r}")
-        if not m.input_features:
-            raise MalformedDescriptor("model has no input features")
-        unknown = set(m.input_features) - set(FEATURE_UNITS)
-        if unknown:
-            raise MalformedDescriptor(f"unknown input features {sorted(unknown)}")
-        for key, value in (("MAE", m.mae), ("MSE", m.mse)):
-            if not (isinstance(value, (int, float)) and value >= 0):
-                raise MalformedDescriptor(f"{key} must be a non-negative number")
-
-    def _dataset_triples(self, d: DatasetDescriptor) -> list[Triple]:
-        triples = [
-            Triple(d.iri, P_TYPE, T_DATASET),
-            Triple(d.iri, P_OWNER, Literal(d.owner_node)),
-            Triple(d.iri, P_FEATURE_SCHEMA, Literal(",".join(d.feature_schema))),
-            Triple(d.iri, P_LOCAL_URI, Literal(d.local_uri)),
-        ]
-        if d.shared:
-            triples.append(Triple(d.iri, P_CONTENT_ADDRESS, Literal(d.content_address)))
-            triples.append(Triple(d.iri, P_TX_ID, Literal(d.tx_id)))
-        return triples
-
-    def _model_triples(self, m: ModelRecord) -> list[Triple]:
-        triples = [
-            Triple(m.iri, P_TYPE, T_MODEL),
-            Triple(m.iri, P_OWNER, Literal(m.owner_node)),
-            Triple(m.iri, P_TASK, m.task),
-            Triple(m.iri, P_TRAINED_ON, m.dataset),
-            Triple(m.iri, P_LOCAL_URI, Literal(m.model_uri)),
-            Triple(m.iri, P_INPUT_FEATURES, Literal(",".join(m.input_features))),
-            Triple(m.iri, P_MAE, decimal(m.mae)),
-            Triple(m.iri, P_MSE, decimal(m.mse)),
-        ]
-        if m.base_model is not None:
-            triples.append(Triple(m.iri, P_BASE_MODEL, m.base_model))
-        if m.shared:
-            triples.append(Triple(m.iri, P_CONTENT_ADDRESS, Literal(m.content_address)))
-            triples.append(Triple(m.iri, P_TX_ID, Literal(m.tx_id)))
-        return triples
+    def _check_fresh(self, iri: str) -> None:
+        if not _is_iri(iri):
+            raise MalformedDescriptor(f"identifier is not an isl:// IRI: {iri!r}")
+        if iri in self._by_subject:
+            raise DuplicateId(f"{iri} is already registered")
 
     # ----------------------------------------------------------------- sharing
 
     def mark_shared(self, iri: str, addr: str, tx_id: str) -> DatasetDescriptor | ModelRecord:
-        existing: DatasetDescriptor | ModelRecord | None = self._maybe_dataset(iri)
-        if existing is None:
-            existing = self._maybe_model(iri)
+        existing = self._view(T_DATASET, iri) or self._view(T_MODEL, iri)
         if existing is None:
             raise NotFound(f"no resource {iri} in this graph")
         if existing.shared:
@@ -361,7 +380,7 @@ class KnowledgeGraph:
                 Triple(iri, P_TX_ID, Literal(tx_id)),
             ]
         )
-        refreshed = self._maybe_dataset(iri) or self._maybe_model(iri)
+        refreshed = self._view(T_DATASET, iri) or self._view(T_MODEL, iri)
         assert refreshed is not None
         return refreshed
 
@@ -374,96 +393,43 @@ class KnowledgeGraph:
         return [self._view(T_MODEL, s) for s in self._subjects_of_type(T_MODEL)]
 
     def dataset(self, iri: str) -> DatasetDescriptor:
-        d = self._maybe_dataset(iri)
+        d = self._view(T_DATASET, iri)
         if d is None:
             raise NotFound(f"no dataset {iri} in this graph")
         return d
 
     def model(self, iri: str) -> ModelRecord:
-        m = self._maybe_model(iri)
+        m = self._view(T_MODEL, iri)
         if m is None:
             raise NotFound(f"no model {iri} in this graph")
         return m
 
     def has_dataset(self, iri: str) -> bool:
-        return self._maybe_dataset(iri) is not None
+        return self._view(T_DATASET, iri) is not None
 
     def has_model(self, iri: str) -> bool:
-        return self._maybe_model(iri) is not None
-
-    def _maybe_dataset(self, iri: str) -> DatasetDescriptor | None:
-        return self._view(T_DATASET, iri)
-
-    def _maybe_model(self, iri: str) -> ModelRecord | None:
-        return self._view(T_MODEL, iri)
+        return self._view(T_MODEL, iri) is not None
 
     def _view(self, type_iri: str, iri: str) -> Any:
         """The cached record of ``iri`` as a ``type_iri``; None if it lacks that type."""
         key = (type_iri, iri)
         view = self._views.get(key)
         if view is None and iri in self._by_type.get(type_iri, ()):
-            materialize = (
-                self._materialize_dataset if type_iri == T_DATASET else self._materialize_model
-            )
-            view = self._views[key] = materialize(iri)
+            view = self._views[key] = self._materialize(type_iri, iri)
         return view
 
-    def _materialize_dataset(self, iri: str) -> DatasetDescriptor:
+    def _materialize(self, type_iri: str, iri: str) -> DatasetDescriptor | ModelRecord:
+        record_type = RECORDS[type_iri]
         props = self._props(iri)
-        schema = self._one_literal(iri, props, P_FEATURE_SCHEMA)
-        return DatasetDescriptor(
-            iri=iri,
-            owner_node=self._one_literal(iri, props, P_OWNER),
-            feature_schema=tuple(schema.split(",")) if schema else (),
-            local_uri=self._one_literal(iri, props, P_LOCAL_URI),
-            content_address=self._opt_literal(iri, props, P_CONTENT_ADDRESS),
-            tx_id=self._opt_literal(iri, props, P_TX_ID),
-        )
-
-    def _materialize_model(self, iri: str) -> ModelRecord:
-        props = self._props(iri)
-        features = self._one_literal(iri, props, P_INPUT_FEATURES)
-        return ModelRecord(
-            iri=iri,
-            task=self._one_iri(iri, props, P_TASK),
-            dataset=self._one_iri(iri, props, P_TRAINED_ON),
-            model_uri=self._one_literal(iri, props, P_LOCAL_URI),
-            base_model=self._opt_iri(iri, props, P_BASE_MODEL),
-            input_features=tuple(features.split(",")) if features else (),
-            mae=float(self._one_literal(iri, props, P_MAE)),
-            mse=float(self._one_literal(iri, props, P_MSE)),
-            owner_node=self._one_literal(iri, props, P_OWNER),
-            content_address=self._opt_literal(iri, props, P_CONTENT_ADDRESS),
-            tx_id=self._opt_literal(iri, props, P_TX_ID),
-        )
-
-    @staticmethod
-    def _one_literal(iri: str, props: dict[str, list[str | Literal]], pred: str) -> str:
-        objs = [o for o in props.get(pred, []) if isinstance(o, Literal)]
-        if len(objs) != 1:
-            raise MalformedDescriptor(f"{iri}: expected exactly one {pred}, found {len(objs)}")
-        return objs[0].lexical
-
-    @staticmethod
-    def _opt_literal(iri: str, props: dict[str, list[str | Literal]], pred: str) -> str | None:
-        objs = [o for o in props.get(pred, []) if isinstance(o, Literal)]
-        if len(objs) > 1:
-            raise MalformedDescriptor(f"{iri}: multiple values for {pred}")
-        return objs[0].lexical if objs else None
-
-    @staticmethod
-    def _one_iri(iri: str, props: dict[str, list[str | Literal]], pred: str) -> str:
-        objs = [o for o in props.get(pred, []) if isinstance(o, str)]
-        if len(objs) != 1:
-            raise MalformedDescriptor(f"{iri}: expected exactly one {pred}, found {len(objs)}")
-        return objs[0]
-
-    @staticmethod
-    def _opt_iri(iri: str, props: dict[str, list[str | Literal]], pred: str) -> str | None:
-        objs = [o for o in props.get(pred, []) if isinstance(o, str)]
-        if len(objs) > 1:
-            raise MalformedDescriptor(f"{iri}: multiple values for {pred}")
-        return objs[0] if objs else None
+        values: dict[str, Any] = {"iri": iri}
+        for field, pred, (cls, _, decode), required in record_type.fields:
+            objs = [o for o in props.get(pred, ()) if isinstance(o, cls)]
+            if required and len(objs) != 1:
+                raise MalformedDescriptor(f"{iri}: expected exactly one {pred}, found {len(objs)}")
+            if len(objs) > 1:
+                raise MalformedDescriptor(f"{iri}: multiple values for {pred}")
+            values[field] = decode(objs[0]) if objs else None
+        return record_type.cls(**values)
 
     # ------------------------------------------------------------ serialization
 

@@ -155,12 +155,6 @@ class Ledger:
             raise UnknownSender(f"no account {address}")
         return self._balances[address]
 
-    def balances(self) -> dict[str, int]:
-        return dict(self._balances)
-
-    def contract_balances(self) -> dict[str, int]:
-        return dict(self._contract_balances)
-
     def total_supply(self) -> int:
         return sum(self._balances.values()) + sum(self._contract_balances.values())
 
@@ -221,10 +215,11 @@ class Ledger:
     # ------------------------------------------------------------------- state
 
     def state_dict(self) -> dict:
+        """What ``chainstate.json`` holds but ``meta``; each contract is under its name."""
         return {
             "balances": dict(sorted(self._balances.items())),
             "contract_balances": dict(sorted(self._contract_balances.items())),
-            "contracts": {name: c.state_dict() for name, c in sorted(self._contracts.items())},
+            **{name: c.state_dict() for name, c in sorted(self._contracts.items())},
         }
 
     def canonical_state(self) -> bytes:

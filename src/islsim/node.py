@@ -334,46 +334,47 @@ class IslNode:
         record = self.graph.model(iri)
         if record.shared:
             raise AlreadyShared(f"{iri} is already shared")
-        plan = self._share_plan(iri)
+        plan, addrs = self._share_plan(iri)
         for kind, step_iri in plan:
             if kind == "dataset":
-                self._share_dataset_tx(step_iri)
+                addrs[step_iri] = self._share_dataset_tx(step_iri).content_address
             else:
-                self._share_model_tx(step_iri)
+                addrs[step_iri] = self._share_model_tx(step_iri, addrs).content_address
         return self.graph.model(iri)
 
-    def _share_plan(self, target_iri: str) -> list[tuple[str, str]]:
+    def _share_plan(
+        self, target_iri: str
+    ) -> tuple[list[tuple[str, str]], dict[str, str | None]]:
+        """The unshared steps of the chain to share, in order, and each step's address.
+
+        An address is None until its planned share transaction has run.
+        """
         chain = self.depgraph.trace(target_iri)
-        oracle = self.network.oracle
+        kg, oracle = self.graph, self.network.oracle
         plan: list[tuple[str, str]] = []
-        queued: set[str] = set()
+        addrs: dict[str, str | None] = {}
         for model_iri, ds_iri in chain.steps:
             for kind, step_iri in (("dataset", ds_iri), ("model", model_iri)):
-                if step_iri in queued:
+                if step_iri in addrs:
                     continue
+                local: DatasetDescriptor | ModelRecord | None
                 if kind == "dataset":
-                    local = (
-                        self.graph.dataset(step_iri)
-                        if self.graph.has_dataset(step_iri)
-                        else None
-                    )
-                    on_chain = oracle.find_dataset_by_iri(step_iri) is not None
+                    local = kg.dataset(step_iri) if kg.has_dataset(step_iri) else None
+                    find = oracle.find_dataset_by_iri
                 else:
-                    local = (
-                        self.graph.model(step_iri)
-                        if self.graph.has_model(step_iri)
-                        else None
-                    )
-                    on_chain = oracle.find_model_by_iri(step_iri) is not None
-                if on_chain or (local is not None and local.shared):
+                    local = kg.model(step_iri) if kg.has_model(step_iri) else None
+                    find = oracle.find_model_by_iri
+                # the local address first: an adopted registration carries another IRI
+                shared = local is not None and local.shared
+                addrs[step_iri] = local.content_address if shared else find(step_iri)
+                if addrs[step_iri] is not None:
                     continue
                 if local is None or local.owner_node != self.name:
                     raise IncompleteChain(
                         f"{kind} {step_iri} in the dependency chain is not shared"
                     )
                 plan.append((kind, step_iri))
-                queued.add(step_iri)
-        return plan
+        return plan, addrs
 
     def _share_dataset_tx(self, iri: str) -> DatasetDescriptor:
         descriptor = self.graph.dataset(iri)
@@ -386,44 +387,21 @@ class IslNode:
         receipt = self.network.submit(self.account, "oracle", "share_dataset", (iri, addr))
         return self.graph.mark_shared(iri, addr, str(receipt.return_value))  # type: ignore[return-value]
 
-    def _share_model_tx(self, iri: str) -> ModelRecord:
+    def _share_model_tx(self, iri: str, addrs: dict[str, str | None]) -> ModelRecord:
         record = self.graph.model(iri)
         data = self.store.get(_addr_of(record.model_uri))
         addr = self.store.put(data)
         existing = self.network.oracle.model_entry(addr)
         if existing is not None:
             return self.graph.mark_shared(iri, addr, existing["tx_id"])  # type: ignore[return-value]
-        dataset_addr = self._shared_dataset_addr(record.dataset)
-        base_addr = None
-        if record.base_model is not None:
-            base_addr = self._shared_model_addr(record.base_model)
+        base_addr = None if record.base_model is None else addrs[record.base_model]
         receipt = self.network.submit(
             self.account,
             "oracle",
             "share_model",
-            (iri, addr, record.task, dataset_addr, base_addr),
+            (iri, addr, record.task, addrs[record.dataset], base_addr),
         )
         return self.graph.mark_shared(iri, addr, str(receipt.return_value))  # type: ignore[return-value]
-
-    def _shared_dataset_addr(self, iri: str) -> str:
-        if self.graph.has_dataset(iri):
-            descriptor = self.graph.dataset(iri)
-            if descriptor.shared:
-                return descriptor.content_address  # type: ignore[return-value]
-        addr = self.network.oracle.find_dataset_by_iri(iri)
-        if addr is None:
-            raise IncompleteChain(f"dataset {iri} is not shared")
-        return addr
-
-    def _shared_model_addr(self, iri: str) -> str:
-        if self.graph.has_model(iri):
-            record = self.graph.model(iri)
-            if record.shared:
-                return record.content_address  # type: ignore[return-value]
-        addr = self.network.oracle.find_model_by_iri(iri)
-        if addr is None:
-            raise IncompleteChain(f"model {iri} is not shared")
-        return addr
 
     # ------------------------------------------------------------- marketplace
 

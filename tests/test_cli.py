@@ -20,6 +20,18 @@ def run(args: list[str]) -> int:
     return cli.main(args)
 
 
+def chainstate_with_registry(datasets: object, models: object) -> str:
+    """A chainstate.json text whose oracle holds only these two registry tables."""
+    oracle = {"shared_datasets": datasets, "shared_models": models}
+    return json.dumps({"balances": {}, "contract_balances": {}, "oracle": oracle, "isl": {}})
+
+
+MODEL_ENTRY = {
+    "iri": "isl://alice/model/m1", "owner": "a" * 40, "tx_id": "tx-2", "task": "t",
+    "dataset_addr": "d" * 64, "base_model_addr": None,
+}
+
+
 def scenario_file(tmp_path: Path, text: str) -> str:
     path = tmp_path / "scenario.isl"
     path.write_text(text, encoding="utf-8")
@@ -306,8 +318,16 @@ class TestReplay:
             '{"balances": {}, "contract_balances": {}, "oracle": {}}',
             '{"balances": [], "contract_balances": {}, "oracle": {}, "isl": {}}',
             b"\xff{}",
+            '{"balances": {}, "contract_balances": {}, "oracle": {}, "isl": {}}',
+            chainstate_with_registry([], {}),
+            chainstate_with_registry({}, {"f" * 64: 1}),
+            chainstate_with_registry({"d" * 64: {"iri": "isl://alice/dataset/d1"}}, {}),
+            chainstate_with_registry({}, {"f" * 64: {**MODEL_ENTRY, "base_model_addr": []}}),
         ],
-        ids=["list", "empty", "null", "string", "no-isl", "balances-list", "not-utf8"],
+        ids=[
+            "list", "empty", "null", "string", "no-isl", "balances-list", "not-utf8",
+            "no-registry", "datasets-list", "entry-int", "entry-missing-key", "base-list",
+        ],
     )
     def test_malformed_chainstate_is_unknown_workspace(self, tmp_path, capsys, command, text):
         ws = tmp_path / "ws"

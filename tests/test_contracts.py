@@ -172,7 +172,7 @@ class TestPricing:
         receipt = ok(ledger.submit(bob, "isl", "acquire", (ADDR_M,), value=40))
         assert ledger.balance_of(bob) == before_bob - 40
         assert ledger.balance_of(alice) == before_alice + 40
-        assert ledger.contract_balances()["isl"] == 0
+        assert ledger.state_dict()["contract_balances"]["isl"] == 0
         grant = receipt.return_value
         assert grant["resource_location"] == ADDR_M
         expected = hashlib.sha256(f"{ledger.log[-1].seq}:{ADDR_M}:{bob}".encode()).hexdigest()

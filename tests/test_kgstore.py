@@ -145,6 +145,32 @@ class TestRemoteCache:
         kg.cache_remote_model(m)
         assert kg.model(m.iri).shared
 
+    def test_missing_required_field_stores_nothing(self, kg):
+        m = model(node="bob", dataset=None, content_address=ADDR, tx_id="tx-9")
+        with pytest.raises(MalformedTriple):
+            kg.cache_remote_model(m)
+        assert kg.triples == set()
+
+
+class TestViews:
+    def test_fields_read_only_objects_of_their_kind(self, kg):
+        kg.register_dataset(dataset())
+        kg.register_model(model())
+        kg.assert_triples([
+            Triple(model().iri, kgstore.P_TASK, Literal("not an IRI")),
+            Triple(model().iri, kgstore.P_OWNER, "isl://alice"),
+        ])
+        assert kg.model(model().iri) == model()
+
+    def test_missing_required_field_is_malformed(self, kg):
+        iri = dataset().iri
+        kg.assert_triples([
+            Triple(iri, kgstore.P_TYPE, kgstore.T_DATASET),
+            Triple(iri, kgstore.P_OWNER, Literal("alice")),
+        ])
+        with pytest.raises(MalformedDescriptor, match="expected exactly one"):
+            kg.dataset(iri)
+
 
 class TestSharing:
     def test_mark_shared(self, kg):

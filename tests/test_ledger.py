@@ -107,7 +107,7 @@ def test_value_moves_to_contract_then_out(ledger):
     ledger.submit(payer.address, "counter", "pay", (payee.address, 25), value=25)
     assert ledger.balance_of(payer.address) == 75
     assert ledger.balance_of(payee.address) == 25
-    assert ledger.contract_balances()["counter"] == 0
+    assert ledger.state_dict()["contract_balances"]["counter"] == 0
     assert ledger.total_supply() == 100
 
 
@@ -170,7 +170,7 @@ def test_crash_is_rolled_back_and_dropped_from_log():
     led.submit(acct.address, "counter", "bump")
 
     def observed():
-        return led.canonical_state(), led.balances(), led.contract_balances(), len(led.log)
+        return led.canonical_state(), len(led.log)
 
     before = observed()
     with pytest.raises(RuntimeError, match="contract bug"):

@@ -160,6 +160,24 @@ class TestSharing:
         entry = net.oracle.dataset_entry(first.content_address)
         assert entry["owner"] == alice.account
 
+    def test_model_on_adopted_dataset_points_at_the_existing_registration(self, net):
+        alice, bob = net.node("alice"), net.node("bob")
+        alice.create_local_dataset("d1", seed=77, profile=PROFILE, n_rows=15)
+        bob.create_local_dataset("mine", seed=77, profile=PROFILE, n_rows=15)
+        bob.train_model("m1", "mine", "occupancy_detection")
+        first = alice.share_dataset("d1")
+        log_len = len(net.ledger.log)
+
+        record = bob.share_model("m1")
+
+        assert len(net.ledger.log) == log_len + 1  # the model only, no dataset tx
+        # the registry knows the bytes under alice's IRI, not under bob's
+        assert net.oracle.find_dataset_by_iri(kgstore.dataset_iri("bob", "mine")) is None
+        entry = net.oracle.model_entry(record.content_address)
+        assert entry["dataset_addr"] == first.content_address
+        assert bob.graph.dataset(kgstore.dataset_iri("bob", "mine")).shared
+        assert net.oracle.check_closure() is None
+
 
 class TestMarketplace:
     def test_query_filters_and_ranks(self, net):

@@ -270,6 +270,8 @@ class KnowledgeGraph:
         if not _is_iri(t.predicate):
             raise MalformedTriple(f"predicate is not an isl:// IRI: {t.predicate!r}")
         if isinstance(t.obj, Literal):
+            if not isinstance(t.obj.lexical, str):
+                raise MalformedTriple(f"literal is not a string: {t.obj.lexical!r}")
             if t.obj.datatype not in ("string", "decimal"):
                 raise MalformedTriple(f"unknown literal type {t.obj.datatype!r}")
             if any(ch in t.obj.lexical for ch in "\n\r\t"):

@@ -334,47 +334,37 @@ class IslNode:
         record = self.graph.model(iri)
         if record.shared:
             raise AlreadyShared(f"{iri} is already shared")
-        plan, addrs = self._share_plan(iri)
-        for kind, step_iri in plan:
+        for kind, step_iri in self._share_plan(iri):
             if kind == "dataset":
-                addrs[step_iri] = self._share_dataset_tx(step_iri).content_address
+                self._share_dataset_tx(step_iri)
             else:
-                addrs[step_iri] = self._share_model_tx(step_iri, addrs).content_address
+                self._share_model_tx(step_iri)
         return self.graph.model(iri)
 
-    def _share_plan(
-        self, target_iri: str
-    ) -> tuple[list[tuple[str, str]], dict[str, str | None]]:
-        """The unshared steps of the chain to share, in order, and each step's address.
+    def _share_plan(self, target_iri: str) -> list[tuple[str, str]]:
+        """The unshared steps of the chain to share, root first, each once.
 
-        An address is None until its planned share transaction has run.
+        Only this node's own records are read. The walk goes tip first
+        and stops at the first model recorded as shared: the oracle's
+        chain rule admitted it only after its dataset and base, so its
+        whole ancestry is already on chain.
         """
-        chain = self.depgraph.trace(target_iri)
-        kg, oracle = self.graph, self.network.oracle
-        plan: list[tuple[str, str]] = []
-        addrs: dict[str, str | None] = {}
-        for model_iri, ds_iri in chain.steps:
-            for kind, step_iri in (("dataset", ds_iri), ("model", model_iri)):
-                if step_iri in addrs:
-                    continue
-                local: DatasetDescriptor | ModelRecord | None
-                if kind == "dataset":
-                    local = kg.dataset(step_iri) if kg.has_dataset(step_iri) else None
-                    find = oracle.find_dataset_by_iri
-                else:
-                    local = kg.model(step_iri) if kg.has_model(step_iri) else None
-                    find = oracle.find_model_by_iri
-                # the local address first: an adopted registration carries another IRI
-                shared = local is not None and local.shared
-                addrs[step_iri] = local.content_address if shared else find(step_iri)
-                if addrs[step_iri] is not None:
+        kg = self.graph
+        tip_first: list[tuple[str, str]] = []
+        for model_iri, ds_iri in reversed(self.depgraph.trace(target_iri).steps):
+            model = kg.model(model_iri) if kg.has_model(model_iri) else None
+            if model is not None and model.shared:
+                break
+            ds = kg.dataset(ds_iri) if kg.has_dataset(ds_iri) else None
+            for kind, step_iri, local in (("model", model_iri, model), ("dataset", ds_iri, ds)):
+                if local is not None and local.shared:
                     continue
                 if local is None or local.owner_node != self.name:
                     raise IncompleteChain(
                         f"{kind} {step_iri} in the dependency chain is not shared"
                     )
-                plan.append((kind, step_iri))
-        return plan, addrs
+                tip_first.append((kind, step_iri))
+        return list(dict.fromkeys(reversed(tip_first)))
 
     def _share_dataset_tx(self, iri: str) -> DatasetDescriptor:
         descriptor = self.graph.dataset(iri)
@@ -387,19 +377,19 @@ class IslNode:
         receipt = self.network.submit(self.account, "oracle", "share_dataset", (iri, addr))
         return self.graph.mark_shared(iri, addr, str(receipt.return_value))  # type: ignore[return-value]
 
-    def _share_model_tx(self, iri: str, addrs: dict[str, str | None]) -> ModelRecord:
+    def _share_model_tx(self, iri: str) -> ModelRecord:
+        """Share one model whose dataset and base this node already records as shared."""
         record = self.graph.model(iri)
         data = self.store.get(_addr_of(record.model_uri))
         addr = self.store.put(data)
         existing = self.network.oracle.model_entry(addr)
         if existing is not None:
             return self.graph.mark_shared(iri, addr, existing["tx_id"])  # type: ignore[return-value]
-        base_addr = None if record.base_model is None else addrs[record.base_model]
+        base = record.base_model
+        base_addr = None if base is None else self.graph.model(base).content_address
+        ds_addr = self.graph.dataset(record.dataset).content_address
         receipt = self.network.submit(
-            self.account,
-            "oracle",
-            "share_model",
-            (iri, addr, record.task, addrs[record.dataset], base_addr),
+            self.account, "oracle", "share_model", (iri, addr, record.task, ds_addr, base_addr)
         )
         return self.graph.mark_shared(iri, addr, str(receipt.return_value))  # type: ignore[return-value]
 

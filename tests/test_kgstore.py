@@ -297,6 +297,18 @@ def test_assert_triples_validates():
     with pytest.raises(MalformedTriple):
         kg.assert_triples([Triple("isl://a", kgstore.P_MSE, Literal("xyz", "decimal"))])
 
+    # a lexical that is not a string is malformed too, and stores nothing
+    kg.register_dataset(dataset())
+    before = set(kg.triples)
+    remote = dataset(node="bob", local_uri=None, content_address=ADDR, tx_id="tx-9")
+    with pytest.raises(MalformedTriple):
+        kg.cache_remote_dataset(remote)
+    with pytest.raises(MalformedTriple):
+        kg.assert_triples([Triple("isl://a", kgstore.P_OWNER, Literal(["x"]))])
+    assert kg.triples == before
+    assert not kg.has_dataset(remote.iri)
+    assert kg.datasets() == [dataset()]
+
 
 def test_assert_triples_counts_new():
     kg = KnowledgeGraph("alice")

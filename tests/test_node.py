@@ -178,6 +178,70 @@ class TestSharing:
         assert bob.graph.dataset(kgstore.dataset_iri("bob", "mine")).shared
         assert net.oracle.check_closure() is None
 
+    def test_squatted_iri_does_not_redirect_provenance(self, net):
+        alice, bob = net.node("alice"), net.node("bob")
+        ds_iri = alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40).iri
+        alice.train_model("m1", "d1", "occupancy_detection")
+        # bob registers bytes nobody holds under alice's dataset IRI
+        squat = net.ledger.submit(bob.account, "oracle", "share_dataset", (ds_iri, "ab" * 32))
+        assert squat.status == "ok"
+
+        record = alice.share_model("m1")
+
+        descriptor = alice.graph.dataset(ds_iri)
+        assert descriptor.shared
+        entry = net.oracle.model_entry(record.content_address)
+        assert entry["dataset_addr"] == descriptor.content_address
+        assert net.oracle.check_closure() is None
+
+    def test_reused_dataset_is_shared_before_its_first_model(self, net):
+        # m3 goes back to m1's dataset; fine-tuning m1 on d1 directly would
+        # not move the least-squares fit, so m2 on d2 sits in between
+        alice = net.node("alice")
+        alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40)
+        alice.create_local_dataset("d2", seed=21, profile=WARM, n_rows=25)
+        alice.train_model("m1", "d1", "occupancy_detection")
+        alice.fine_tune_model("m2", "m1", "d2", steps=20, learning_rate=0.05)
+        alice.fine_tune_model("m3", "m2", "d1", steps=10, learning_rate=0.05)
+        log_len = len(net.ledger.log)
+
+        alice.share_model("m3")
+
+        submitted = [(e.method, e.args[0]) for e in net.ledger.log[log_len:]]
+        assert submitted == [
+            ("share_dataset", kgstore.dataset_iri("alice", "d1")),
+            ("share_model", kgstore.model_iri("alice", "m1")),
+            ("share_dataset", kgstore.dataset_iri("alice", "d2")),
+            ("share_model", kgstore.model_iri("alice", "m2")),
+            ("share_model", kgstore.model_iri("alice", "m3")),
+        ]
+        assert net.oracle.check_closure() is None
+
+    def test_shared_remote_base_stops_the_walk(self, net):
+        shared_model(net)
+        alice = net.node("alice")
+        alice.create_local_dataset("d2", seed=91, profile=WARM, n_rows=20)
+        alice.fine_tune_model("m2", "m1", "d2", steps=10, learning_rate=0.05)
+        tuned = alice.share_model("m2")
+        bob = net.node("bob")
+        bob.acquire_model(tuned.content_address, payment=0)
+        # bob's graph holds alice's m2 but none of its ancestors
+        assert not bob.graph.has_model(kgstore.model_iri("alice", "m1"))
+        bob.create_local_dataset("mine", seed=14, profile=WARM, n_rows=10)
+        bob.fine_tune_model("refit", tuned.iri, "mine", steps=5, learning_rate=0.05)
+        log_len = len(net.ledger.log)
+
+        record = bob.share_model("refit")
+
+        assert len(net.ledger.log) == log_len + 2  # bob's dataset, then his model
+        chain = walk_provenance(net.oracle, record.content_address)
+        assert [s.model_iri for s in chain] == [
+            kgstore.model_iri("alice", "m1"),
+            tuned.iri,
+            record.iri,
+        ]
+        assert net.oracle.check_closure() is None
+
 
 class TestMarketplace:
     def test_query_filters_and_ranks(self, net):

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from pathlib import Path
 
 from .errors import NotFound
 
-_HEX = set("0123456789abcdef")
+_ADDRESS = re.compile("[0-9a-f]{64}")
 
 
 def content_address(data: bytes) -> str:
@@ -28,7 +29,7 @@ def content_address(data: bytes) -> str:
 
 
 def is_address(value: str) -> bool:
-    return len(value) == 64 and set(value) <= _HEX
+    return _ADDRESS.fullmatch(value) is not None
 
 
 def write_atomic(path: Path, data: bytes) -> None:

@@ -15,31 +15,37 @@ mints a token that authorizes that one buyer to fetch that one asset.
 Only ``ledger.submit`` may invoke the ``op_*`` methods, and they write
 state only through ``ctx.put`` so a failed transaction is undone. The
 plain read-only methods are free to call from anywhere.
+
+A contract's ``ARGS`` gives each method's exact argument types (a
+``bool`` is not an ``int``); ``call`` reverts ``UnknownMethod`` or
+``MalformedArgs`` before any op runs, so op bodies check only values.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from .cas import is_address
 from .errors import CorruptLog
 from .ledger import CallContext, Revert
+
+STR, INT, STR_OR_NONE = frozenset({str}), frozenset({int}), frozenset({str, type(None)})
 
 
 class Contract:
     name = "contract"
-    METHODS: tuple[str, ...] = ()
+    ARGS: dict[str, tuple[frozenset[type], ...]] = {}  # method -> type set per argument
 
     def __init__(self) -> None:
         self.state: dict = {}
 
     def call(self, ctx: CallContext, method: str, args: tuple) -> object:
-        if method not in self.METHODS:
+        kinds = self.ARGS.get(method)
+        if kinds is None:
             raise Revert(f"UnknownMethod: {self.name} has no method {method!r}")
-        handler = getattr(self, "op_" + method)
-        try:
-            return handler(ctx, *args)
-        except TypeError as exc:
-            raise Revert(f"MalformedArgs: {exc}") from None
+        if len(args) != len(kinds) or not all(map(frozenset.__contains__, kinds, map(type, args))):
+            raise Revert(f"MalformedArgs: {self.name}.{method} does not take {args!r}")
+        return getattr(self, "op_" + method)(ctx, *args)
 
     def state_dict(self) -> dict:
         raise NotImplementedError
@@ -47,7 +53,8 @@ class Contract:
 
 class OracleContract(Contract):
     name = "oracle"
-    METHODS = ("register_node", "share_dataset", "share_model")
+    ARGS = {"register_node": (STR,), "share_dataset": (STR, STR),
+            "share_model": (STR, STR, STR, STR, STR_OR_NONE)}
 
     def __init__(self) -> None:
         super().__init__()
@@ -77,7 +84,7 @@ class OracleContract(Contract):
         ctx.put(self.state["trusted"], node_addr, True)
 
     def op_share_dataset(self, ctx: CallContext, iri: str, addr: str) -> str:
-        self._require_trusted(ctx.sender)
+        self.require_trusted(ctx.sender)
         self._require_fresh(addr)
         ctx.put(self.state["shared_datasets"], addr, {
             "owner": ctx.sender,
@@ -95,7 +102,7 @@ class OracleContract(Contract):
         dataset_addr: str,
         base_model_addr: str | None,
     ) -> str:
-        self._require_trusted(ctx.sender)
+        self.require_trusted(ctx.sender)
         self._require_fresh(addr)
         if dataset_addr not in self.state["shared_datasets"]:
             raise Revert(f"IncompleteChain: training dataset {dataset_addr} is not shared")
@@ -115,21 +122,17 @@ class OracleContract(Contract):
         ctx.put(index[task], addr, True)
         return ctx.tx_id
 
-    def _require_trusted(self, sender: str) -> None:
+    def require_trusted(self, sender: str) -> None:
         if sender not in self.state["trusted"]:
             raise Revert("Unauthorized: caller is not a registered node")
 
     def _require_fresh(self, addr: str) -> None:
+        if not is_address(addr):
+            raise Revert(f"MalformedArgs: {addr!r} is not a content address")
         if addr in self.state["shared_datasets"] or addr in self.state["shared_models"]:
             raise Revert(f"AlreadyShared: {addr} is already registered")
 
     # ------------------------------------------------------------- read-only
-
-    def owner(self) -> str | None:
-        return self.state["owner"]
-
-    def is_trusted(self, address: str) -> bool:
-        return address in self.state["trusted"]
 
     def query_task(self, task: str) -> list[str]:
         return list(self.state["task_index"].get(task, []))
@@ -211,7 +214,7 @@ class IslContract(Contract):
     """
 
     name = "isl"
-    METHODS = ("set_price", "acquire")
+    ARGS = {"set_price": (STR, INT), "acquire": (STR,)}
 
     def __init__(self, oracle: OracleContract) -> None:
         super().__init__()
@@ -225,7 +228,7 @@ class IslContract(Contract):
     # ------------------------------------------------------------ tx methods
 
     def op_set_price(self, ctx: CallContext, addr: str, price: int) -> None:
-        if not isinstance(price, int) or isinstance(price, bool) or price < 0:
+        if price < 0:
             raise Revert(f"MalformedArgs: price must be a non-negative integer, got {price!r}")
         owner = self.oracle.owner_of_resource(addr)
         if owner is None:
@@ -235,8 +238,7 @@ class IslContract(Contract):
         ctx.put(self.state["prices"], addr, price)
 
     def op_acquire(self, ctx: CallContext, addr: str) -> dict:
-        if not self.oracle.is_trusted(ctx.sender):
-            raise Revert("Unauthorized: caller is not a registered node")
+        self.oracle.require_trusted(ctx.sender)
         owner = self.oracle.owner_of_resource(addr)
         if owner is None:
             raise Revert(f"UnknownResource: {addr} is not registered")

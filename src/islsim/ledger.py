@@ -11,6 +11,10 @@ as a ``reverted`` receipt; any other exception is a crash: the
 transaction also leaves the log, its sequence number is reused, and the
 exception propagates, so replay never meets it.
 
+``submit`` refuses, before logging, a bad ``value`` and any argument
+that is not a JSON scalar (``str``, ``int``, ``bool``, ``None``): only
+those read back unchanged from a log line, so only those replay.
+
 Determinism matters more than anything else here: token and id
 generation derive from the transaction sequence number, account
 addresses derive from a creation counter, and the whole history can be
@@ -71,6 +75,7 @@ class Receipt:
 
 
 _MISSING = object()  # journaled "previous value" of a key that did not exist
+_SCALARS = frozenset({str, int, bool, type(None)})  # the argument types a log line decodes to
 
 
 @dataclass
@@ -184,12 +189,15 @@ class Ledger:
         if contract not in self._contracts:
             raise ValueError(f"no contract {contract!r}")
         _require_amount(value, "value")
+        args = tuple(args)
+        if not _SCALARS.issuperset(map(type, args)):
+            raise ValueError(f"args must be JSON scalars (str, int, bool, None), got {args!r}")
         if self._balances[sender] < value:
             raise InsufficientFunds(
                 f"balance {self._balances[sender]} cannot cover value {value}"
             )
 
-        tx = Transaction(self._next_seq, sender, contract, method, tuple(args), value)
+        tx = Transaction(self._next_seq, sender, contract, method, args, value)
         self._next_seq += 1
         self.log.append(tx)
         ctx = CallContext(sender, tx.seq, value, contract, self)

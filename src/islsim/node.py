@@ -277,13 +277,12 @@ class IslNode:
     ) -> ModelRecord:
         """Adapt a locally available model (own or acquired) to a local dataset."""
         base_iri = self._model_ref(base_ref)
-        base_record = self.graph.model(base_iri)
-        base = mlsim.LinearModel.from_bytes(self.store.get(_addr_of(base_record.model_uri)))
+        base = self.load_model(base_iri)
         ds_iri = self._dataset_ref(dataset_ref)
         data = self.load_dataset(ds_iri)
         tuned = mlsim.fine_tune(base, data, steps, learning_rate)
         return self._record_model(
-            local_id, tuned, data, ds_iri, base_record.task, base_iri=base_iri
+            local_id, tuned, data, ds_iri, self.graph.model(base_iri).task, base_iri=base_iri
         )
 
     def _record_model(
@@ -485,9 +484,6 @@ class IslNode:
             if step.model_iri not in self.depgraph:
                 self.depgraph.add_model(step.model_iri, prev, step.dataset_iri)
             prev = step.model_iri
-
-    def provenance(self, addr: str) -> list[ChainStep]:
-        return walk_provenance(self.network.oracle, addr)
 
     def serve_blob(self, addr: str, token: str, caller: str) -> bytes:
         """Hand out stored bytes against a valid acquisition token."""

@@ -157,6 +157,23 @@ class TestScenarioParsing:
         assert run(["run", path, "--workspace", str(tmp_path / "ws")]) == 1
         assert capsys.readouterr().err.startswith("MalformedDescriptor: ")
 
+    def test_negative_price_reverts_as_malformed_args(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        path = scenario_file(
+            tmp_path,
+            "create-network 1000\n"
+            "add-node a 100\n"
+            "register-node a\n"
+            "gen-data a d1 1 2.0 1.0 0.05 20\n"
+            "train a m1 d1 occupancy_detection\n"
+            "share a m1\n"
+            "set-price a m1 -5\n",
+        )
+        assert run(["run", path, "--workspace", str(ws)]) == 1
+        assert capsys.readouterr().err.startswith("MalformedArgs: ")
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out.strip() == "MATCH"
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -344,6 +361,23 @@ class TestReplay:
             args.append("f" * 64)
         assert run(args) == 1
         assert capsys.readouterr().err.startswith("UnknownWorkspace: ")
+
+    def test_replay_rejects_logged_list_argument(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+
+        log_path = ws / cli.LEDGER_FILE
+        seq = log_path.read_text().count("\ntx\t") + 1
+        alice = (ws / "nodes" / "alice" / "account.txt").read_text().strip()
+        with open(log_path, "a", encoding="ascii") as log:
+            log.write(
+                f"tx\tseq={seq}\tsender={alice}\tcontract=oracle\tmethod=share_dataset"
+                '\tvalue=0\targs=["isl://a/dataset/d",["b"]]\n'
+            )
+
+        assert run(["replay", str(ws)]) == 1
+        assert capsys.readouterr().err.startswith("CorruptLog: ")
 
     def test_replay_rejects_forged_value(self, tmp_path, capsys):
         ws = tmp_path / "ws"

@@ -1,11 +1,16 @@
 """Governance and marketplace contract rules, exercised through the ledger."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
+from islsim import errors
 from islsim.contracts import IslContract, OracleContract
 from islsim.ledger import Ledger
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "islsim"
 
 ADDR_D = "1" * 64
 ADDR_M = "2" * 64
@@ -40,13 +45,13 @@ def reverted(receipt, error_name):
 class TestGovernance:
     def test_owner_bound_at_account_creation(self, net):
         _, oracle, owner, _, _ = net
-        assert oracle.owner() == owner
+        assert oracle.state_dict()["owner"] == owner
 
     def test_only_owner_registers(self, net):
         ledger, oracle, _, alice, _ = net
         extra = ledger.create_account(10).address
         reverted(ledger.submit(alice, "oracle", "register_node", (extra,)), "Unauthorized")
-        assert not oracle.is_trusted(extra)
+        assert extra not in oracle.state_dict()["trusted"]
 
     def test_double_registration(self, net):
         ledger, _, owner, alice, _ = net
@@ -59,6 +64,26 @@ class TestGovernance:
     def test_malformed_args(self, net):
         ledger, _, _, alice, _ = net
         reverted(ledger.submit(alice, "oracle", "share_dataset", ("only-one-arg",)), "MalformedArgs")
+
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("register_node", (42,)),
+            ("register_node", ()),
+            ("share_dataset", (5, ADDR_D)),
+            ("share_dataset", ("isl://alice/dataset/d", 7)),
+            ("share_dataset", ("isl://alice/dataset/d", "notanaddress")),
+            ("share_dataset", ("isl://alice/dataset/d", "AB" * 32)),
+            ("share_dataset", ("isl://alice/dataset/d", ADDR_D, None)),
+            ("share_model", ("isl://alice/model/m", ADDR_M, "t", ADDR_D, False)),
+        ],
+    )
+    def test_args_off_the_signature_revert_before_any_write(self, net, method, args):
+        ledger, _, owner, alice, _ = net
+        sender = owner if method == "register_node" else alice
+        before = ledger.canonical_state()
+        reverted(ledger.submit(sender, "oracle", method, args), "MalformedArgs")
+        assert ledger.canonical_state() == before
 
 
 class TestSharing:
@@ -207,3 +232,15 @@ class TestPricing:
         ok(ledger.submit(alice, "isl", "set_price", (ADDR_D, 3)))
         receipt = ok(ledger.submit(bob, "isl", "acquire", (ADDR_D,), value=3))
         assert receipt.return_value["resource_location"] == ADDR_D
+
+
+def test_every_revert_reason_names_a_typed_error():
+    names = {
+        name
+        for path in SRC.glob("*.py")
+        for name in re.findall(r'Revert\(f?"(\w+): ', path.read_text(encoding="utf-8"))
+    }
+    assert "MalformedArgs" in names
+    assert names <= set(errors.BY_NAME)
+    for name in names:
+        assert type(errors.from_reason(f"{name}: detail")) is errors.BY_NAME[name]

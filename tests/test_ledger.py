@@ -17,6 +17,7 @@ from islsim.ledger import (
     parse_log_line,
     replay,
 )
+from islsim.node import Network
 
 
 class Counter:
@@ -154,6 +155,15 @@ def test_non_int_value_rejected_before_logging(ledger, value):
     with pytest.raises(ValueError):
         ledger.submit(acct.address, "counter", "bump", value=value)
     assert len(ledger.log) == log_len
+
+
+@pytest.mark.parametrize("args", [(("b",),), (b"x",), ("a", ["b"]), ({},), (1.5,)])
+def test_non_scalar_args_rejected_before_logging(ledger, args):
+    acct = ledger.create_account(5)
+    before = ledger.canonical_state(), len(ledger.log)
+    with pytest.raises(ValueError):
+        ledger.submit(acct.address, "counter", "bump", args)
+    assert (ledger.canonical_state(), len(ledger.log)) == before
 
 
 def test_non_int_initial_balance_rejected(ledger):
@@ -298,5 +308,73 @@ def test_every_live_log_replays_to_the_same_state(ops):
     assert led.total_supply() == 180
     entries = [parse_log_line(line) for line in log_lines(led)]
     replica = replay(entries, lambda: [CrashingCounter()])
+    assert replica.canonical_state() == led.canonical_state()
+    assert log_lines(replica) == log_lines(led)
+
+
+# ---------------------------------------------- replay over the real contracts
+
+ACCOUNTS = [hashlib.sha256(str(n).encode()).hexdigest()[:40] for n in range(1, 5)]
+ADDRS = ["1" * 64, "2" * 64, "3" * 64, "4" * 64]  # two meant for datasets, two for models
+IRIS = ["isl://alice/dataset/d", "isl://alice/model/m", "isl://vocab/task/occupancy_detection"]
+NEAR_MISSES = ["1" * 63, "2" * 65, "3" * 63 + "g", "A" * 64, "", "isl://", ACCOUNTS[1] + "00"]
+# every method's well-typed arguments, drawn from small pools so that states repeat
+SIGNATURES = {
+    ("oracle", "register_node"): (ACCOUNTS,),
+    ("oracle", "share_dataset"): (IRIS, ADDRS[:2]),
+    ("oracle", "share_model"): (IRIS, ADDRS[2:], IRIS, ADDRS[:2], [None] + ADDRS[2:]),
+    ("isl", "set_price"): (ADDRS, [-1, 0, 5]),
+    ("isl", "acquire"): (ADDRS,),
+}
+# the known methods three times as often as two unknown ones, which get one IRI argument
+CALLS = sorted(SIGNATURES) * 3 + [("oracle", "mint_money"), ("isl", "share_dataset")]
+WILD = st.one_of(
+    st.integers(-3, 10**6),
+    st.booleans(),
+    st.none(),
+    st.binary(max_size=3),
+    st.tuples(st.sampled_from(ADDRS)),
+    st.lists(st.sampled_from(ADDRS), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+    st.floats(allow_nan=True),
+    st.sampled_from(NEAR_MISSES + ADDRS + IRIS),
+)
+
+
+@st.composite
+def real_transactions(draw):
+    contract, method = draw(st.sampled_from(CALLS))
+    args = [draw(st.sampled_from(pool)) for pool in SIGNATURES.get((contract, method), [IRIS])]
+    mutation = draw(st.sampled_from(["none", "none", "none", "replace", "drop", "extend"]))
+    if mutation == "replace" and args:
+        args[draw(st.integers(0, len(args) - 1))] = draw(WILD)
+    elif mutation == "drop" and args:
+        args.pop()
+    elif mutation == "extend":
+        args.append(draw(WILD))
+    sender = draw(st.sampled_from(ACCOUNTS[1:3] * 3 + ACCOUNTS))  # mostly registered nodes
+    value = draw(st.sampled_from([0, 0, 5]))
+    return sender, contract, method, draw(st.sampled_from([tuple, list]))(args), value
+
+
+@given(st.lists(real_transactions(), max_size=25))
+def test_every_live_log_over_the_real_contracts_replays_to_the_same_state(txs):
+    led = Ledger()
+    for contract in Network.contract_factory():
+        led.register_contract(contract)
+    assert [led.create_account(100, owner=n == 0).address for n in range(4)] == ACCOUNTS
+    for node in ACCOUNTS[1:3]:  # the last account stays an outsider
+        led.submit(ACCOUNTS[0], "oracle", "register_node", (node,))
+    led.submit(ACCOUNTS[1], "oracle", "share_dataset", (IRIS[0], ADDRS[0]))
+    led.submit(ACCOUNTS[1], "oracle", "share_model", (IRIS[1], ADDRS[2], IRIS[2], ADDRS[0], None))
+    for sender, contract, method, args, value in txs:
+        before = led.canonical_state(), log_lines(led)
+        try:
+            led.submit(sender, contract, method, args, value=value)
+        except (ValueError, InsufficientFunds):
+            assert (led.canonical_state(), log_lines(led)) == before
+    assert led.contract("oracle").check_closure() is None
+    entries = [parse_log_line(line) for line in log_lines(led)]
+    replica = replay(entries, Network.contract_factory)
     assert replica.canonical_state() == led.canonical_state()
     assert log_lines(replica) == log_lines(led)

@@ -349,7 +349,7 @@ class TestMarketplace:
         alice.fine_tune_model("m2", "m1", "d2", steps=15, learning_rate=0.05)
         tuned = alice.share_model("m2")
 
-        chain = net.node("bob").provenance(tuned.content_address)
+        chain = walk_provenance(net.oracle, tuned.content_address)
         owner_steps = alice.depgraph.trace(tuned.iri).steps
         assert [(s.model_iri, s.dataset_iri) for s in chain] == list(owner_steps)
         for step in chain:
@@ -358,7 +358,7 @@ class TestMarketplace:
 
     def test_provenance_requires_shared_model(self, net):
         with pytest.raises(UnknownResource):
-            net.node("bob").provenance("f" * 64)
+            walk_provenance(net.oracle, "f" * 64)
 
 
 class TestTransferIntegrity:

@@ -134,8 +134,10 @@ class OracleContract(Contract):
 
     # ------------------------------------------------------------- read-only
 
-    def query_task(self, task: str) -> list[str]:
-        return list(self.state["task_index"].get(task, []))
+    def query_task(self, task: str) -> list[tuple[str, str, str]]:
+        """``(addr, owner account, iri)`` of each model registered for ``task``, in share order."""
+        models = self.state["shared_models"]
+        return [(a, (e := models[a])["owner"], e["iri"]) for a in self.state["task_index"].get(task, ())]
 
     def dataset_entry(self, addr: str) -> dict | None:
         entry = self.state["shared_datasets"].get(addr)

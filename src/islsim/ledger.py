@@ -11,9 +11,12 @@ as a ``reverted`` receipt; any other exception is a crash: the
 transaction also leaves the log, its sequence number is reused, and the
 exception propagates, so replay never meets it.
 
-``submit`` refuses, before logging, a bad ``value`` and any argument
-that is not a JSON scalar (``str``, ``int``, ``bool``, ``None``): only
-those read back unchanged from a log line, so only those replay.
+``submit`` refuses, before logging, a method name that is not an ASCII
+identifier, a bad ``value`` and any argument that is not a JSON scalar
+(``str``, ``int``, ``bool``, ``None``): only those read back unchanged
+from a log line, so only those replay. Every int that enters the log (an
+argument, a ``value``, a starting balance) must fit one EVM word,
+``|n| <= 2**256 - 1``, so that it always serializes.
 
 Determinism matters more than anything else here: token and id
 generation derive from the transaction sequence number, account
@@ -76,6 +79,7 @@ class Receipt:
 
 _MISSING = object()  # journaled "previous value" of a key that did not exist
 _SCALARS = frozenset({str, int, bool, type(None)})  # the argument types a log line decodes to
+WORD = 2**256 - 1  # the largest magnitude of an int the log takes
 
 
 @dataclass
@@ -127,6 +131,8 @@ def _require_amount(amount: object, what: str) -> None:
     # bool is an int subclass, but "True" in a log line does not parse back
     if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
         raise ValueError(f"{what} must be a non-negative int, got {amount!r}")
+    if amount > WORD:
+        raise ValueError(f"{what} must be at most 2**256 - 1")
 
 
 class Ledger:
@@ -188,8 +194,12 @@ class Ledger:
             raise UnknownSender(f"no account {sender}")
         if contract not in self._contracts:
             raise ValueError(f"no contract {contract!r}")
+        if not (isinstance(method, str) and method.isascii() and method.isidentifier()):
+            raise ValueError(f"method must be an ASCII identifier, got {method!r}")
         _require_amount(value, "value")
         args = tuple(args)
+        if any(type(a) is int and not -WORD <= a <= WORD for a in args):
+            raise ValueError("int args must satisfy |n| <= 2**256 - 1")
         if not _SCALARS.issuperset(map(type, args)):
             raise ValueError(f"args must be JSON scalars (str, int, bool, None), got {args!r}")
         if self._balances[sender] < value:

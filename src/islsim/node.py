@@ -6,9 +6,10 @@ contracts, and a directory tree with one subdirectory per node. Each
 content-addressed blob store, describes them in a private knowledge
 graph, and interacts with other nodes only through ledger transactions
 plus direct blob transfer. On-chain state never holds asset bytes or
-metadata beyond content addresses and provenance edges; everything else
-travels through the describe/serve calls below, which stand in for the
-off-chain request channel between nodes.
+metadata beyond content addresses and provenance edges. A node reads
+another's metadata straight from that node's graph, and its bytes through
+``serve_blob``; both stand in for the off-chain request channel between
+nodes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import kgstore, mlsim
 from .cas import BlobStore, content_address, is_address, write_atomic
@@ -37,9 +39,8 @@ from .ledger import Ledger, Receipt
 IRI_PREFIX = "isl://"
 
 
-@dataclass(frozen=True)
-class RankedModel:
-    """One row of a marketplace query result."""
+class RankedModel(NamedTuple):
+    """One row of a marketplace query result; equal to the plain tuple of its fields."""
 
     address: str
     task: str
@@ -95,12 +96,6 @@ def walk_provenance(oracle: OracleContract, addr: str) -> list[ChainStep]:
             )
         )
     return steps
-
-
-def _iri_node(iri: str) -> str:
-    if not iri.startswith(IRI_PREFIX):
-        raise NotFound(f"{iri!r} is not a resource IRI")
-    return iri[len(IRI_PREFIX):].split("/", 1)[0]
 
 
 def _addr_of(local_uri: str) -> str:
@@ -192,15 +187,6 @@ class Network:
         if receipt.status != "ok":
             raise from_reason(receipt.revert_reason or "IslError: reverted")
         return receipt
-
-    # ----------------------------------------------------- off-chain channel
-
-    def describe_model(self, iri: str) -> ModelRecord:
-        """Ask the owning node for a model's descriptive metadata."""
-        return self.node(_iri_node(iri)).graph.model(iri)
-
-    def describe_dataset(self, iri: str) -> DatasetDescriptor:
-        return self.node(_iri_node(iri)).graph.dataset(iri)
 
     def persist(self) -> None:
         for node in self._nodes.values():
@@ -397,35 +383,30 @@ class IslNode:
     def query_models(self, task: str, sensors: set[str] | frozenset[str]) -> list[RankedModel]:
         """Shared models for a task whose inputs this space can feed.
 
+        A registry entry is listed only when the node that registered it
+        records, in its own graph, that model shared under that address;
+        an entry whose IRI the registering node does not hold as shared
+        there (a squatted or foreign IRI) is skipped.
+
         Results come back best first: ascending mean squared error, ties
         broken by content address so the order is total.
         """
         task = self._task_ref(task)
-        oracle = self.network.oracle
-        isl = self.network.isl
+        network = self.network
+        price_of = network.isl.price_of
         sensors = set(sensors)
+        owners: dict[str, IslNode | None] = {}
         matches = []
-        for addr in oracle.query_task(task):
-            entry = oracle.model_entry(addr)
-            if entry is None:
+        for addr, owner, iri in network.oracle.query_task(task):
+            if owner not in owners:
+                name = network.node_name_of(owner)
+                owners[owner] = None if name is None else network.node(name)
+            node = owners[owner]
+            record = None if node is None else node.graph.shared_record(kgstore.T_MODEL, iri, addr)
+            if record is None or not sensors.issuperset(record.input_features):
                 continue
-            owner_name = self.network.node_name_of(entry["owner"])
-            if owner_name is None:
-                continue
-            record = self.network.describe_model(entry["iri"])
-            if not sensors.issuperset(record.input_features):
-                continue
-            matches.append(
-                RankedModel(
-                    address=addr,
-                    task=task,
-                    input_features=record.input_features,
-                    mse=record.mse,
-                    mae=record.mae,
-                    owner_node=owner_name,
-                    price=isl.price_of(addr),
-                )
-            )
+            matches.append(RankedModel(addr, task, record.input_features, record.mse,
+                                       record.mae, node.name, price_of(addr)))
         matches.sort(key=lambda m: (m.mse, m.address))
         return matches
 
@@ -455,24 +436,24 @@ class IslNode:
         if owner_name is None:
             raise NotFound(f"no node serves account {entry['owner']}")
         owner_node = self.network.node(owner_name)
+        kind = kgstore.T_MODEL if model_entry else kgstore.T_DATASET
+        remote = owner_node.graph.shared_record(kind, entry["iri"], addr)
+        if remote is None:
+            raise NotFound(f"{owner_name} records no {entry['iri']} shared as {addr}")
 
         data = owner_node.serve_blob(str(grant["resource_location"]), str(grant["token"]), self.account)
         if content_address(data) != addr:
             raise IntegrityFailure(f"served bytes do not hash to {addr}")
 
         if owner_name == self.name:
-            return self.graph.model(entry["iri"]) if model_entry else self.graph.dataset(entry["iri"])
+            return remote
 
         self.store.put(data)
         if model_entry is None:
-            remote_ds = self.network.describe_dataset(entry["iri"])
-            cached_ds = dataclasses.replace(
-                remote_ds, local_uri=self.store.relative_uri(addr)
-            )
+            cached_ds = dataclasses.replace(remote, local_uri=self.store.relative_uri(addr))
             self.graph.cache_remote_dataset(cached_ds)
             return cached_ds
 
-        remote = self.network.describe_model(entry["iri"])
         cached = dataclasses.replace(remote, model_uri=self.store.relative_uri(addr))
         self.graph.cache_remote_model(cached)
         self._import_provenance(addr)

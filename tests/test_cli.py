@@ -10,6 +10,7 @@ import pytest
 from islsim import cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"  # `islsim run` output of each bundled scenario
 
 TWO_NODE = SCENARIOS / "two_node_share_acquire.isl"
 TRANSFER = SCENARIOS / "transfer_learning.isl"
@@ -39,6 +40,13 @@ def scenario_file(tmp_path: Path, text: str) -> str:
 
 
 class TestBundledScenarios:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.isl")), ids=lambda p: p.stem)
+    def test_stdout_and_exit_code_match_the_golden_files(self, tmp_path, capsys, scenario):
+        code = run(["run", str(scenario), "--workspace", str(tmp_path / "ws")])
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN / f"{scenario.stem}.stdout").read_bytes()
+        assert f"{code}\n" == (GOLDEN / f"{scenario.stem}.exit").read_text(encoding="ascii")
+
     def test_two_node_share_acquire(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         assert run(["run", str(TWO_NODE), "--workspace", str(ws)]) == 0

@@ -144,7 +144,7 @@ class TestSharing:
         ok(ledger.submit(alice, "oracle", "share_dataset", ("isl://alice/dataset/d", ADDR_D)))
         ok(ledger.submit(alice, "oracle", "share_model", ("isl://alice/model/m", ADDR_M, task, ADDR_D, None)))
         ok(ledger.submit(bob, "oracle", "share_model", ("isl://bob/model/m2", ADDR_M2, task, ADDR_D, ADDR_M)))
-        assert oracle.query_task(task) == [ADDR_M, ADDR_M2]  # announcement order
+        assert [row[0] for row in oracle.query_task(task)] == [ADDR_M, ADDR_M2]  # announcement order
         assert oracle.model_entry(ADDR_M2)["base_model_addr"] == ADDR_M
         assert oracle.check_closure() is None
         assert oracle.find_model_by_iri("isl://bob/model/m2") == ADDR_M2

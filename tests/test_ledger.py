@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from islsim.errors import CorruptLog, InsufficientFunds, UnknownSender
 from islsim.ledger import (
+    WORD,
     AccountCreation,
     Ledger,
     Revert,
@@ -163,6 +164,30 @@ def test_non_scalar_args_rejected_before_logging(ledger, args):
     before = ledger.canonical_state(), len(ledger.log)
     with pytest.raises(ValueError):
         ledger.submit(acct.address, "counter", "bump", args)
+    assert (ledger.canonical_state(), len(ledger.log)) == before
+
+
+@pytest.mark.parametrize("where", ["value", "arg", "negative arg", "balance"])
+def test_ints_beyond_one_word_rejected_before_logging(ledger, where):
+    acct = ledger.create_account(5)
+    before = ledger.canonical_state(), len(ledger.log)
+    with pytest.raises(ValueError):
+        if where == "value":
+            ledger.submit(acct.address, "counter", "bump", value=WORD + 1)
+        elif where == "balance":
+            ledger.create_account(WORD + 1)
+        else:
+            big = WORD + 1 if where == "arg" else -(WORD + 1)
+            ledger.submit(acct.address, "counter", "pay", (acct.address, big))
+    assert (ledger.canonical_state(), len(ledger.log)) == before
+
+
+@pytest.mark.parametrize("method", ["share\tdataset", "bump\n", "bümp", "", None])
+def test_method_that_is_not_an_ascii_identifier_rejected_before_logging(ledger, method):
+    acct = ledger.create_account(5)
+    before = ledger.canonical_state(), len(ledger.log)
+    with pytest.raises(ValueError):
+        ledger.submit(acct.address, "counter", method)
     assert (ledger.canonical_state(), len(ledger.log)) == before
 
 
@@ -326,8 +351,11 @@ SIGNATURES = {
     ("isl", "set_price"): (ADDRS, [-1, 0, 5]),
     ("isl", "acquire"): (ADDRS,),
 }
-# the known methods three times as often as two unknown ones, which get one IRI argument
-CALLS = sorted(SIGNATURES) * 3 + [("oracle", "mint_money"), ("isl", "share_dataset")]
+# the known methods three times as often as three unknown ones, which get one IRI argument;
+# a tab in a method name would split its log line
+CALLS = sorted(SIGNATURES) * 3 + [
+    ("oracle", "mint_money"), ("isl", "share_dataset"), ("oracle", "share\tdataset")
+]
 WILD = st.one_of(
     st.integers(-3, 10**6),
     st.booleans(),
@@ -338,6 +366,8 @@ WILD = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
     st.floats(allow_nan=True),
     st.sampled_from(NEAR_MISSES + ADDRS + IRIS),
+    st.just(10**5000),  # too long for int -> str
+    st.just(2**256),  # one past the word bound
 )
 
 
@@ -374,6 +404,27 @@ def test_every_live_log_over_the_real_contracts_replays_to_the_same_state(txs):
         except (ValueError, InsufficientFunds):
             assert (led.canonical_state(), log_lines(led)) == before
     assert led.contract("oracle").check_closure() is None
+    entries = [parse_log_line(line) for line in log_lines(led)]
+    replica = replay(entries, Network.contract_factory)
+    assert replica.canonical_state() == led.canonical_state()
+    assert log_lines(replica) == log_lines(led)
+
+
+def test_ints_of_one_word_replay_to_the_same_state():
+    led = Ledger()
+    for contract in Network.contract_factory():
+        led.register_contract(contract)
+    accounts = [led.create_account(WORD, owner=n == 0).address for n in range(3)]
+    for node in accounts[1:]:
+        led.submit(accounts[0], "oracle", "register_node", (node,))
+    led.submit(accounts[1], "oracle", "share_dataset", (IRIS[0], ADDRS[0]))
+    receipts = [
+        led.submit(accounts[1], "isl", "set_price", (ADDRS[0], -WORD)),
+        led.submit(accounts[1], "isl", "set_price", (ADDRS[0], WORD)),
+        led.submit(accounts[2], "isl", "acquire", (ADDRS[0],), value=WORD),
+    ]
+    assert [r.status for r in receipts] == ["reverted", "ok", "ok"]
+    assert led.balance_of(accounts[1]) == 2 * WORD
     entries = [parse_log_line(line) for line in log_lines(led)]
     replica = replay(entries, Network.contract_factory)
     assert replica.canonical_state() == led.canonical_state()

@@ -5,8 +5,16 @@ dependency graph, and the two contracts behind a real ledger.
 """
 from __future__ import annotations
 
-import pytest
+import contextlib
+import random
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from islsim import kgstore
 from islsim.cas import content_address
 from islsim.errors import (
@@ -20,7 +28,7 @@ from islsim.errors import (
     WrongPayment,
 )
 from islsim.kgstore import KnowledgeGraph
-from islsim.mlsim import RoomProfile
+from islsim.mlsim import RoomProfile, TabularDataset
 from islsim.node import IRI_PREFIX, Network, walk_provenance
 
 PROFILE = RoomProfile(slope=2.0, intercept=1.0, noise_scale=0.05)
@@ -274,6 +282,50 @@ class TestMarketplace:
         assert ranked[0].owner_node == "alice"
         assert len(ranked) == 2
 
+    @pytest.mark.parametrize("squat", ["unknown IRI", "foreign IRI", "acquired IRI", "own IRI"])
+    def test_squatted_entry_is_not_listed(self, net, squat):
+        record = shared_model(net)
+        ds_addr = net.node("alice").graph.dataset(record.dataset).content_address
+        bob = net.node("bob")
+        iri = {"unknown IRI": "isl://nobody/model/x", "own IRI": kgstore.model_iri("bob", "m1")}
+        if squat == "acquired IRI":
+            bob.acquire_model(record.content_address, payment=0)  # bob caches alice's record
+        if squat == "own IRI":
+            own = shared_model(net, "bob", seed=12)  # listed once, under its real address
+        # bob registers bytes nobody holds under an IRI he holds no record of at that address
+        receipt = net.ledger.submit(bob.account, "oracle", "share_model", (
+            iri.get(squat, record.iri), "ef" * 32, record.task, ds_addr, None))
+        assert receipt.status == "ok"
+
+        carol = net.add_node("carol", balance=0)
+        ranked = carol.query_models("occupancy_detection", {"co2"})
+
+        expected = [(record.content_address, "alice", record.mse)]
+        if squat == "own IRI":
+            expected = sorted(expected + [(own.content_address, "bob", own.mse)], key=lambda r: r[2])
+        assert [(m.address, m.owner_node, m.mse) for m in ranked] == expected
+
+    def test_acquire_refuses_a_squatted_entry(self, net):
+        record = shared_model(net)
+        bob = net.node("bob")
+        bob.create_local_dataset("d1", seed=12, profile=WARM, n_rows=30)
+        own = bob.train_model("m1", "d1", "occupancy_detection")
+        ds_addr = bob.share_dataset("d1").content_address
+        addr = own.model_uri.rsplit("/", 1)[-1]
+        # bob's own bytes, registered under alice's model IRI
+        squat = net.ledger.submit(
+            bob.account, "oracle", "share_model", (record.iri, addr, record.task, ds_addr, None)
+        )
+        assert squat.status == "ok"
+        carol = net.add_node("carol", balance=100)
+        net.register_node("carol")
+
+        with pytest.raises(NotFound):
+            carol.acquire_model(addr, payment=0)
+
+        assert carol.store.addresses() == []
+        assert not carol.graph.has_model(record.iri)
+
     def test_acquire_pays_and_caches(self, net):
         record = shared_model(net)
         alice, bob = net.node("alice"), net.node("bob")
@@ -361,6 +413,108 @@ class TestMarketplace:
             walk_provenance(net.oracle, "f" * 64)
 
 
+FEATURES = tuple(sorted(kgstore.FEATURE_UNITS))
+
+
+def honest_op(share):
+    # (kind, node, task, input features, data seed, price, share it)
+    return st.tuples(st.just("honest"), st.integers(0, 2), st.sampled_from(kgstore.TASKS),
+                     st.sets(st.sampled_from(FEATURES), min_size=1, max_size=3),
+                     st.integers(0, 2**16), st.sampled_from([0, 0, 7]), share)
+
+
+registry_op = st.one_of(
+    honest_op(st.booleans()),
+    # (kind, buyer, pick among the registered models)
+    st.tuples(st.just("acquire"), st.integers(0, 2), st.integers(0, 50)),
+    # (kind, sender: a node or the network owner, IRI from the sender's own graph,
+    #  IRI pick, task, register bytes the sender holds)
+    st.tuples(st.just("raw"), st.integers(0, 3), st.booleans(), st.integers(0, 50),
+              st.sampled_from(kgstore.TASKS), st.booleans()),
+)
+market_query = st.tuples(st.integers(0, 2), st.sampled_from(kgstore.TASKS),
+                         st.one_of(st.just(set(FEATURES)), st.sets(st.sampled_from(FEATURES))))
+
+
+def honest_model(node, i, task, feats, seed):
+    rng = random.Random(seed)
+    rows = tuple(
+        (tuple(rng.uniform(-2.0, 2.0) for _ in feats), rng.uniform(-2.0, 2.0))
+        for _ in range(len(feats) + 3)
+    )
+    addr = node.store.put(TabularDataset(feats, rows).to_csv_bytes())
+    node.graph.register_dataset(kgstore.DatasetDescriptor(
+        iri=kgstore.dataset_iri(node.name, f"d{i}"),
+        owner_node=node.name,
+        feature_schema=tuple(f"{f}:{kgstore.FEATURE_UNITS[f]}" for f in feats),
+        local_uri=node.store.relative_uri(addr),
+    ))
+    return node.train_model(f"m{i}", f"d{i}", task)
+
+
+def reference_query(net, task, sensors):
+    """Registry entries whose owner's graph records that model shared there, by brute force."""
+    nodes = {net.node(name).account: net.node(name) for name in net.node_names()}
+    prices = net.isl.state_dict()["prices"]
+    rows = []
+    for addr, entry in net.oracle.state_dict()["shared_models"].items():
+        node = nodes.get(entry["owner"])
+        if entry["task"] != task or node is None:
+            continue
+        rec = oracles.scan_record(node.graph.triples, entry["iri"], "Model")
+        if not isinstance(rec, dict) or rec["content_address"] != addr:
+            continue
+        if set(rec["input_features"]) <= sensors:
+            rows.append((addr, task, rec["input_features"], rec["mse"], rec["mae"], node.name,
+                         prices.get(addr, 0)))
+    return sorted(rows, key=lambda r: (r[3], r[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(honest_op(st.just(True)), min_size=1, max_size=4),
+       st.lists(registry_op, min_size=1, max_size=8),
+       st.lists(market_query, min_size=1, max_size=4))
+def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, ops, queries):
+    """Criterion 10's ground-truth check, over registries that also hold raw entries."""
+    with tempfile.TemporaryDirectory() as root:
+        net = Network.create(Path(root), owner_balance=1_000)
+        nodes = [net.add_node(name, balance=500) for name in ("n0", "n1", "n2")]
+        for node in nodes:
+            net.register_node(node.name)
+        net.submit(net.owner_account, "oracle", "register_node", (net.owner_account,))
+        senders = [node.account for node in nodes] + [net.owner_account]
+        iris = ["isl://nobody/model/x"]
+        for n, op in enumerate(shared + ops):
+            models = sorted(net.oracle.state_dict()["shared_models"])
+            if op[0] == "honest":
+                _, who, task, feats, seed, price, share = op
+                record = honest_model(nodes[who], n, task, tuple(sorted(feats)), seed)
+                iris += [record.iri, record.dataset]
+                # a raw entry may already hold these bytes, or refuse a squatted one
+                with contextlib.suppress(IslError):
+                    if share:
+                        nodes[who].share_model(record.iri)
+                        if price:
+                            nodes[who].set_price(record.iri, price)
+            elif op[0] == "acquire" and models:
+                _, who, pick = op
+                addr = models[pick % len(models)]
+                with contextlib.suppress(IslError):
+                    nodes[who].acquire_model(addr, payment=net.isl.price_of(addr))
+            elif op[0] == "raw" and models:
+                _, who, own, pick, task, held = op
+                pool = [m.iri for m in nodes[who].graph.models()] if own and who < 3 else []
+                pool = pool or iris
+                blobs = nodes[who].store.addresses() if held and who < 3 else []
+                addr = blobs[-1] if blobs else content_address(f"squat {n}".encode())
+                ds_addr = net.oracle.model_entry(models[0])["dataset_addr"]
+                net.ledger.submit(senders[who], "oracle", "share_model",
+                                  (pool[pick % len(pool)], addr, kgstore.task_iri(task), ds_addr, None))
+        for who, task, sensors in queries:
+            got = nodes[who].query_models(task, sensors)
+            assert got == reference_query(net, kgstore.task_iri(task), sensors)
+
+
 class TestTransferIntegrity:
     def test_serve_blob_rejects_bad_token(self, net):
         record = shared_model(net)
@@ -432,7 +586,3 @@ class TestReferenceResolution:
         iri = kgstore.dataset_iri("alice", "d1")
         assert iri.startswith(IRI_PREFIX)
         assert alice.load_dataset(iri).n_rows == 10
-
-    def test_describe_unknown_model(self, net):
-        with pytest.raises(NotFound):
-            net.describe_model(kgstore.model_iri("nobody", "m"))

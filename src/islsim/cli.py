@@ -19,6 +19,10 @@ line, ``#`` starting a comment::
     acquire NAME ADDR PRICE
     trace ADDR
 
+A number outside what the chain or the models take (a negative
+balance or payment, an amount beyond 2**256 - 1, fewer than one row,
+negative STEPS, an LR that is not positive) is malformed input.
+
 Resource references accept a bare local id, ``node/id``, a full
 ``isl://`` IRI, or (where an address makes sense) a 64-char content
 address. The workspace is written once, via temp file plus rename, when
@@ -44,7 +48,7 @@ from .errors import (
     UnknownResource,
     UnknownWorkspace,
 )
-from .ledger import Ledger, canonical_json, log_lines, parse_log_line, replay
+from .ledger import WORD, Ledger, canonical_json, log_lines, parse_log_line, replay
 from .mlsim import RoomProfile
 from .node import ChainStep, IslNode, Network, walk_provenance
 
@@ -112,11 +116,17 @@ def _parse_scenario(text: str) -> list[list[str]]:
     return commands
 
 
-def _int(token: str, what: str) -> int:
+def _int(token: str, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``token`` as an int in [lo, hi]; a bound that is None is open."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}") from None
+    if lo is not None and value < lo:
+        raise ParseError(f"{what} must be at least {lo}, got {token!r}")
+    if hi is not None and value > hi:
+        raise ParseError(f"{what} must be at most {hi}, got {token!r}")
+    return value
 
 
 def _float(token: str, what: str) -> float:
@@ -203,12 +213,12 @@ class ScenarioRunner:
     # ---------------------------------------------------------------- commands
 
     def _do_create_network(self, balance: str) -> None:
-        self.network = Network.create(self.workspace, _int(balance, "OWNER_BALANCE"))
+        self.network = Network.create(self.workspace, _int(balance, "OWNER_BALANCE", 0, WORD))
         net = self.network
         print(f"network owner={net.owner_account} balance={net.ledger.balance_of(net.owner_account)}")
 
     def _do_add_node(self, name: str, balance: str) -> None:
-        node = self._net().add_node(name, _int(balance, "BALANCE"))
+        node = self._net().add_node(name, _int(balance, "BALANCE", 0, WORD))
         print(f"node {name} account={node.account} balance={node.balance}")
 
     def _do_register_node(self, name: str) -> None:
@@ -222,7 +232,7 @@ class ScenarioRunner:
             _float(slope, "SLOPE"), _float(intercept, "INTERCEPT"), _float(noise, "NOISE")
         )
         descriptor = self._node(name).create_local_dataset(
-            dsid, _int(seed, "SEED"), profile, _int(rows, "ROWS")
+            dsid, _int(seed, "SEED"), profile, _int(rows, "ROWS", 1)
         )
         print(f"dataset {descriptor.iri} rows={_int(rows, 'ROWS')} uri={descriptor.local_uri}")
 
@@ -233,12 +243,13 @@ class ScenarioRunner:
     def _do_fine_tune(
         self, name: str, model_id: str, base: str, dsid: str, steps: str, lr: str
     ) -> None:
-        record = self._node(name).fine_tune_model(
-            model_id,
-            self._model_ref_sugar(base),
-            dsid,
-            _int(steps, "STEPS"),
-            _float(lr, "LR"),
+        node = self._node(name)
+        n_steps = _int(steps, "STEPS", 0)
+        learning_rate = _float(lr, "LR")
+        if not learning_rate > 0:
+            raise ParseError(f"LR must be positive, got {lr!r}")
+        record = node.fine_tune_model(
+            model_id, self._model_ref_sugar(base), dsid, n_steps, learning_rate
         )
         print(f"model {record.iri} mse={record.mse!r} mae={record.mae!r}")
 
@@ -258,7 +269,8 @@ class ScenarioRunner:
             ref = resid
         else:
             _, ref = self._classify_resource(node, resid)
-        addr = node.set_price(ref, _int(price, "PRICE"))
+        # a negative price is left to the contract, which reverts MalformedArgs
+        addr = node.set_price(ref, _int(price, "PRICE", -WORD, WORD))
         print(f"price addr={addr} value={_int(price, 'PRICE')}")
 
     def _do_query(self, name: str, task: str, *sensors: str) -> None:
@@ -272,7 +284,7 @@ class ScenarioRunner:
     def _do_acquire(self, name: str, addr: str, price: str) -> None:
         node = self._node(name)
         resolved = self._resolve_address(addr)
-        record = node.acquire_model(resolved, _int(price, "PRICE"))
+        record = node.acquire_model(resolved, _int(price, "PRICE", 0, WORD))
         print(f"acquired {resolved} price={_int(price, 'PRICE')} from={record.owner_node}")
 
     def _do_trace(self, addr: str) -> None:

@@ -15,12 +15,14 @@ that type. A lookup reads one subject's triples and never scans the
 set. Dataset descriptors and model records are views materialized on
 first read and cached per (type, subject); both are frozen, so the
 cached object is handed out as is. Every new triple drops the cached
-views of its subject, which keeps reads after ``mark_shared`` or
-``import_bytes`` fresh.
+views of its subject, which keeps reads after ``mark_shared`` fresh.
 
 Everything a node knows about its own assets and any remote shared
-assets it has cached lives here, so the ``.nt`` export of the graph is
-a complete record of the node's metadata.
+assets it has cached lives here, so the N-Triples export of the graph
+(``export_bytes``, persisted as ``kg.nt``) is a complete record of the
+node's metadata. The export is written, never read back; so that every
+line of it is well formed, ``assert_triples`` refuses any IRI that is
+not a valid N-Triples IRI term.
 
 Identifier discipline: all entity identifiers are IRIs under the
 ``isl://`` scheme, ``isl://<node>/<kind>/<local-id>``. Controlled
@@ -35,6 +37,7 @@ comma-joined literal instead of one triple per element.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -44,7 +47,6 @@ from .errors import (
     MalformedDescriptor,
     MalformedTriple,
     NotFound,
-    ParseError,
     UnresolvedDependency,
 )
 
@@ -150,8 +152,12 @@ class ModelRecord:
         return self.content_address is not None and self.tx_id is not None
 
 
+# ``isl://`` and at least one character an N-Triples IRIREF may hold unescaped
+_IRI = re.compile(r'isl://[^\x00-\x20<>"{}|^`\\]+')
+
+
 def _is_iri(value: object) -> bool:
-    return isinstance(value, str) and value.startswith("isl://") and len(value) > 6
+    return isinstance(value, str) and _IRI.fullmatch(value) is not None
 
 
 def _split(text: str) -> tuple[str, ...]:
@@ -444,47 +450,9 @@ class KnowledgeGraph:
         lines = sorted(format_triple(t) for t in self.triples)
         return ("".join(line + "\n" for line in lines)).encode("utf-8")
 
-    @classmethod
-    def import_bytes(cls, node_id: str, data: bytes) -> "KnowledgeGraph":
-        graph = cls(node_id)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"graph document is not UTF-8: {exc}") from None
-        triples = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                triples.append(parse_triple(line))
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        try:
-            graph.assert_triples(triples)
-        except MalformedTriple as exc:
-            raise ParseError(str(exc)) from None
-        return graph
-
 
 def _escape(lexical: str) -> str:
     return lexical.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _unescape(lexical: str) -> str:
-    out = []
-    i = 0
-    while i < len(lexical):
-        ch = lexical[i]
-        if ch == "\\":
-            if i + 1 >= len(lexical) or lexical[i + 1] not in '\\"':
-                raise ParseError(f"bad escape in literal: {lexical!r}")
-            out.append(lexical[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 def format_triple(t: Triple) -> str:
@@ -495,53 +463,3 @@ def format_triple(t: Triple) -> str:
     else:
         body = f"<{t.obj}>"
     return f"<{t.subject}> <{t.predicate}> {body} ."
-
-
-def parse_triple(line: str) -> Triple:
-    rest = line
-    subject, rest = _take_iri(rest)
-    predicate, rest = _take_iri(rest)
-    rest = rest.lstrip()
-    obj: str | Literal
-    if rest.startswith("<"):
-        obj, rest = _take_iri(rest)
-    elif rest.startswith('"'):
-        obj, rest = _take_literal(rest)
-    else:
-        raise ParseError(f"expected IRI or literal object near {rest!r}")
-    if rest.strip() != ".":
-        raise ParseError(f"missing terminating '.' in {line!r}")
-    return Triple(subject, predicate, obj)
-
-
-def _take_iri(text: str) -> tuple[str, str]:
-    text = text.lstrip()
-    if not text.startswith("<"):
-        raise ParseError(f"expected '<' near {text!r}")
-    end = text.find(">")
-    if end < 0:
-        raise ParseError(f"unterminated IRI in {text!r}")
-    return text[1:end], text[end + 1 :]
-
-
-def _take_literal(text: str) -> tuple[Literal, str]:
-    # text starts with '"'
-    i = 1
-    while i < len(text):
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == '"':
-            break
-        i += 1
-    else:
-        raise ParseError(f"unterminated literal in {text!r}")
-    lexical = _unescape(text[1:i])
-    rest = text[i + 1 :]
-    datatype = "string"
-    if rest.startswith("^^"):
-        type_iri, rest = _take_iri(rest[2:])
-        if type_iri != DECIMAL_TYPE:
-            raise ParseError(f"unsupported literal datatype {type_iri!r}")
-        datatype = "decimal"
-    return Literal(lexical, datatype), rest

@@ -118,9 +118,8 @@ class Network:
     @classmethod
     def create(cls, root: str | Path, owner_balance: int) -> "Network":
         ledger = Ledger()
-        oracle = OracleContract()
-        ledger.register_contract(oracle)
-        ledger.register_contract(IslContract(oracle))
+        for contract in cls.contract_factory():
+            ledger.register_contract(contract)
         owner = ledger.create_account(owner_balance, owner=True)
         net = cls(Path(root), ledger, owner.address)
         net.root.mkdir(parents=True, exist_ok=True)
@@ -129,7 +128,7 @@ class Network:
 
     @staticmethod
     def contract_factory() -> list:
-        """Fresh contract instances for replaying a transaction log."""
+        """Fresh contract instances for a new network or for replaying a transaction log."""
         oracle = OracleContract()
         return [oracle, IslContract(oracle)]
 
@@ -418,29 +417,28 @@ class IslNode:
     def acquire_model(self, addr: str, payment: int) -> ModelRecord | DatasetDescriptor:
         """Pay for a shared resource, fetch its bytes, verify, and cache it.
 
-        Payment settles on chain first. The transfer that follows is
-        verified against the content address before anything is written
-        locally, so a corrupt or malicious serve leaves no local trace.
+        Unless the registering node records the resource shared under
+        ``addr``, nothing is paid or logged. Payment then settles on
+        chain, and the transfer that follows is verified against the
+        content address before anything is written locally, so a
+        corrupt or malicious serve leaves no local trace.
         """
-        receipt = self.network.submit(self.account, "isl", "acquire", (addr,), value=payment)
-        grant = receipt.return_value
-        if not isinstance(grant, dict) or "token" not in grant:
-            raise IslError(f"malformed acquisition grant {grant!r}")
-
         oracle = self.network.oracle
         model_entry = oracle.model_entry(addr)
         entry = model_entry or oracle.dataset_entry(addr)
-        if entry is None:
-            raise UnknownResource(f"{addr} vanished after acquisition")
-        owner_name = self.network.node_name_of(entry["owner"])
-        if owner_name is None:
-            raise NotFound(f"no node serves account {entry['owner']}")
-        owner_node = self.network.node(owner_name)
-        kind = kgstore.T_MODEL if model_entry else kgstore.T_DATASET
-        remote = owner_node.graph.shared_record(kind, entry["iri"], addr)
-        if remote is None:
-            raise NotFound(f"{owner_name} records no {entry['iri']} shared as {addr}")
+        if entry is not None:
+            owner_name = self.network.node_name_of(entry["owner"])
+            if owner_name is None:
+                raise NotFound(f"no node serves account {entry['owner']}")
+            owner_node = self.network.node(owner_name)
+            kind = kgstore.T_MODEL if model_entry else kgstore.T_DATASET
+            remote = owner_node.graph.shared_record(kind, entry["iri"], addr)
+            if remote is None:
+                raise NotFound(f"{owner_name} records no {entry['iri']} shared as {addr}")
 
+        # an address with no registry entry reverts here, so owner_node is bound below
+        receipt = self.network.submit(self.account, "isl", "acquire", (addr,), value=payment)
+        grant = receipt.return_value
         data = owner_node.serve_blob(str(grant["resource_location"]), str(grant["token"]), self.account)
         if content_address(data) != addr:
             raise IntegrityFailure(f"served bytes do not hash to {addr}")

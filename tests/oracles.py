@@ -4,10 +4,13 @@ Everything here deliberately avoids the package's own code paths:
 fitting goes through numpy's least-squares solver, metrics through
 numpy reductions, gradients through central finite differences,
 closure checks through a plain reachability walk over raw state dicts,
-and knowledge-graph records through a full scan of the raw triple set.
+knowledge-graph records through a full scan of the raw triple set, and
+exported graph lines through the N-Triples line grammar.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -150,3 +153,15 @@ def scan_record(triples, iri: str, kind: str):
             return MALFORMED
         record[field] = convert(found[0]) if found else None
     return record
+
+
+# The N-Triples line grammar (W3C RDF 1.1 N-Triples, section 7) for
+# triples of IRIs and literals; blank nodes and language tags never occur.
+_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}"
+_IRIREF = rf'<(?:[^\x00-\x20<>"{{}}|^`\\]|{_UCHAR})*>'
+_LITERAL = rf'"(?:[^"\\\n\r]|\\[tbnrf"\'\\]|{_UCHAR})*"(?:\^\^{_IRIREF})?'
+NT_LINE = re.compile(rf"[ \t]*{_IRIREF}[ \t]*{_IRIREF}[ \t]*(?:{_IRIREF}|{_LITERAL})[ \t]*\.[ \t]*")
+
+
+def is_ntriples_line(line: str) -> bool:
+    return NT_LINE.fullmatch(line) is not None

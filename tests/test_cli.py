@@ -165,6 +165,65 @@ class TestScenarioParsing:
         assert run(["run", path, "--workspace", str(tmp_path / "ws")]) == 1
         assert capsys.readouterr().err.startswith("MalformedDescriptor: ")
 
+    def test_iri_the_graph_cannot_write_is_refused(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        path = scenario_file(
+            tmp_path,
+            "create-network 1000\n"
+            "add-node alice 100\n"
+            "gen-data alice d>1 1 2.0 1.0 0.05 20\n",
+        )
+        assert run(["run", path, "--workspace", str(ws)]) == 1
+        assert capsys.readouterr().err.startswith("MalformedDescriptor: ")
+        assert (ws / "nodes" / "alice" / "kg.nt").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "create-network -1",
+            f"create-network {2**256}",
+            "add-node b -5",
+            f"add-node b {2**256}",
+            "gen-data a d2 1 2.0 1.0 0.05 0",
+            "fine-tune a m2 m1 d1 -1 0.05",
+            "fine-tune a m2 m1 d1 5 0",
+            f"set-price a m1 {2**256}",
+            f"set-price a m1 -{2**256}",
+            "acquire a a/m1 -1",
+            f"acquire a a/m1 {2**256}",
+        ],
+        ids=[
+            "owner-balance-negative",
+            "owner-balance-beyond-word",
+            "balance-negative",
+            "balance-beyond-word",
+            "zero-rows",
+            "negative-steps",
+            "zero-learning-rate",
+            "price-beyond-word",
+            "price-below-minus-word",
+            "payment-negative",
+            "payment-beyond-word",
+        ],
+    )
+    def test_out_of_range_numbers_are_parse_errors(self, tmp_path, capsys, line):
+        ws = tmp_path / "ws"
+        setup = "" if line.startswith("create-network") else (
+            "create-network 1000\n"
+            "add-node a 100\n"
+            "register-node a\n"
+            "gen-data a d1 1 2.0 1.0 0.05 20\n"
+            "train a m1 d1 occupancy_detection\n"
+            "share a m1\n"
+        )
+        path = scenario_file(tmp_path, setup + line + "\n")
+        assert run(["run", path, "--workspace", str(ws)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError: ")
+        assert "Traceback" not in err
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out.strip() == "MATCH"
+
     def test_negative_price_reverts_as_malformed_args(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         path = scenario_file(

@@ -27,7 +27,6 @@ from islsim.errors import (
     UnknownResource,
     WrongPayment,
 )
-from islsim.kgstore import KnowledgeGraph
 from islsim.mlsim import RoomProfile, TabularDataset
 from islsim.node import IRI_PREFIX, Network, walk_provenance
 
@@ -317,12 +316,17 @@ class TestMarketplace:
             bob.account, "oracle", "share_model", (record.iri, addr, record.task, ds_addr, None)
         )
         assert squat.status == "ok"
+        bob.set_price(addr, 30)
         carol = net.add_node("carol", balance=100)
         net.register_node("carol")
+        log_len = len(net.ledger.log)
 
         with pytest.raises(NotFound):
-            carol.acquire_model(addr, payment=0)
+            carol.acquire_model(addr, payment=30)
 
+        # refused before the acquire transaction: nothing paid, nothing logged
+        assert carol.balance == 100
+        assert len(net.ledger.log) == log_len
         assert carol.store.addresses() == []
         assert not carol.graph.has_model(record.iri)
 
@@ -572,11 +576,11 @@ class TestPersistence:
         account_file = alice.root / "account.txt"
         assert account_file.read_text() == alice.account + "\n"
 
-        restored = KnowledgeGraph.import_bytes("alice", kg_file.read_bytes())
-        assert restored.model(record.iri) == alice.graph.model(record.iri)
-        assert restored.dataset(kgstore.dataset_iri("alice", "d1")) == alice.graph.dataset(
-            kgstore.dataset_iri("alice", "d1")
-        )
+        assert kg_file.read_bytes() == alice.graph.export_bytes()
+        lines = kg_file.read_text().splitlines()
+        assert all(oracles.is_ntriples_line(line) for line in lines)
+        address = f'<{record.iri}> <{kgstore.P_CONTENT_ADDRESS}> "{record.content_address}" .'
+        assert address in lines
 
 
 class TestReferenceResolution:

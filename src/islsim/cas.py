@@ -5,6 +5,10 @@ equal content maps to one address and one file. The store never rewrites
 an existing blob; writers go through :func:`write_atomic` so readers see
 either nothing or the full blob.
 
+Blob paths are plain strings (``pathlib`` costs more per call than the
+file work here), and a read is one ``open``: a missing blob or fan-out
+directory raises :class:`NotFound` from it, with no check before it.
+
 Note that :meth:`BlobStore.get` returns the stored bytes verbatim without
 re-hashing them. Integrity is the *consumer's* job (a retrieved asset is
 checked against the address it was promised under), which keeps tampered
@@ -32,10 +36,11 @@ def is_address(value: str) -> bool:
     return _ADDRESS.fullmatch(value) is not None
 
 
-def write_atomic(path: Path, data: bytes) -> None:
+def write_atomic(path: str | Path, data: bytes) -> None:
     """Write ``data`` via a sibling ``.tmp`` file and a rename: never a partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, path)
 
 
@@ -43,10 +48,13 @@ class BlobStore:
     """One directory of immutable blobs, laid out ``blobs/<2 hex>/<64 hex>``."""
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
+        self._blobs = f"{os.fspath(root)}/blobs"
+
+    def _path(self, addr: str) -> str:
+        return f"{self._blobs}/{addr[:2]}/{addr}"
 
     def path_for(self, addr: str) -> Path:
-        return self.root / "blobs" / addr[:2] / addr
+        return Path(self._path(addr))
 
     def relative_uri(self, addr: str) -> str:
         """Store path of ``addr`` relative to the root, usable as a local URI."""
@@ -54,24 +62,28 @@ class BlobStore:
 
     def put(self, data: bytes) -> str:
         addr = content_address(data)
-        path = self.path_for(addr)
-        if path.exists():
-            return addr
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, data)
+        fanout = f"{self._blobs}/{addr[:2]}"
+        path = f"{fanout}/{addr}"
+        if not os.path.exists(path):
+            os.makedirs(fanout, exist_ok=True)
+            write_atomic(path, data)
         return addr
 
     def get(self, addr: str) -> bytes:
-        if not is_address(addr) or not self.path_for(addr).exists():
-            raise NotFound(f"no blob stored under {addr!r}")
-        return self.path_for(addr).read_bytes()
+        if is_address(addr):
+            try:
+                with open(self._path(addr), "rb") as f:
+                    return f.read()
+            except (FileNotFoundError, NotADirectoryError):
+                pass
+        raise NotFound(f"no blob stored under {addr!r}")
 
     def contains(self, addr: str) -> bool:
-        return is_address(addr) and self.path_for(addr).exists()
+        return is_address(addr) and os.path.exists(self._path(addr))
 
     def addresses(self) -> list[str]:
         """All stored addresses, sorted (mainly for tests and inspection)."""
-        base = self.root / "blobs"
+        base = Path(self._blobs)
         if not base.is_dir():
             return []
         return sorted(p.name for p in base.glob("??/*") if not p.name.endswith(".tmp"))

@@ -27,6 +27,7 @@ centered: mean 0, variance 1, bounded by ±6, no transcendentals).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -123,9 +124,13 @@ class LinearModel:
             )
 
     def predict(self, x: tuple[float, ...] | list[float]) -> float:
+        # no builtin sum(): its float algorithm differs between Python versions
         if len(x) != len(self.weights):
             raise DimensionMismatch(f"expected {len(self.weights)} inputs, got {len(x)}")
-        return sum(w * v for w, v in zip(self.weights, x)) + self.bias
+        acc = 0.0
+        for w, v in zip(self.weights, x):
+            acc += w * v
+        return acc + self.bias
 
     def to_bytes(self) -> bytes:
         lines = [MODEL_HEADER]
@@ -223,17 +228,26 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
 def mse_gradient(m: LinearModel, d: TabularDataset) -> tuple[tuple[float, ...], float]:
     """Analytic gradient of mean squared error w.r.t. (weights, bias)."""
     _check_features(m, d)
-    if d.n_rows == 0:
+    grad_w, grad_b = _gradient(m.weights, m.bias, d.rows)
+    return tuple(grad_w), grad_b
+
+
+def _gradient(weights, bias: float, rows) -> tuple[list[float], float]:
+    """The loop of :func:`mse_gradient`; each prediction adds up as in ``predict``."""
+    if not rows:
         raise EmptyDataset("gradient of an empty dataset is undefined")
-    n = d.n_rows
-    grad_w = [0.0] * len(m.weights)
+    grad_w = [0.0] * len(weights)
     grad_b = 0.0
-    for features, target in d.rows:
-        err = m.predict(features) - target
+    for features, target in rows:
+        acc = 0.0
+        for w, v in zip(weights, features):
+            acc += w * v
+        err = acc + bias - target
         grad_b += err
         for j, x in enumerate(features):
             grad_w[j] += err * x
-    return tuple(2.0 / n * g for g in grad_w), 2.0 / n * grad_b
+    scale = 2.0 / len(rows)
+    return [scale * g for g in grad_w], scale * grad_b
 
 
 def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: float) -> LinearModel:
@@ -249,15 +263,12 @@ def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: f
         raise ValueError("learning rate must be positive")
     if steps == 0:
         return base
-    current = base
+    weights, bias = base.weights, base.bias
     for _ in range(steps):
-        grad_w, grad_b = mse_gradient(current, d)
-        current = LinearModel(
-            tuple(w - learning_rate * g for w, g in zip(current.weights, grad_w)),
-            current.bias - learning_rate * grad_b,
-            base.input_features,
-        )
-    return current
+        grad_w, grad_b = _gradient(weights, bias, d.rows)
+        weights = [w - learning_rate * g for w, g in zip(weights, grad_w)]
+        bias -= learning_rate * grad_b
+    return LinearModel(tuple(weights), bias, base.input_features)
 
 
 def evaluate(m: LinearModel, d: TabularDataset) -> dict[str, float]:
@@ -286,25 +297,21 @@ def _check_features(m: LinearModel, d: TabularDataset) -> None:
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+_LCG_SPAN = float(1 << 53)
 
 _X_SCALE = 0.1  # bulk half-width of the sensor excursion
 _X_TAIL_COEF = 10.0  # tail weight: extremes reach ~11x the bulk scale
 _X_TAIL_EXP = 9  # odd, keeps the grid symmetric around zero
 
 
-class _Lcg:
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _LCG_MASK
-
-    def uniform(self) -> float:
-        """Next draw in [0, 1), 53 bits of the 64-bit state."""
-        self.state = (_LCG_MULT * self.state + _LCG_INC) & _LCG_MASK
-        return (self.state >> 11) / float(1 << 53)
-
-
-def _grid_x(i: int, n: int) -> float:
-    u = 2.0 * (i + 0.5) / n - 1.0
-    return _X_SCALE * (u + _X_TAIL_COEF * u**_X_TAIL_EXP)
+@functools.cache
+def _grid(n_rows: int) -> tuple[float, ...]:
+    """The quantized feature grid of ``n_rows`` rows (it does not depend on the seed)."""
+    xs = []
+    for i in range(n_rows):
+        u = 2.0 * (i + 0.5) / n_rows - 1.0
+        xs.append(quantize(_X_SCALE * (u + _X_TAIL_COEF * u**_X_TAIL_EXP)))
+    return tuple(xs)
 
 
 def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> TabularDataset:
@@ -316,11 +323,13 @@ def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> Tabular
     """
     if n_rows < 1:
         raise ValueError("n_rows must be at least 1")
-    rng = _Lcg(seed)
+    state = seed & _LCG_MASK
     rows = []
-    for i in range(n_rows):
-        x = quantize(_grid_x(i, n_rows))
-        noise = sum(rng.uniform() for _ in range(12)) - 6.0
-        y = quantize(profile.slope * x + profile.intercept + profile.noise_scale * noise)
+    for x in _grid(n_rows):
+        noise = 0.0  # 12 uniform draws in [0, 1), 53 bits of the 64-bit state each
+        for _ in range(12):
+            state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+            noise += (state >> 11) / _LCG_SPAN
+        y = quantize(profile.slope * x + profile.intercept + profile.noise_scale * (noise - 6.0))
         rows.append(((x,), y))
     return TabularDataset(("co2",), tuple(rows))

@@ -222,7 +222,8 @@ class IslNode:
     ) -> DatasetDescriptor:
         """Generate a synthetic sensor dataset and record it locally."""
         data = mlsim.make_synthetic_room(seed, profile, n_rows)
-        addr = self.store.put(data.to_csv_bytes())
+        blob = data.to_csv_bytes()
+        addr = content_address(blob)
         schema = tuple(
             f"{name}:{kgstore.FEATURE_UNITS[name]}" for name in data.feature_names
         )
@@ -233,6 +234,7 @@ class IslNode:
             local_uri=self.store.relative_uri(addr),
         )
         self.graph.register_dataset(descriptor)
+        self.store.put(blob)  # only once the graph has accepted the record
         return descriptor
 
     def load_dataset(self, ref: str) -> mlsim.TabularDataset:
@@ -280,7 +282,8 @@ class IslNode:
         base_iri: str | None,
     ) -> ModelRecord:
         measures = mlsim.evaluate(model, data)  # goodness of fit on the training rows
-        addr = self.store.put(model.to_bytes())
+        blob = model.to_bytes()
+        addr = content_address(blob)
         record = ModelRecord(
             iri=kgstore.model_iri(self.name, local_id),
             task=self._task_ref(task),
@@ -293,6 +296,7 @@ class IslNode:
             owner_node=self.name,
         )
         self.graph.register_model(record)
+        self.store.put(blob)  # only once the graph has accepted the record
         self.depgraph.add_model(record.iri, base_iri, ds_iri)
         return record
 

@@ -5,7 +5,10 @@ fitting goes through numpy's least-squares solver, metrics through
 numpy reductions, gradients through central finite differences,
 closure checks through a plain reachability walk over raw state dicts,
 knowledge-graph records through a full scan of the raw triple set, and
-exported graph lines through the N-Triples line grammar.
+exported graph lines through the N-Triples line grammar. The gradient
+step loop and the synthetic data generator are also kept here in their
+earlier, object-per-step form, as the bit-exact reference for the
+package's loops.
 """
 
 from __future__ import annotations
@@ -165,3 +168,69 @@ NT_LINE = re.compile(rf"[ \t]*{_IRIREF}[ \t]*{_IRIREF}[ \t]*(?:{_IRIREF}|{_LITER
 
 def is_ntriples_line(line: str) -> bool:
     return NT_LINE.fullmatch(line) is not None
+
+
+# ------------------------------------------- bit-exact mlsim references
+#
+# The gradient step and the room generator as they were written before
+# their loops were flattened: a prediction is ``sum(genexpr) + bias``, a
+# frozen model is built per step, and the noise stream is an object. The
+# builtin ``sum`` adds floats left to right from 0 on CPython 3.10 and
+# 3.11 (3.12 switched it to compensated summation), which is the order
+# the package spells out with ``+=``.
+
+LCG_MULT = 6364136223846793005
+LCG_INC = 1442695040888963407
+LCG_MASK = (1 << 64) - 1
+
+
+def ref_predict(weights, bias, features) -> float:
+    return sum(w * v for w, v in zip(weights, features)) + bias
+
+
+def ref_mse_gradient(weights, bias, rows) -> tuple[tuple[float, ...], float]:
+    n = len(rows)
+    grad_w = [0.0] * len(weights)
+    grad_b = 0.0
+    for features, target in rows:
+        err = ref_predict(weights, bias, features) - target
+        grad_b += err
+        for j, x in enumerate(features):
+            grad_w[j] += err * x
+    return tuple(2.0 / n * g for g in grad_w), 2.0 / n * grad_b
+
+
+def ref_fine_tune(weights, bias, rows, steps: int, learning_rate: float):
+    """(weights, bias) after ``steps`` full-batch gradient steps."""
+    weights = tuple(weights)
+    for _ in range(steps):
+        grad_w, grad_b = ref_mse_gradient(weights, bias, rows)
+        weights = tuple(w - learning_rate * g for w, g in zip(weights, grad_w))
+        bias = bias - learning_rate * grad_b
+    return weights, bias
+
+
+class RefLcg:
+    def __init__(self, seed: int) -> None:
+        self.state = seed & LCG_MASK
+
+    def uniform(self) -> float:
+        self.state = (LCG_MULT * self.state + LCG_INC) & LCG_MASK
+        return (self.state >> 11) / float(1 << 53)
+
+
+def ref_quantize(value: float) -> float:
+    return float(format(float(value), ".9g"))
+
+
+def ref_room_rows(seed: int, slope: float, intercept: float, noise_scale: float, n_rows: int):
+    """Rows ``((x,), y)`` of the synthetic room dataset for ``seed``."""
+    rng = RefLcg(seed)
+    rows = []
+    for i in range(n_rows):
+        u = 2.0 * (i + 0.5) / n_rows - 1.0
+        x = ref_quantize(0.1 * (u + 10.0 * u**9))
+        noise = sum(rng.uniform() for _ in range(12)) - 6.0
+        y = ref_quantize(slope * x + intercept + noise_scale * noise)
+        rows.append(((x,), y))
+    return tuple(rows)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from islsim.cas import BlobStore, content_address, is_address
+from islsim.cas import BlobStore, content_address, is_address, write_atomic
 from islsim.errors import NotFound
 
 # sha-256 of b"hello" and b"", straight from the standard
@@ -75,3 +75,48 @@ def test_get_does_not_verify_content(tmp_path):
     addr = store.put(b"original")
     store.path_for(addr).write_bytes(b"tampered")
     assert store.get(addr) == b"tampered"
+
+
+@pytest.mark.parametrize("addr", ["../x", HELLO.upper()])
+def test_get_of_a_non_address_opens_nothing(tmp_path, monkeypatch, addr):
+    store = BlobStore(tmp_path)
+    store.put(b"hello")
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]!r}")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    with pytest.raises(NotFound):
+        store.get(addr)
+
+
+def test_get_after_the_blob_or_its_fanout_is_deleted(tmp_path):
+    store = BlobStore(tmp_path)
+    addr = store.put(b"hello")
+    path = store.path_for(addr)
+    path.unlink()
+    with pytest.raises(NotFound):
+        store.get(addr)
+    path.parent.rmdir()
+    with pytest.raises(NotFound):
+        store.get(addr)
+
+
+def test_put_never_rewrites_an_existing_blob(tmp_path):
+    store = BlobStore(tmp_path)
+    addr = store.put(b"original")
+    store.path_for(addr).write_bytes(b"tampered")
+    assert store.put(b"original") == addr
+    assert store.path_for(addr).read_bytes() == b"tampered"
+
+
+def test_no_temp_file_is_left_behind(tmp_path):
+    store = BlobStore(tmp_path)
+    for i in range(3):
+        store.put(bytes([i]) * 10)
+    write_atomic(tmp_path / "state.json", b"{}\n")
+    write_atomic(str(tmp_path / "log.txt"), b"entry\n")
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert (tmp_path / "state.json").read_bytes() == b"{}\n"
+    assert (tmp_path / "log.txt").read_bytes() == b"entry\n"
+    assert len(store.addresses()) == 3

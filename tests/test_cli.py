@@ -178,6 +178,26 @@ class TestScenarioParsing:
         assert (ws / "nodes" / "alice" / "kg.nt").read_text() == ""
 
     @pytest.mark.parametrize(
+        "refused, error",
+        [
+            ("gen-data alice d>1 2 2.0 1.0 0.05 20", "MalformedDescriptor"),
+            ("gen-data alice d1 2 2.0 1.0 0.05 20", "DuplicateId"),
+        ],
+    )
+    def test_refused_registration_leaves_no_blob(self, tmp_path, capsys, refused, error):
+        prefix = "create-network 1000\nadd-node alice 100\ngen-data alice d1 1 2.0 1.0 0.05 20\n"
+
+        def blobs(ws: Path) -> list[str]:
+            return sorted(p.name for p in (ws / "nodes" / "alice" / "blobs").rglob("*") if p.is_file())
+
+        assert run(["run", scenario_file(tmp_path, prefix), "--workspace", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        path = scenario_file(tmp_path, prefix + refused + "\n")
+        assert run(["run", path, "--workspace", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err.startswith(f"{error}: ")
+        assert blobs(tmp_path / "b") == blobs(tmp_path / "a") != []
+
+    @pytest.mark.parametrize(
         "line",
         [
             "create-network -1",

@@ -28,7 +28,7 @@ from islsim.mlsim import (
     train,
 )
 
-from oracles import fd_gradient, lstsq_fit, np_metrics
+from oracles import fd_gradient, lstsq_fit, np_metrics, ref_fine_tune, ref_mse_gradient, ref_room_rows
 
 FOUR_POINTS = TabularDataset(
     ("co2",), (((0.0,), 1.1), ((1.0,), 2.9), ((2.0,), 5.2), ((3.0,), 6.8))
@@ -287,3 +287,42 @@ def test_generator_row_count_and_schema(seed, n):
     d = make_synthetic_room(seed, RoomProfile(1.0, 0.5, 0.1), n)
     assert d.n_rows == n
     assert d.feature_names == ("co2",)
+
+
+# ------------------------------------------------ bit-exact references
+
+NAMES = ("co2", "temperature", "humidity", "power")
+coefficient = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def model_and_dataset(draw):
+    p = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[st.floats(-2.0, 2.0)] * p), st.floats(-5.0, 5.0))
+    rows = tuple(draw(st.lists(row, min_size=1, max_size=30)))
+    weights = tuple(draw(st.lists(coefficient, min_size=p, max_size=p)))
+    return LinearModel(weights, draw(coefficient), NAMES[:p]), TabularDataset(NAMES[:p], rows)
+
+
+@given(
+    st.integers(-(2**70), 2**70),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.floats(0.0, 10.0),
+    st.integers(1, 200),
+)
+def test_generator_is_bit_identical_to_the_reference(seed, slope, intercept, noise_scale, n):
+    d = make_synthetic_room(seed, RoomProfile(slope, intercept, noise_scale), n)
+    ref = ref_room_rows(seed, slope, intercept, noise_scale, n)
+    assert d.rows == ref
+    assert d.to_csv_bytes() == TabularDataset(("co2",), ref).to_csv_bytes()
+
+
+@given(model_and_dataset(), st.integers(0, 60), st.floats(1e-3, 0.3))
+def test_gradient_and_fine_tune_are_bit_identical_to_the_reference(pair, steps, learning_rate):
+    m, d = pair
+    assert mse_gradient(m, d) == ref_mse_gradient(m.weights, m.bias, d.rows)
+    tuned = fine_tune(m, d, steps, learning_rate)
+    ref_w, ref_b = ref_fine_tune(m.weights, m.bias, d.rows, steps, learning_rate)
+    assert (tuned.weights, tuned.bias) == (ref_w, ref_b)
+    assert tuned.to_bytes() == LinearModel(ref_w, ref_b, m.input_features).to_bytes()

@@ -19,9 +19,11 @@ from islsim import kgstore
 from islsim.cas import content_address
 from islsim.errors import (
     AlreadyShared,
+    DuplicateId,
     IncompleteChain,
     IntegrityFailure,
     IslError,
+    MalformedDescriptor,
     NotFound,
     TokenRejected,
     UnknownResource,
@@ -72,6 +74,33 @@ class TestLocalWorkflow:
         measures = evaluate(alice.load_model("m1"), alice.load_dataset("d1"))
         assert measures["MAE"] == pytest.approx(record.mae, rel=1e-8)
         assert measures["MSE"] == pytest.approx(record.mse, rel=1e-8)
+
+    @pytest.mark.parametrize("local_id, error", [("d>1", MalformedDescriptor), ("d1", DuplicateId)])
+    def test_refused_dataset_leaves_no_blob(self, net, local_id, error):
+        alice = net.node("alice")
+        alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
+        before = alice.store.addresses()
+        with pytest.raises(error):
+            alice.create_local_dataset(local_id, seed=8, profile=PROFILE, n_rows=30)
+        assert alice.store.addresses() == before
+
+    @pytest.mark.parametrize(
+        "local_id, task, error",
+        [
+            ("m>1", "occupancy_detection", MalformedDescriptor),
+            ("m1", "occupancy_detection", DuplicateId),
+            ("m2", "no_such_task", MalformedDescriptor),
+        ],
+    )
+    def test_refused_model_leaves_no_blob(self, net, local_id, task, error):
+        alice = net.node("alice")
+        alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
+        alice.create_local_dataset("d2", seed=8, profile=PROFILE, n_rows=30)
+        alice.train_model("m1", "d1", "occupancy_detection")
+        before = alice.store.addresses()
+        with pytest.raises(error):
+            alice.train_model(local_id, "d2", task)
+        assert alice.store.addresses() == before
 
     def test_loaded_dataset_round_trips(self, net):
         alice = net.node("alice")

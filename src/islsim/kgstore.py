@@ -319,6 +319,19 @@ class KnowledgeGraph:
         self.assert_triples(_encode(T_MODEL, m))
         return m.iri
 
+    def discard(self, iri: str) -> None:
+        """Drop every triple about ``iri``, undoing a registration made just now.
+
+        Records that refer to ``iri`` are not looked for, so this is only
+        for a record nothing has referred to yet.
+        """
+        for t in self._by_subject.pop(iri, ()):
+            self.triples.discard(t)
+            if t.predicate == P_TYPE:
+                self._by_type[t.obj].discard(iri)
+        for type_iri in RECORDS:
+            self._views.pop((type_iri, iri), None)
+
     def cache_remote_dataset(self, d: DatasetDescriptor) -> str:
         """Cache a shared dataset owned by another node, keeping its own IRI."""
         return self._cache_remote(T_DATASET, d)

@@ -27,7 +27,6 @@ centered: mean 0, variance 1, bounded by ±6, no transcendentals).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -304,16 +303,6 @@ _X_TAIL_COEF = 10.0  # tail weight: extremes reach ~11x the bulk scale
 _X_TAIL_EXP = 9  # odd, keeps the grid symmetric around zero
 
 
-@functools.cache
-def _grid(n_rows: int) -> tuple[float, ...]:
-    """The quantized feature grid of ``n_rows`` rows (it does not depend on the seed)."""
-    xs = []
-    for i in range(n_rows):
-        u = 2.0 * (i + 0.5) / n_rows - 1.0
-        xs.append(quantize(_X_SCALE * (u + _X_TAIL_COEF * u**_X_TAIL_EXP)))
-    return tuple(xs)
-
-
 def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> TabularDataset:
     """Deterministic single-feature room dataset for the given seed.
 
@@ -325,7 +314,9 @@ def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> Tabular
         raise ValueError("n_rows must be at least 1")
     state = seed & _LCG_MASK
     rows = []
-    for x in _grid(n_rows):
+    for i in range(n_rows):
+        u = 2.0 * (i + 0.5) / n_rows - 1.0
+        x = quantize(_X_SCALE * (u + _X_TAIL_COEF * u**_X_TAIL_EXP))
         noise = 0.0  # 12 uniform draws in [0, 1), 53 bits of the 64-bit state each
         for _ in range(12):
             state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK

@@ -234,7 +234,7 @@ class IslNode:
             local_uri=self.store.relative_uri(addr),
         )
         self.graph.register_dataset(descriptor)
-        self.store.put(blob)  # only once the graph has accepted the record
+        self._put_registered(descriptor.iri, blob)
         return descriptor
 
     def load_dataset(self, ref: str) -> mlsim.TabularDataset:
@@ -296,9 +296,22 @@ class IslNode:
             owner_node=self.name,
         )
         self.graph.register_model(record)
-        self.store.put(blob)  # only once the graph has accepted the record
+        self._put_registered(record.iri, blob)
         self.depgraph.add_model(record.iri, base_iri, ds_iri)
         return record
+
+    def _put_registered(self, iri: str, blob: bytes) -> None:
+        """Store the blob of a record the graph has just accepted.
+
+        The put comes after the registration so that a refused record
+        leaves no blob; if the put fails, the record is dropped again so
+        that no record points at a missing blob.
+        """
+        try:
+            self.store.put(blob)
+        except BaseException:
+            self.graph.discard(iri)
+            raise
 
     # ----------------------------------------------------------------- sharing
 

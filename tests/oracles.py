@@ -13,7 +13,9 @@ package's loops.
 
 from __future__ import annotations
 
+import operator
 import re
+from functools import reduce
 
 import numpy as np
 
@@ -173,19 +175,24 @@ def is_ntriples_line(line: str) -> bool:
 # ------------------------------------------- bit-exact mlsim references
 #
 # The gradient step and the room generator as they were written before
-# their loops were flattened: a prediction is ``sum(genexpr) + bias``, a
-# frozen model is built per step, and the noise stream is an object. The
-# builtin ``sum`` adds floats left to right from 0 on CPython 3.10 and
-# 3.11 (3.12 switched it to compensated summation), which is the order
-# the package spells out with ``+=``.
+# their loops were flattened: a prediction is a sum over a generator plus
+# ``bias``, a frozen model is built per step, and the noise stream is an
+# object. Those sums were the builtin ``sum``, which adds floats left to
+# right from 0 on CPython 3.10 and 3.11 but compensates on 3.12 and later;
+# ``_sum`` pins the 3.10/3.11 order on every version, the order the
+# package spells out with ``+=``.
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
 
 
+def _sum(values) -> float:
+    return reduce(operator.add, values, 0)
+
+
 def ref_predict(weights, bias, features) -> float:
-    return sum(w * v for w, v in zip(weights, features)) + bias
+    return _sum(w * v for w, v in zip(weights, features)) + bias
 
 
 def ref_mse_gradient(weights, bias, rows) -> tuple[tuple[float, ...], float]:
@@ -230,7 +237,7 @@ def ref_room_rows(seed: int, slope: float, intercept: float, noise_scale: float,
     for i in range(n_rows):
         u = 2.0 * (i + 0.5) / n_rows - 1.0
         x = ref_quantize(0.1 * (u + 10.0 * u**9))
-        noise = sum(rng.uniform() for _ in range(12)) - 6.0
+        noise = _sum(rng.uniform() for _ in range(12)) - 6.0
         y = ref_quantize(slope * x + intercept + noise_scale * noise)
         rows.append(((x,), y))
     return tuple(rows)

@@ -119,6 +119,19 @@ class TestRegistration:
         with pytest.raises(MalformedDescriptor):
             kg.register_model(model(mse=-1.0))
 
+    def test_discard_undoes_a_registration(self, kg):
+        kg.register_dataset(dataset())
+        before = kg.export_bytes()
+        m = model()
+        kg.register_model(m)
+        assert kg.model(m.iri) == m  # caches the view
+        kg.discard(m.iri)
+        assert not kg.has_model(m.iri)
+        assert kg.models() == []
+        assert kg.export_bytes() == before
+        kg.register_model(m)  # the IRI is free again
+        assert kg.model(m.iri) == m
+
 
 class TestRemoteCache:
     def test_requires_shared(self, kg):

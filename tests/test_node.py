@@ -102,6 +102,31 @@ class TestLocalWorkflow:
             alice.train_model(local_id, "d2", task)
         assert alice.store.addresses() == before
 
+    def test_failed_put_drops_the_record(self, net, monkeypatch):
+        alice = net.node("alice")
+        alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
+        graph_before = alice.graph.export_bytes()
+        blobs_before = alice.store.addresses()
+        put = alice.store.put
+
+        def full_disk(data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(alice.store, "put", full_disk)
+        with pytest.raises(OSError):
+            alice.create_local_dataset("d2", seed=8, profile=PROFILE, n_rows=30)
+        with pytest.raises(OSError):
+            alice.train_model("m1", "d1", "occupancy_detection")
+        assert alice.graph.export_bytes() == graph_before
+        assert alice.store.addresses() == blobs_before
+        assert "m1" not in [r.iri.rsplit("/", 1)[-1] for r in alice.graph.models()]
+
+        monkeypatch.setattr(alice.store, "put", put)  # the disk has room again
+        alice.create_local_dataset("d2", seed=8, profile=PROFILE, n_rows=30)
+        record = alice.train_model("m1", "d2", "occupancy_detection")
+        assert alice.load_model("m1") is not None
+        assert alice.store.contains(record.model_uri.rsplit("/", 1)[-1])
+
     def test_loaded_dataset_round_trips(self, net):
         alice = net.node("alice")
         alice.create_local_dataset("d1", seed=3, profile=PROFILE, n_rows=12)

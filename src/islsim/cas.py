@@ -80,10 +80,3 @@ class BlobStore:
 
     def contains(self, addr: str) -> bool:
         return is_address(addr) and os.path.exists(self._path(addr))
-
-    def addresses(self) -> list[str]:
-        """All stored addresses, sorted (mainly for tests and inspection)."""
-        base = Path(self._blobs)
-        if not base.is_dir():
-            return []
-        return sorted(p.name for p in base.glob("??/*") if not p.name.endswith(".tmp"))

@@ -16,18 +16,27 @@ line, ``#`` starting a comment::
     share NAME RESID
     set-price NAME RESID PRICE
     query NAME TASK SENSOR [SENSOR ...]
-    acquire NAME ADDR PRICE
-    trace ADDR
+    acquire NAME REF PRICE
+    trace REF
 
 A number outside what the chain or the models take (a negative
 balance or payment, an amount beyond 2**256 - 1, fewer than one row,
 negative STEPS, an LR that is not positive) is malformed input.
 
-Resource references accept a bare local id, ``node/id``, a full
-``isl://`` IRI, or (where an address makes sense) a 64-char content
-address. The workspace is written once, via temp file plus rename, when
-the scenario ends or stops at its first failing command, so on failure
-it holds the state up to and including that command.
+A resource reference (DSID, BASEREF, RESID, REF) has one grammar, read
+by ``Network.resolve``: a 64-hex content address is taken as given (in
+``set-price``, ``acquire`` and ``trace``, which need no IRI);
+``isl://<node>/<model|dataset>/<id>`` names its node and kind;
+``node/id`` splits at the first ``/``; and a bare id names a resource
+of NAME (``trace`` has no NAME, so it needs one of the other forms).
+Where the command does not fix the kind, the kind and the shared
+address come from the named node's own graph, never from the registry;
+an unknown node or an id that is both a model and a dataset there is
+malformed input.
+
+The workspace is written once, via temp file plus rename, when the
+scenario ends or stops at its first failing command, so on failure it
+holds the state up to and including that command.
 """
 
 from __future__ import annotations
@@ -37,17 +46,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import kgstore
 from .cas import is_address, write_atomic
 from .contracts import OracleContract
-from .errors import (
-    CorruptLog,
-    IslError,
-    NotFound,
-    ParseError,
-    UnknownResource,
-    UnknownWorkspace,
-)
+from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
 from .ledger import WORD, Ledger, canonical_json, log_lines, parse_log_line, replay
 from .mlsim import RoomProfile
 from .node import ChainStep, IslNode, Network, walk_provenance
@@ -248,29 +249,21 @@ class ScenarioRunner:
         learning_rate = _float(lr, "LR")
         if not learning_rate > 0:
             raise ParseError(f"LR must be positive, got {lr!r}")
-        record = node.fine_tune_model(
-            model_id, self._model_ref_sugar(base), dsid, n_steps, learning_rate
-        )
+        record = node.fine_tune_model(model_id, base, dsid, n_steps, learning_rate)
         print(f"model {record.iri} mse={record.mse!r} mae={record.mae!r}")
 
     def _do_share(self, name: str, resid: str) -> None:
         node = self._node(name)
-        kind, iri = self._classify_resource(node, resid)
-        if kind == "model":
-            record = node.share_model(iri)
-            print(f"shared {record.iri} addr={record.content_address} tx={record.tx_id}")
-        else:
-            descriptor = node.share_dataset(iri)
-            print(f"shared {descriptor.iri} addr={descriptor.content_address} tx={descriptor.tx_id}")
+        ref = self._net().resolve(resid, name)
+        if ref.kind is None:
+            raise ParseError(f"share takes a resource id or IRI, not the address {resid!r}")
+        shared = node.share_model(ref.iri) if ref.kind == "model" else node.share_dataset(ref.iri)
+        print(f"shared {shared.iri} addr={shared.content_address} tx={shared.tx_id}")
 
     def _do_set_price(self, name: str, resid: str, price: str) -> None:
         node = self._node(name)
-        if is_address(resid):
-            ref = resid
-        else:
-            _, ref = self._classify_resource(node, resid)
         # a negative price is left to the contract, which reverts MalformedArgs
-        addr = node.set_price(ref, _int(price, "PRICE", -WORD, WORD))
+        addr = node.set_price(resid, _int(price, "PRICE", -WORD, WORD))
         print(f"price addr={addr} value={_int(price, 'PRICE')}")
 
     def _do_query(self, name: str, task: str, *sensors: str) -> None:
@@ -281,77 +274,16 @@ class ScenarioRunner:
                 f"price={m.price} owner={m.owner_node}"
             )
 
-    def _do_acquire(self, name: str, addr: str, price: str) -> None:
+    def _do_acquire(self, name: str, ref: str, price: str) -> None:
         node = self._node(name)
-        resolved = self._resolve_address(addr)
-        record = node.acquire_model(resolved, _int(price, "PRICE", 0, WORD))
-        print(f"acquired {resolved} price={_int(price, 'PRICE')} from={record.owner_node}")
+        addr = self._net().shared_address(ref, name)
+        record = node.acquire_model(addr, _int(price, "PRICE", 0, WORD))
+        print(f"acquired {addr} price={_int(price, 'PRICE')} from={record.owner_node}")
 
-    def _do_trace(self, addr: str) -> None:
-        steps = walk_provenance(self._net().oracle, self._resolve_address(addr))
-        for line in _format_chain(steps):
+    def _do_trace(self, ref: str) -> None:
+        net = self._net()
+        for line in _format_chain(walk_provenance(net.oracle, net.shared_address(ref))):
             print(line)
-
-    # -------------------------------------------------------------- references
-
-    @staticmethod
-    def _split_ref(ref: str) -> tuple[str | None, str]:
-        if ref.startswith(kgstore.VOCAB) or ref.startswith("isl://"):
-            return None, ref
-        if "/" in ref:
-            node, _, local = ref.partition("/")
-            return node, local
-        return None, ref
-
-    def _model_ref_sugar(self, ref: str) -> str:
-        """BASEREF forms: local id, node/id, or full IRI."""
-        node, local = self._split_ref(ref)
-        if node is None:
-            return local  # bare id or IRI; IslNode resolves against itself
-        return kgstore.model_iri(node, local)
-
-    def _classify_resource(self, node: IslNode, resid: str) -> tuple[str, str]:
-        """Decide whether RESID names a model or a dataset; refuse ambiguity."""
-        owner_name, local = self._split_ref(resid)
-        if local.startswith("isl://"):
-            if "/model/" in local:
-                return "model", local
-            if "/dataset/" in local:
-                return "dataset", local
-            raise ParseError(f"{resid!r} is neither a model nor a dataset IRI")
-        graph_owner = owner_name or node.name
-        try:
-            graph = self._net().node(graph_owner).graph
-        except NotFound:
-            raise ParseError(f"{resid!r} names unknown node {graph_owner!r}") from None
-        as_model = kgstore.model_iri(graph_owner, local)
-        as_dataset = kgstore.dataset_iri(graph_owner, local)
-        is_model = graph.has_model(as_model)
-        is_dataset = graph.has_dataset(as_dataset)
-        if is_model and is_dataset:
-            raise ParseError(f"{resid!r} matches both a model and a dataset; use a full IRI")
-        if is_model:
-            return "model", as_model
-        if is_dataset:
-            return "dataset", as_dataset
-        raise NotFound(f"{graph_owner} has no resource {local!r}")
-
-    def _resolve_address(self, ref: str) -> str:
-        """ADDR forms: 64-char content address, node/id, or full IRI."""
-        if is_address(ref):
-            return ref
-        node, local = self._split_ref(ref)
-        oracle = self._net().oracle
-        candidates = (
-            [local]
-            if node is None
-            else [kgstore.model_iri(node, local), kgstore.dataset_iri(node, local)]
-        )
-        for iri in candidates:
-            addr = oracle.find_model_by_iri(iri) or oracle.find_dataset_by_iri(iri)
-            if addr is not None:
-                return addr
-        raise UnknownResource(f"{ref!r} does not name a shared resource")
 
 
 # ----------------------------------------------------------------- inspect

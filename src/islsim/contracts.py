@@ -151,7 +151,9 @@ class OracleContract(Contract):
         entry = self.state["shared_datasets"].get(addr) or self.state["shared_models"].get(addr)
         return entry["owner"] if entry else None
 
-    # For resolving user-given references only: the registry binds no IRI to an owner.
+    # No product code calls these IRI scans (references resolve through the
+    # named node's own graph, see ``Network.resolve``); they stay only
+    # because the benchmark's span tracer wraps them by name.
     def find_model_by_iri(self, iri: str) -> str | None:
         """Content address of the registered model with this iri, if any."""
         for addr in sorted(self.state["shared_models"]):

@@ -128,10 +128,6 @@ class DatasetDescriptor:
     def shared(self) -> bool:
         return self.content_address is not None and self.tx_id is not None
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(entry.split(":", 1)[0] for entry in self.feature_schema)
-
 
 @dataclass(frozen=True, slots=True)
 class ModelRecord:

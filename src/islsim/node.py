@@ -29,6 +29,7 @@ from .errors import (
     IntegrityFailure,
     IslError,
     NotFound,
+    ParseError,
     TokenRejected,
     UnknownResource,
     from_reason,
@@ -37,6 +38,22 @@ from .kgstore import DatasetDescriptor, KnowledgeGraph, ModelRecord
 from .ledger import Ledger, Receipt
 
 IRI_PREFIX = "isl://"
+_IRI_OF = {"model": kgstore.model_iri, "dataset": kgstore.dataset_iri}
+
+Record = DatasetDescriptor | ModelRecord
+
+
+class Ref(NamedTuple):
+    """A resolved resource reference.
+
+    ``kind`` is "model" or "dataset"; both it and ``iri`` are None for a
+    bare content address. ``addr`` is None while the record is unshared,
+    and whenever the caller named the kind (then no graph is read).
+    """
+
+    kind: str | None
+    iri: str | None
+    addr: str | None
 
 
 class RankedModel(NamedTuple):
@@ -171,6 +188,61 @@ class Network:
     def node_name_of(self, account: str) -> str | None:
         return self._names_by_account.get(account)
 
+    # ------------------------------------------------------------- references
+
+    def resolve(self, ref: str, actor: str | None = None, kind: str | None = None) -> Ref:
+        """Read a resource reference; the one parser of its four forms.
+
+        - a 64-hex content address is taken as given;
+        - ``isl://<node>/<model|dataset>/<id>`` names its node and kind;
+        - ``node/id`` splits at the first ``/``;
+        - a bare id names a resource of ``actor``.
+
+        With ``kind`` given, only the IRI is formed and no graph is read.
+        Otherwise the kind and the shared address come from the graph of
+        the node the reference names, never from the registry, where any
+        registered node may claim any IRI.
+        """
+        if is_address(ref):
+            if kind is not None:
+                raise ParseError(f"{ref!r} is a content address; name the {kind} by id or IRI")
+            return Ref(None, None, ref)
+        if ref.startswith(IRI_PREFIX):
+            owner, _, rest = ref[len(IRI_PREFIX):].partition("/")
+            named, sep, local = rest.partition("/")
+            if not sep or named not in _IRI_OF or kind not in (None, named):
+                raise ParseError(f"{ref!r} is not a {kind or 'model or dataset'} IRI")
+            kinds = [named]
+        else:
+            owner, sep, local = ref.partition("/")
+            if not sep:
+                if actor is None:
+                    raise ParseError(f"{ref!r} names no node; use node/id")
+                owner, local = actor, ref
+            kinds = ["model", "dataset"]
+        if kind is not None:
+            return Ref(kind, _IRI_OF[kind](owner, local), None)
+        try:
+            graph = self.node(owner).graph
+        except NotFound:
+            raise ParseError(f"{ref!r} names unknown node {owner!r}") from None
+        hits = [k for k in kinds
+                if (graph.has_model if k == "model" else graph.has_dataset)(_IRI_OF[k](owner, local))]
+        if len(hits) > 1:
+            raise ParseError(f"{ref!r} matches both a model and a dataset; use a full IRI")
+        if not hits:
+            raise NotFound(f"{owner} has no resource {local!r}")
+        iri = _IRI_OF[hits[0]](owner, local)
+        record = graph.model(iri) if hits[0] == "model" else graph.dataset(iri)
+        return Ref(hits[0], iri, record.content_address)
+
+    def shared_address(self, ref: str, actor: str | None = None) -> str:
+        """The content address ``ref`` names; an unshared record has none."""
+        found = self.resolve(ref, actor)
+        if found.addr is None:
+            raise UnknownResource(f"{found.iri} is not shared")
+        return found.addr
+
     # ------------------------------------------------------------------ chain
 
     def submit(
@@ -238,18 +310,18 @@ class IslNode:
         return descriptor
 
     def load_dataset(self, ref: str) -> mlsim.TabularDataset:
-        descriptor = self.graph.dataset(self._dataset_ref(ref))
+        descriptor = self.graph.dataset(self._iri(ref, "dataset"))
         data = self.store.get(_addr_of(descriptor.local_uri))
         return mlsim.TabularDataset.from_csv_bytes(data)
 
     def load_model(self, ref: str) -> mlsim.LinearModel:
-        record = self.graph.model(self._model_ref(ref))
+        record = self.graph.model(self._iri(ref, "model"))
         data = self.store.get(_addr_of(record.model_uri))
         return mlsim.LinearModel.from_bytes(data)
 
     def train_model(self, local_id: str, dataset_ref: str, task: str) -> ModelRecord:
         """Fit a linear model from scratch on a local dataset."""
-        ds_iri = self._dataset_ref(dataset_ref)
+        ds_iri = self._iri(dataset_ref, "dataset")
         data = self.load_dataset(ds_iri)
         model = mlsim.train(data)
         return self._record_model(local_id, model, data, ds_iri, task, base_iri=None)
@@ -263,9 +335,9 @@ class IslNode:
         learning_rate: float,
     ) -> ModelRecord:
         """Adapt a locally available model (own or acquired) to a local dataset."""
-        base_iri = self._model_ref(base_ref)
+        base_iri = self._iri(base_ref, "model")
         base = self.load_model(base_iri)
-        ds_iri = self._dataset_ref(dataset_ref)
+        ds_iri = self._iri(dataset_ref, "dataset")
         data = self.load_dataset(ds_iri)
         tuned = mlsim.fine_tune(base, data, steps, learning_rate)
         return self._record_model(
@@ -316,13 +388,13 @@ class IslNode:
     # ----------------------------------------------------------------- sharing
 
     def share_dataset(self, ref: str) -> DatasetDescriptor:
-        iri = self._dataset_ref(ref)
+        iri = self._iri(ref, "dataset")
         descriptor = self.graph.dataset(iri)
         if descriptor.shared:
             raise AlreadyShared(f"{iri} is already shared")
         if descriptor.owner_node != self.name:
             raise IncompleteChain(f"{iri} belongs to {descriptor.owner_node}")
-        return self._share_dataset_tx(iri)
+        return self._share([("dataset", descriptor)])  # type: ignore[return-value]
 
     def share_model(self, ref: str) -> ModelRecord:
         """Publish a model and, first, any of its own unshared ancestry.
@@ -331,19 +403,13 @@ class IslNode:
         transaction: an ancestor owned by another node that is not yet
         on chain aborts the operation with no on-chain effect at all.
         """
-        iri = self._model_ref(ref)
-        record = self.graph.model(iri)
-        if record.shared:
+        iri = self._iri(ref, "model")
+        if self.graph.model(iri).shared:
             raise AlreadyShared(f"{iri} is already shared")
-        for kind, step_iri in self._share_plan(iri):
-            if kind == "dataset":
-                self._share_dataset_tx(step_iri)
-            else:
-                self._share_model_tx(step_iri)
-        return self.graph.model(iri)
+        return self._share(self._share_plan(iri))  # type: ignore[return-value]
 
-    def _share_plan(self, target_iri: str) -> list[tuple[str, str]]:
-        """The unshared steps of the chain to share, root first, each once.
+    def _share_plan(self, target_iri: str) -> list[tuple[str, Record]]:
+        """The unshared records of the chain to share, root first, each once.
 
         Only this node's own records are read. The walk goes tip first
         and stops at the first model recorded as shared: the oracle's
@@ -351,7 +417,7 @@ class IslNode:
         whole ancestry is already on chain.
         """
         kg = self.graph
-        tip_first: list[tuple[str, str]] = []
+        tip_first: list[tuple[str, Record]] = []
         for model_iri, ds_iri in reversed(self.depgraph.trace(target_iri).steps):
             model = kg.model(model_iri) if kg.has_model(model_iri) else None
             if model is not None and model.shared:
@@ -364,35 +430,40 @@ class IslNode:
                     raise IncompleteChain(
                         f"{kind} {step_iri} in the dependency chain is not shared"
                     )
-                tip_first.append((kind, step_iri))
+                tip_first.append((kind, local))
         return list(dict.fromkeys(reversed(tip_first)))
 
-    def _share_dataset_tx(self, iri: str) -> DatasetDescriptor:
-        descriptor = self.graph.dataset(iri)
-        data = self.store.get(_addr_of(descriptor.local_uri))
-        addr = self.store.put(data)  # re-derive the address from the bytes we serve
-        existing = self.network.oracle.dataset_entry(addr)
+    def _share(self, plan: list[tuple[str, Record]]) -> Record:
+        """Share the planned records in order; the last one comes back shared.
+
+        Before the first transaction every step's blob must still hash to
+        the address in its record's URI, so a tampered store shares
+        nothing, and the address each step submits is its record's own.
+        """
+        addrs = []
+        for _, record in plan:
+            addr = _addr_of(record.model_uri if isinstance(record, ModelRecord) else record.local_uri)
+            if content_address(self.store.get(addr)) != addr:
+                raise IntegrityFailure(f"stored bytes of {record.iri} do not hash to {addr}")
+            addrs.append(addr)
+        for (kind, record), addr in zip(plan, addrs):
+            shared = self._share_tx(kind, record, addr)
+        return shared
+
+    def _share_tx(self, kind: str, record: Record, addr: str) -> Record:
+        """Register one record whose dataset and base this node already records as shared."""
+        oracle = self.network.oracle
+        existing = oracle.model_entry(addr) if kind == "model" else oracle.dataset_entry(addr)
         if existing is not None:
             # identical content already on chain; adopt its registration
-            return self.graph.mark_shared(iri, addr, existing["tx_id"])  # type: ignore[return-value]
-        receipt = self.network.submit(self.account, "oracle", "share_dataset", (iri, addr))
-        return self.graph.mark_shared(iri, addr, str(receipt.return_value))  # type: ignore[return-value]
-
-    def _share_model_tx(self, iri: str) -> ModelRecord:
-        """Share one model whose dataset and base this node already records as shared."""
-        record = self.graph.model(iri)
-        data = self.store.get(_addr_of(record.model_uri))
-        addr = self.store.put(data)
-        existing = self.network.oracle.model_entry(addr)
-        if existing is not None:
-            return self.graph.mark_shared(iri, addr, existing["tx_id"])  # type: ignore[return-value]
-        base = record.base_model
-        base_addr = None if base is None else self.graph.model(base).content_address
-        ds_addr = self.graph.dataset(record.dataset).content_address
-        receipt = self.network.submit(
-            self.account, "oracle", "share_model", (iri, addr, record.task, ds_addr, base_addr)
-        )
-        return self.graph.mark_shared(iri, addr, str(receipt.return_value))  # type: ignore[return-value]
+            return self.graph.mark_shared(record.iri, addr, existing["tx_id"])
+        args: tuple = (record.iri, addr)
+        if isinstance(record, ModelRecord):
+            base = record.base_model
+            base_addr = None if base is None else self.graph.model(base).content_address
+            args += (record.task, self.graph.dataset(record.dataset).content_address, base_addr)
+        receipt = self.network.submit(self.account, "oracle", "share_" + kind, args)
+        return self.graph.mark_shared(record.iri, addr, str(receipt.return_value))
 
     # ------------------------------------------------------------- marketplace
 
@@ -427,7 +498,7 @@ class IslNode:
         return matches
 
     def set_price(self, ref: str, price: int) -> str:
-        addr = self._resolve_shared_address(ref)
+        addr = self.network.shared_address(ref, self.name)
         self.network.submit(self.account, "isl", "set_price", (addr, price))
         return addr
 
@@ -489,30 +560,12 @@ class IslNode:
 
     # --------------------------------------------------------------- reference
 
-    def _dataset_ref(self, ref: str) -> str:
-        return ref if ref.startswith(IRI_PREFIX) else kgstore.dataset_iri(self.name, ref)
-
-    def _model_ref(self, ref: str) -> str:
-        return ref if ref.startswith(IRI_PREFIX) else kgstore.model_iri(self.name, ref)
+    def _iri(self, ref: str, kind: str) -> str:
+        return self.network.resolve(ref, self.name, kind).iri  # type: ignore[return-value]
 
     @staticmethod
     def _task_ref(ref: str) -> str:
         return ref if ref.startswith(kgstore.VOCAB) else kgstore.task_iri(ref)
-
-    def _resolve_shared_address(self, ref: str) -> str:
-        if is_address(ref):
-            return ref
-        if self.graph.has_model(self._model_ref(ref)):
-            record = self.graph.model(self._model_ref(ref))
-            if record.content_address is None:
-                raise UnknownResource(f"{record.iri} is not shared")
-            return record.content_address
-        if self.graph.has_dataset(self._dataset_ref(ref)):
-            descriptor = self.graph.dataset(self._dataset_ref(ref))
-            if descriptor.content_address is None:
-                raise UnknownResource(f"{descriptor.iri} is not shared")
-            return descriptor.content_address
-        raise NotFound(f"no local resource matches {ref!r}")
 
     # -------------------------------------------------------------- filesystem
 

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own code paths:
 fitting goes through numpy's least-squares solver, metrics through
 numpy reductions, gradients through central finite differences,
 closure checks through a plain reachability walk over raw state dicts,
-knowledge-graph records through a full scan of the raw triple set, and
-exported graph lines through the N-Triples line grammar. The gradient
+knowledge-graph records through a full scan of the raw triple set,
+exported graph lines through the N-Triples line grammar, and a blob
+store's contents through a scan of its directory. The gradient
 step loop and the synthetic data generator are also kept here in their
 earlier, object-per-step form, as the bit-exact reference for the
 package's loops.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -170,6 +172,11 @@ NT_LINE = re.compile(rf"[ \t]*{_IRIREF}[ \t]*{_IRIREF}[ \t]*(?:{_IRIREF}|{_LITER
 
 def is_ntriples_line(line: str) -> bool:
     return NT_LINE.fullmatch(line) is not None
+
+
+def stored_addresses(root) -> list[str]:
+    """Sorted addresses of the blobs a store rooted at ``root`` holds, by a directory scan."""
+    return sorted(p.name for p in Path(root, "blobs").glob("??/*") if not p.name.endswith(".tmp"))
 
 
 # ------------------------------------------- bit-exact mlsim references

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from islsim import cli
+from islsim import cli, errors, kgstore
+from islsim.contracts import OracleContract
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"  # `islsim run` output of each bundled scenario
@@ -41,7 +42,13 @@ def scenario_file(tmp_path: Path, text: str) -> str:
 
 class TestBundledScenarios:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.isl")), ids=lambda p: p.stem)
-    def test_stdout_and_exit_code_match_the_golden_files(self, tmp_path, capsys, scenario):
+    def test_stdout_and_exit_code_match_the_golden_files(self, tmp_path, capsys, monkeypatch, scenario):
+        def scan(self, iri):
+            raise AssertionError(f"registry scanned for {iri}")
+
+        # references resolve through the named node's graph, never a registry scan
+        monkeypatch.setattr(OracleContract, "find_model_by_iri", scan)
+        monkeypatch.setattr(OracleContract, "find_dataset_by_iri", scan)
         code = run(["run", str(scenario), "--workspace", str(tmp_path / "ws")])
         out = capsys.readouterr().out
         assert out.encode("utf-8") == (GOLDEN / f"{scenario.stem}.stdout").read_bytes()
@@ -260,6 +267,108 @@ class TestScenarioParsing:
         assert capsys.readouterr().err.startswith("MalformedArgs: ")
         assert run(["replay", str(ws)]) == 0
         assert capsys.readouterr().out.strip() == "MATCH"
+
+
+REF_SETUP = """
+create-network 1000
+add-node alice 500
+add-node bob 500
+add-node mallory 500
+register-node alice
+register-node bob
+register-node mallory
+gen-data alice d1 11 2.0 1.0 0.05 40
+train alice m1 d1 occupancy_detection
+share alice m1
+gen-data alice d2 12 2.0 1.5 0.05 20
+train alice m2 d2 occupancy_detection
+gen-data alice thing 13 2.0 1.0 0.05 20
+train alice thing thing occupancy_detection
+"""
+
+# (id, command line, expected): an error name, or the first line of stdout
+# with {M1} and {D1} standing for the addresses of alice's shared m1 and d1
+REFERENCE_TABLE = [
+    ("fine-tune-bare", "fine-tune alice t m1 d2 5 0.05", "model isl://alice/model/t "),
+    ("fine-tune-node-id", "fine-tune alice t alice/m1 alice/d2 5 0.05", "model isl://alice/model/t "),
+    ("fine-tune-iri", "fine-tune alice t isl://alice/model/m1 d2 5 0.05", "model isl://alice/model/t "),
+    ("fine-tune-address", "fine-tune alice t {M1} d2 5 0.05", "ParseError"),
+    ("share-bare", "share alice m2", "shared isl://alice/model/m2 addr="),
+    ("share-node-id", "share alice alice/m2", "shared isl://alice/model/m2 addr="),
+    ("share-iri", "share alice isl://alice/dataset/d2", "shared isl://alice/dataset/d2 addr="),
+    ("share-address", "share alice {M1}", "ParseError"),
+    ("set-price-bare", "set-price alice d1 7", "price addr={D1} value=7"),
+    ("set-price-node-id", "set-price alice alice/m1 7", "price addr={M1} value=7"),
+    ("set-price-iri", "set-price alice isl://alice/model/m1 7", "price addr={M1} value=7"),
+    ("set-price-address", "set-price alice {M1} 7", "price addr={M1} value=7"),
+    ("set-price-foreign", "set-price bob alice/m1 7", "Unauthorized"),
+    ("acquire-bare", "acquire alice m1 0", "acquired {M1} price=0 from=alice"),
+    ("acquire-node-id", "acquire bob alice/d1 0", "acquired {D1} price=0 from=alice"),
+    ("acquire-iri", "acquire bob isl://alice/model/m1 0", "acquired {M1} price=0 from=alice"),
+    ("acquire-address", "acquire bob {M1} 0", "acquired {M1} price=0 from=alice"),
+    ("trace-bare", "trace m1", "ParseError"),
+    ("trace-node-id", "trace alice/m1", "step 1: model=isl://alice/model/m1 addr={M1} "),
+    ("trace-iri", "trace isl://alice/model/m1", "step 1: model=isl://alice/model/m1 addr={M1} "),
+    ("trace-address", "trace {M1}", "step 1: model=isl://alice/model/m1 addr={M1} "),
+    ("acquire-unknown-node", "acquire bob carol/m1 0", "ParseError"),
+    ("trace-unknown-node", "trace isl://carol/model/m1", "ParseError"),
+    ("set-price-unknown-node", "set-price alice carol/m1 7", "ParseError"),
+    ("acquire-unshared", "acquire bob alice/m2 0", "UnknownResource"),
+    ("trace-unshared", "trace alice/m2", "UnknownResource"),
+    ("set-price-unshared", "set-price alice m2 7", "UnknownResource"),
+    ("acquire-ambiguous", "acquire bob alice/thing 0", "ParseError"),
+    ("trace-ambiguous", "trace alice/thing", "ParseError"),
+    ("set-price-ambiguous", "set-price alice thing 7", "ParseError"),
+    ("share-ambiguous", "share alice alice/thing", "ParseError"),
+    ("acquire-missing", "acquire bob alice/nothing 0", "NotFound"),
+]
+
+
+class TestReferences:
+    @pytest.fixture
+    def runner(self, tmp_path, capsys):
+        runner = cli.ScenarioRunner(tmp_path / "ws")
+        runner.run(cli._parse_scenario(REF_SETUP))
+        capsys.readouterr()
+        return runner
+
+    @pytest.mark.parametrize("line, expected", [case[1:] for case in REFERENCE_TABLE],
+                             ids=[case[0] for case in REFERENCE_TABLE])
+    def test_reference_forms(self, runner, capsys, line, expected):
+        graph = runner.network.node("alice").graph
+        addrs = {
+            "M1": graph.model(kgstore.model_iri("alice", "m1")).content_address,
+            "D1": graph.dataset(kgstore.dataset_iri("alice", "d1")).content_address,
+        }
+        commands = cli._parse_scenario(line.format(**addrs))
+        if expected in errors.BY_NAME:
+            with pytest.raises(errors.IslError) as raised:
+                runner.run(commands)
+            assert type(raised.value).__name__ == expected
+        else:
+            runner.run(commands)
+            assert capsys.readouterr().out.startswith(expected.format(**addrs))
+
+    def test_squatted_entry_does_not_redirect_acquire_or_trace(self, runner, capsys):
+        net = runner.network
+        m1 = net.node("alice").graph.model(kgstore.model_iri("alice", "m1"))
+        squat_ds, squat_model = "0" * 63 + "1", "0" * 64  # both sort before any real address
+        mallory = net.node("mallory").account
+        for method, args in (
+            ("share_dataset", ("isl://mallory/dataset/x", squat_ds)),
+            ("share_model", (m1.iri, squat_model, m1.task, squat_ds, None)),
+        ):
+            assert net.ledger.submit(mallory, "oracle", method, args).status == "ok"
+        assert net.oracle.find_model_by_iri(m1.iri) == squat_model  # a registry scan finds mallory
+
+        runner.run(cli._parse_scenario("acquire bob alice/m1 0\ntrace alice/m1\n"))
+
+        out = capsys.readouterr().out
+        assert out == (
+            f"acquired {m1.content_address} price=0 from=alice\n"
+            f"step 1: model={m1.iri} addr={m1.content_address} dataset={m1.dataset} "
+            f"tx={m1.tx_id} owner={net.node('alice').account}\n"
+        )
 
 
 class TestUsageErrors:

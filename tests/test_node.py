@@ -25,12 +25,14 @@ from islsim.errors import (
     IslError,
     MalformedDescriptor,
     NotFound,
+    ParseError,
     TokenRejected,
+    Unauthorized,
     UnknownResource,
     WrongPayment,
 )
 from islsim.mlsim import RoomProfile, TabularDataset
-from islsim.node import IRI_PREFIX, Network, walk_provenance
+from islsim.node import IRI_PREFIX, Network, Ref, walk_provenance
 
 PROFILE = RoomProfile(slope=2.0, intercept=1.0, noise_scale=0.05)
 WARM = RoomProfile(slope=2.0, intercept=1.5, noise_scale=0.05)
@@ -58,7 +60,7 @@ class TestLocalWorkflow:
         alice = net.node("alice")
         descriptor = alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
         assert descriptor.iri == kgstore.dataset_iri("alice", "d1")
-        assert descriptor.feature_names == ("co2",)
+        assert descriptor.feature_schema == ("co2:ppm",)
         assert not descriptor.shared
         assert alice.store.contains(descriptor.local_uri.rsplit("/", 1)[-1])
 
@@ -79,10 +81,10 @@ class TestLocalWorkflow:
     def test_refused_dataset_leaves_no_blob(self, net, local_id, error):
         alice = net.node("alice")
         alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
-        before = alice.store.addresses()
+        before = oracles.stored_addresses(alice.root)
         with pytest.raises(error):
             alice.create_local_dataset(local_id, seed=8, profile=PROFILE, n_rows=30)
-        assert alice.store.addresses() == before
+        assert oracles.stored_addresses(alice.root) == before
 
     @pytest.mark.parametrize(
         "local_id, task, error",
@@ -97,16 +99,16 @@ class TestLocalWorkflow:
         alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
         alice.create_local_dataset("d2", seed=8, profile=PROFILE, n_rows=30)
         alice.train_model("m1", "d1", "occupancy_detection")
-        before = alice.store.addresses()
+        before = oracles.stored_addresses(alice.root)
         with pytest.raises(error):
             alice.train_model(local_id, "d2", task)
-        assert alice.store.addresses() == before
+        assert oracles.stored_addresses(alice.root) == before
 
     def test_failed_put_drops_the_record(self, net, monkeypatch):
         alice = net.node("alice")
         alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
         graph_before = alice.graph.export_bytes()
-        blobs_before = alice.store.addresses()
+        blobs_before = oracles.stored_addresses(alice.root)
         put = alice.store.put
 
         def full_disk(data):
@@ -118,7 +120,7 @@ class TestLocalWorkflow:
         with pytest.raises(OSError):
             alice.train_model("m1", "d1", "occupancy_detection")
         assert alice.graph.export_bytes() == graph_before
-        assert alice.store.addresses() == blobs_before
+        assert oracles.stored_addresses(alice.root) == blobs_before
         assert "m1" not in [r.iri.rsplit("/", 1)[-1] for r in alice.graph.models()]
 
         monkeypatch.setattr(alice.store, "put", put)  # the disk has room again
@@ -255,6 +257,28 @@ class TestSharing:
         assert entry["dataset_addr"] == descriptor.content_address
         assert net.oracle.check_closure() is None
 
+    @pytest.mark.parametrize("tampered", ["dataset", "model"])
+    def test_tampered_blob_shares_nothing(self, net, tampered):
+        alice = net.node("alice")
+        descriptor = alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40)
+        record = alice.train_model("m1", "d1", "occupancy_detection")
+        uri = descriptor.local_uri if tampered == "dataset" else record.model_uri
+        alice.store.path_for(uri.rsplit("/", 1)[-1]).write_bytes(b"tampered\n")
+        log_len = len(net.ledger.log)
+        blobs = oracles.stored_addresses(alice.root)
+        triples = alice.graph.export_bytes()
+
+        if tampered == "dataset":
+            with pytest.raises(IntegrityFailure):
+                alice.share_dataset("d1")
+        # the tip's dataset is unshared, so every planned blob is checked before the first tx
+        with pytest.raises(IntegrityFailure):
+            alice.share_model("m1")
+
+        assert len(net.ledger.log) == log_len
+        assert oracles.stored_addresses(alice.root) == blobs
+        assert alice.graph.export_bytes() == triples
+
     def test_reused_dataset_is_shared_before_its_first_model(self, net):
         # m3 goes back to m1's dataset; fine-tuning m1 on d1 directly would
         # not move the least-squares fit, so m2 on d2 sits in between
@@ -381,7 +405,7 @@ class TestMarketplace:
         # refused before the acquire transaction: nothing paid, nothing logged
         assert carol.balance == 100
         assert len(net.ledger.log) == log_len
-        assert carol.store.addresses() == []
+        assert oracles.stored_addresses(carol.root) == []
         assert not carol.graph.has_model(record.iri)
 
     def test_acquire_pays_and_caches(self, net):
@@ -404,13 +428,13 @@ class TestMarketplace:
         net.node("alice").set_price("m1", 40)
         bob = net.node("bob")
         before_state = net.ledger.canonical_state()
-        before_blobs = bob.store.addresses()
+        before_blobs = oracles.stored_addresses(bob.root)
 
         with pytest.raises(WrongPayment):
             bob.acquire_model(record.content_address, payment=39)
 
         assert net.ledger.canonical_state() == before_state
-        assert bob.store.addresses() == before_blobs
+        assert oracles.stored_addresses(bob.root) == before_blobs
         assert not bob.graph.has_model(record.iri)
 
     def test_acquire_imports_provenance(self, net):
@@ -435,10 +459,10 @@ class TestMarketplace:
     def test_acquire_own_resource_is_a_noop(self, net):
         record = shared_model(net)
         alice = net.node("alice")
-        blobs = alice.store.addresses()
+        blobs = oracles.stored_addresses(alice.root)
         got = alice.acquire_model(record.content_address, payment=0)
         assert got == alice.graph.model(record.iri)
-        assert alice.store.addresses() == blobs
+        assert oracles.stored_addresses(alice.root) == blobs
 
     def test_acquire_dataset(self, net):
         alice, bob = net.node("alice"), net.node("bob")
@@ -563,7 +587,7 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
                 _, who, own, pick, task, held = op
                 pool = [m.iri for m in nodes[who].graph.models()] if own and who < 3 else []
                 pool = pool or iris
-                blobs = nodes[who].store.addresses() if held and who < 3 else []
+                blobs = oracles.stored_addresses(nodes[who].root) if held and who < 3 else []
                 addr = blobs[-1] if blobs else content_address(f"squat {n}".encode())
                 ds_addr = net.oracle.model_entry(models[0])["dataset_addr"]
                 net.ledger.submit(senders[who], "oracle", "share_model",
@@ -644,3 +668,62 @@ class TestReferenceResolution:
         iri = kgstore.dataset_iri("alice", "d1")
         assert iri.startswith(IRI_PREFIX)
         assert alice.load_dataset(iri).n_rows == 10
+
+    def test_named_kind_forms_the_iri_without_reading_a_graph(self, net, monkeypatch):
+        def no_read(self, iri):
+            raise AssertionError(f"read {iri}")
+
+        monkeypatch.setattr(kgstore.KnowledgeGraph, "has_model", no_read)
+        monkeypatch.setattr(kgstore.KnowledgeGraph, "model", no_read)
+        iri = kgstore.model_iri("carol", "m1")
+        for ref in ("m1", "carol/m1", iri):
+            assert net.resolve(ref, "carol", "model") == Ref("model", iri, None)
+        with pytest.raises(ParseError):
+            net.resolve("f" * 64, "carol", "model")
+        with pytest.raises(ParseError):
+            net.resolve(kgstore.dataset_iri("carol", "d1"), "carol", "model")
+
+    def test_unnamed_kind_reads_the_named_node_graph(self, net):
+        record = shared_model(net)
+        ds = net.node("alice").graph.dataset(record.dataset)
+        assert net.resolve("alice/m1") == Ref("model", record.iri, record.content_address)
+        assert net.resolve("d1", "alice") == Ref("dataset", ds.iri, ds.content_address)
+        assert net.resolve(record.iri, "bob") == Ref("model", record.iri, record.content_address)
+        assert net.resolve("e" * 64) == Ref(None, None, "e" * 64)
+        net.node("alice").train_model("m2", "d1", "occupancy_detection")
+        assert net.resolve("alice/m2") == Ref("model", kgstore.model_iri("alice", "m2"), None)
+        with pytest.raises(UnknownResource):
+            net.shared_address("alice/m2")
+        with pytest.raises(NotFound):
+            net.resolve("bob/m1")  # bob's graph holds no m1
+        with pytest.raises(ParseError):
+            net.resolve("carol/m1")  # no such node
+        with pytest.raises(ParseError):
+            net.resolve("m1")  # a bare id with no actor names no node
+
+    def test_node_id_with_a_slash_names_another_node(self, net):
+        record = shared_model(net)
+        bob = net.node("bob")
+        with pytest.raises(NotFound):
+            bob.load_model("alice/m1")  # bob holds no copy yet
+        bob.acquire_model(record.content_address, payment=0)
+        bob.create_local_dataset("mine", seed=14, profile=WARM, n_rows=10)
+        tuned = bob.fine_tune_model("t", "alice/m1", "bob/mine", steps=5, learning_rate=0.05)
+        assert tuned.base_model == record.iri
+        assert tuned.dataset == kgstore.dataset_iri("bob", "mine")
+
+    def test_set_price_reads_the_named_node_even_for_another_actor(self, net):
+        record = shared_model(net)
+        log_len = len(net.ledger.log)
+        with pytest.raises(Unauthorized):
+            net.node("bob").set_price("alice/m1", 5)
+        assert len(net.ledger.log) == log_len + 1  # the refused call is logged as a revert
+        assert net.ledger.log[-1].args == (record.content_address, 5)
+
+    def test_byte_identical_fine_tune_resolves_to_its_base_address(self, net):
+        record = shared_model(net)
+        alice = net.node("alice")
+        tuned = alice.fine_tune_model("m2", "m1", "d1", steps=0, learning_rate=0.05)
+        assert tuned.model_uri == record.model_uri  # no step taken: the same bytes
+        alice.share_model("m2")  # adopts m1's registration
+        assert net.shared_address("alice/m2") == record.content_address

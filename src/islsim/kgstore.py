@@ -1,28 +1,22 @@
 """Embedded triple store: one knowledge graph per node.
 
-The graph is a set of subject/predicate/object triples, and the triples
-are the source of truth. One field table, ``RECORDS``, defines how each
-record type maps to triples: per field its predicate, its object kind
-(literal, IRI, decimal or comma-joined list) and whether it is required.
-``_encode`` writes a record's triples from that table and
-``_materialize`` reads its view back from it. Apart from
-``mark_shared``, which adds the two sharing triples, no other code
-knows the record format.
-
-``assert_triples`` is the only writer. Beside the set it keeps two
-indexes: subject -> that subject's triples, and type -> the subjects of
-that type. A lookup reads one subject's triples and never scans the
-set. Dataset descriptors and model records are views materialized on
-first read and cached per (type, subject); both are frozen, so the
-cached object is handed out as is. Every new triple drops the cached
-views of its subject, which keeps reads after ``mark_shared`` fresh.
+The graph is a set of subject/predicate/object triples. One field table,
+``RECORDS``, defines how each record type maps to triples: per field its
+predicate, its object kind (literal, IRI, decimal or comma-joined list)
+and whether it is required. ``_store`` is the only writer. It encodes a
+record through that table, each object kind refusing a value the export
+could not write as an N-Triples term (``MalformedTriple``), so a bad
+record stores nothing. It then adds the triples and keeps, as the
+record's view, the record those triples decode to; so a view always
+equals a read of its triples, and an ``int`` MAE comes back as a
+``float``. A lookup is one dict read of that view. ``mark_shared``
+stores the record again with its sharing fields set, and ``discard``
+removes the triples of the stored view.
 
 Everything a node knows about its own assets and any remote shared
 assets it has cached lives here, so the N-Triples export of the graph
 (``export_bytes``, persisted as ``kg.nt``) is a complete record of the
-node's metadata. The export is written, never read back; so that every
-line of it is well formed, ``assert_triples`` refuses any IRI that is
-not a valid N-Triples IRI term.
+node's metadata. The export is written, never read back.
 
 Identifier discipline: all entity identifiers are IRIs under the
 ``isl://`` scheme, ``isl://<node>/<kind>/<local-id>``. Controlled
@@ -38,8 +32,8 @@ comma-joined literal instead of one triple per element.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, NamedTuple
 
 from .errors import (
     AlreadyShared,
@@ -160,11 +154,25 @@ def _split(text: str) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()
 
 
-# Object kinds: (class of the objects a view reads, value -> object, object -> value).
-LITERAL = (Literal, Literal, lambda o: o.lexical)
-IRI = (str, lambda v: v, lambda o: o)
-DECIMAL = (Literal, decimal, lambda o: float(o.lexical))
-LIST = (Literal, lambda v: Literal(",".join(v)), lambda o: _split(o.lexical))
+def _literal(value: object) -> Literal:
+    if not isinstance(value, str):
+        raise MalformedTriple(f"literal is not a string: {value!r}")
+    if any(ch in value for ch in "\n\r\t"):
+        raise MalformedTriple("literal contains control characters")
+    return Literal(value)
+
+
+def _iri_object(value: object) -> str:
+    if not _is_iri(value):
+        raise MalformedTriple(f"object is not an isl:// IRI: {value!r}")
+    return value  # type: ignore[return-value]
+
+
+# Object kinds: (value -> object, refusing what kg.nt could not write; object -> value).
+LITERAL = (_literal, lambda o: o.lexical)
+IRI = (_iri_object, lambda o: o)
+DECIMAL = (decimal, lambda o: float(o.lexical))
+LIST = (lambda v: _literal(",".join(v)), lambda o: _split(o.lexical))
 
 
 def _check_dataset(d: DatasetDescriptor) -> None:
@@ -196,8 +204,8 @@ class _RecordType(NamedTuple):
     fields: tuple[tuple[str, str, tuple, bool], ...]  # (field, predicate, kind, required)
 
 
-# How each record type maps to triples. A view checks the fields in this
-# order, so the first bad field decides the MalformedDescriptor raised.
+# How each record type maps to triples. ``_encode`` writes the fields in
+# this order, so the first bad field decides the MalformedTriple raised.
 RECORDS: dict[str, _RecordType] = {
     T_DATASET: _RecordType(DatasetDescriptor, "dataset", _check_dataset, (
         ("feature_schema", P_FEATURE_SCHEMA, LIST, True),
@@ -221,87 +229,46 @@ RECORDS: dict[str, _RecordType] = {
 }
 
 
-def _encode(type_iri: str, record: Any) -> list[Triple]:
-    """The triples of ``record``; an optional field that is None has none.
+def _encode(type_iri: str, record: Any) -> tuple[list[Triple], Any]:
+    """The triples of ``record`` and the record they decode to.
 
-    A required field is encoded as given, so a bad value fails
-    ``_check_triple`` and nothing of the record is stored.
+    An optional field that is None has no triple. A required field is
+    encoded as given, so a bad value raises ``MalformedTriple``.
     """
+    record_type = RECORDS[type_iri]
     triples = [Triple(record.iri, P_TYPE, type_iri)]
-    for field, pred, (_, encode, _), required in RECORDS[type_iri].fields:
+    values: dict[str, Any] = {"iri": record.iri}
+    for field, pred, (encode, decode), required in record_type.fields:
         value = getattr(record, field)
         if required or value is not None:
-            triples.append(Triple(record.iri, pred, encode(value)))
-    return triples
+            obj = encode(value)
+            triples.append(Triple(record.iri, pred, obj))
+            value = decode(obj)
+        values[field] = value
+    return triples, record_type.cls(**values)
+
+
+_TYPE_OF = {record_type.cls: type_iri for type_iri, record_type in RECORDS.items()}
 
 
 class KnowledgeGraph:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self.triples: set[Triple] = set()
-        self._by_subject: dict[str, list[Triple]] = {}
-        self._by_type: dict[str | Literal, set[str]] = {}
-        self._views: dict[tuple[str, str], DatasetDescriptor | ModelRecord] = {}
+        self._views: dict[str, DatasetDescriptor | ModelRecord] = {}
 
-    # ---------------------------------------------------------------- triples
-
-    def assert_triples(self, triples: Iterable[Triple]) -> int:
-        """Insert triples, returning how many were new (set semantics)."""
-        batch = list(triples)
-        for t in batch:
-            self._check_triple(t)
-        added = 0
-        for t in batch:
-            if t in self.triples:
-                continue
-            self.triples.add(t)
-            self._by_subject.setdefault(t.subject, []).append(t)
-            if t.predicate == P_TYPE:
-                self._by_type.setdefault(t.obj, set()).add(t.subject)
-            for type_iri in RECORDS:
-                self._views.pop((type_iri, t.subject), None)
-            added += 1
-        return added
-
-    @staticmethod
-    def _check_triple(t: Triple) -> None:
-        if not isinstance(t, Triple):
-            raise MalformedTriple(f"not a triple: {t!r}")
-        if not _is_iri(t.subject):
-            raise MalformedTriple(f"subject is not an isl:// IRI: {t.subject!r}")
-        if not _is_iri(t.predicate):
-            raise MalformedTriple(f"predicate is not an isl:// IRI: {t.predicate!r}")
-        if isinstance(t.obj, Literal):
-            if not isinstance(t.obj.lexical, str):
-                raise MalformedTriple(f"literal is not a string: {t.obj.lexical!r}")
-            if t.obj.datatype not in ("string", "decimal"):
-                raise MalformedTriple(f"unknown literal type {t.obj.datatype!r}")
-            if any(ch in t.obj.lexical for ch in "\n\r\t"):
-                raise MalformedTriple("literal contains control characters")
-            if t.obj.datatype == "decimal":
-                try:
-                    float(t.obj.lexical)
-                except ValueError:
-                    raise MalformedTriple(
-                        f"bad decimal literal {t.obj.lexical!r}"
-                    ) from None
-        elif not _is_iri(t.obj):
-            raise MalformedTriple(f"object is neither IRI nor literal: {t.obj!r}")
-
-    def _props(self, subject: str) -> dict[str, list[str | Literal]]:
-        out: dict[str, list[str | Literal]] = {}
-        for t in self._by_subject.get(subject, ()):
-            out.setdefault(t.predicate, []).append(t.obj)
-        return out
-
-    def _subjects_of_type(self, type_iri: str) -> list[str]:
-        return sorted(self._by_type.get(type_iri, ()))
+    def _store(self, type_iri: str, record: Any) -> Any:
+        """Add the triples of ``record`` and keep the record they decode to as its view."""
+        triples, view = _encode(type_iri, record)
+        self.triples.update(triples)
+        self._views[view.iri] = view
+        return view
 
     # ------------------------------------------------------------ registration
 
     def register_dataset(self, d: DatasetDescriptor) -> str:
         self._check_local(T_DATASET, d)
-        self.assert_triples(_encode(T_DATASET, d))
+        self._store(T_DATASET, d)
         return d.iri
 
     def register_model(self, m: ModelRecord) -> str:
@@ -312,21 +279,18 @@ class KnowledgeGraph:
             raise UnresolvedDependency(
                 f"base model {m.base_model} is not known to this graph"
             )
-        self.assert_triples(_encode(T_MODEL, m))
+        self._store(T_MODEL, m)
         return m.iri
 
     def discard(self, iri: str) -> None:
-        """Drop every triple about ``iri``, undoing a registration made just now.
+        """Drop the record of ``iri`` and its triples, undoing a registration made just now.
 
         Records that refer to ``iri`` are not looked for, so this is only
         for a record nothing has referred to yet.
         """
-        for t in self._by_subject.pop(iri, ()):
-            self.triples.discard(t)
-            if t.predicate == P_TYPE:
-                self._by_type[t.obj].discard(iri)
-        for type_iri in RECORDS:
-            self._views.pop((type_iri, iri), None)
+        view = self._views.pop(iri, None)
+        if view is not None:
+            self.triples.difference_update(_encode(_TYPE_OF[type(view)], view)[0])
 
     def cache_remote_dataset(self, d: DatasetDescriptor) -> str:
         """Cache a shared dataset owned by another node, keeping its own IRI."""
@@ -374,40 +338,35 @@ class KnowledgeGraph:
             return res.iri
         self._check_fresh(res.iri)
         record_type.check(res)
-        self.assert_triples(_encode(type_iri, res))
+        self._store(type_iri, res)
         return res.iri
 
     def _check_fresh(self, iri: str) -> None:
         if not _is_iri(iri):
             raise MalformedDescriptor(f"identifier is not an isl:// IRI: {iri!r}")
-        if iri in self._by_subject:
+        if iri in self._views:
             raise DuplicateId(f"{iri} is already registered")
 
     # ----------------------------------------------------------------- sharing
 
     def mark_shared(self, iri: str, addr: str, tx_id: str) -> DatasetDescriptor | ModelRecord:
-        existing = self._view(T_DATASET, iri) or self._view(T_MODEL, iri)
+        existing = self._views.get(iri)
         if existing is None:
             raise NotFound(f"no resource {iri} in this graph")
         if existing.shared:
             raise AlreadyShared(f"{iri} was already shared as {existing.content_address}")
-        self.assert_triples(
-            [
-                Triple(iri, P_CONTENT_ADDRESS, Literal(addr)),
-                Triple(iri, P_TX_ID, Literal(tx_id)),
-            ]
-        )
-        refreshed = self._view(T_DATASET, iri) or self._view(T_MODEL, iri)
-        assert refreshed is not None
-        return refreshed
+        shared = replace(existing, content_address=addr, tx_id=tx_id)
+        if not shared.shared:
+            raise MalformedTriple(f"{iri}: sharing needs both a content address and a tx id")
+        return self._store(_TYPE_OF[type(existing)], shared)
 
     # ----------------------------------------------------------------- queries
 
     def datasets(self) -> list[DatasetDescriptor]:
-        return [self._view(T_DATASET, s) for s in self._subjects_of_type(T_DATASET)]
+        return [v for _, v in sorted(self._views.items()) if isinstance(v, DatasetDescriptor)]
 
     def models(self) -> list[ModelRecord]:
-        return [self._view(T_MODEL, s) for s in self._subjects_of_type(T_MODEL)]
+        return [v for _, v in sorted(self._views.items()) if isinstance(v, ModelRecord)]
 
     def dataset(self, iri: str) -> DatasetDescriptor:
         d = self._view(T_DATASET, iri)
@@ -433,25 +392,9 @@ class KnowledgeGraph:
         return view if view is not None and view.content_address == addr else None
 
     def _view(self, type_iri: str, iri: str) -> Any:
-        """The cached record of ``iri`` as a ``type_iri``; None if it lacks that type."""
-        key = (type_iri, iri)
-        view = self._views.get(key)
-        if view is None and iri in self._by_type.get(type_iri, ()):
-            view = self._views[key] = self._materialize(type_iri, iri)
-        return view
-
-    def _materialize(self, type_iri: str, iri: str) -> DatasetDescriptor | ModelRecord:
-        record_type = RECORDS[type_iri]
-        props = self._props(iri)
-        values: dict[str, Any] = {"iri": iri}
-        for field, pred, (cls, _, decode), required in record_type.fields:
-            objs = [o for o in props.get(pred, ()) if isinstance(o, cls)]
-            if required and len(objs) != 1:
-                raise MalformedDescriptor(f"{iri}: expected exactly one {pred}, found {len(objs)}")
-            if len(objs) > 1:
-                raise MalformedDescriptor(f"{iri}: multiple values for {pred}")
-            values[field] = decode(objs[0]) if objs else None
-        return record_type.cls(**values)
+        """The record of ``iri`` as a ``type_iri``; None if it has no record of that type."""
+        view = self._views.get(iri)
+        return view if isinstance(view, RECORDS[type_iri].cls) else None
 
     # ------------------------------------------------------------ serialization
 

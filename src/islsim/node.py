@@ -310,14 +310,20 @@ class IslNode:
         return descriptor
 
     def load_dataset(self, ref: str) -> mlsim.TabularDataset:
-        descriptor = self.graph.dataset(self._iri(ref, "dataset"))
-        data = self.store.get(_addr_of(descriptor.local_uri))
+        _, data = self._verified_blob(self.graph.dataset(self._iri(ref, "dataset")))
         return mlsim.TabularDataset.from_csv_bytes(data)
 
     def load_model(self, ref: str) -> mlsim.LinearModel:
-        record = self.graph.model(self._iri(ref, "model"))
-        data = self.store.get(_addr_of(record.model_uri))
+        _, data = self._verified_blob(self.graph.model(self._iri(ref, "model")))
         return mlsim.LinearModel.from_bytes(data)
+
+    def _verified_blob(self, record: Record) -> tuple[str, bytes]:
+        """The address in ``record``'s URI and the stored bytes, which must hash to it."""
+        addr = _addr_of(record.model_uri if isinstance(record, ModelRecord) else record.local_uri)
+        data = self.store.get(addr)
+        if content_address(data) != addr:
+            raise IntegrityFailure(f"stored bytes of {record.iri} do not hash to {addr}")
+        return addr, data
 
     def train_model(self, local_id: str, dataset_ref: str, task: str) -> ModelRecord:
         """Fit a linear model from scratch on a local dataset."""
@@ -440,12 +446,7 @@ class IslNode:
         the address in its record's URI, so a tampered store shares
         nothing, and the address each step submits is its record's own.
         """
-        addrs = []
-        for _, record in plan:
-            addr = _addr_of(record.model_uri if isinstance(record, ModelRecord) else record.local_uri)
-            if content_address(self.store.get(addr)) != addr:
-                raise IntegrityFailure(f"stored bytes of {record.iri} do not hash to {addr}")
-            addrs.append(addr)
+        addrs = [self._verified_blob(record)[0] for _, record in plan]
         for (kind, record), addr in zip(plan, addrs):
             shared = self._share_tx(kind, record, addr)
         return shared

@@ -1,6 +1,7 @@
 """Scenario runner, inspector, and replayer behavior through the public CLI."""
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,9 @@ from islsim import cli, errors, kgstore
 from islsim.contracts import OracleContract
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-GOLDEN = Path(__file__).resolve().parent / "golden"  # `islsim run` output of each bundled scenario
+# `islsim run` output of each bundled scenario: stdout, exit code, and one
+# "<relative path> <sha256>" line per file the run leaves in its workspace
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TWO_NODE = SCENARIOS / "two_node_share_acquire.isl"
 TRANSFER = SCENARIOS / "transfer_learning.isl"
@@ -49,10 +52,16 @@ class TestBundledScenarios:
         # references resolve through the named node's graph, never a registry scan
         monkeypatch.setattr(OracleContract, "find_model_by_iri", scan)
         monkeypatch.setattr(OracleContract, "find_dataset_by_iri", scan)
-        code = run(["run", str(scenario), "--workspace", str(tmp_path / "ws")])
+        ws = tmp_path / "ws"
+        code = run(["run", str(scenario), "--workspace", str(ws)])
         out = capsys.readouterr().out
         assert out.encode("utf-8") == (GOLDEN / f"{scenario.stem}.stdout").read_bytes()
         assert f"{code}\n" == (GOLDEN / f"{scenario.stem}.exit").read_text(encoding="ascii")
+        files = "".join(
+            f"{p.relative_to(ws).as_posix()} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+            for p in sorted(ws.rglob("*")) if p.is_file()
+        )
+        assert files == (GOLDEN / f"{scenario.stem}.files").read_text(encoding="ascii")
 
     def test_two_node_share_acquire(self, tmp_path, capsys):
         ws = tmp_path / "ws"

@@ -279,6 +279,33 @@ class TestSharing:
         assert oracles.stored_addresses(alice.root) == blobs
         assert alice.graph.export_bytes() == triples
 
+    @pytest.mark.parametrize("tampered", ["dataset", "model"])
+    def test_tampered_blob_trains_nothing(self, net, tampered):
+        alice = net.node("alice")
+        d1 = alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40)
+        d2 = alice.create_local_dataset("d2", seed=21, profile=WARM, n_rows=40)
+        m1 = alice.train_model("m1", "d1", "occupancy_detection")
+        m2 = alice.train_model("m2", "d2", "occupancy_detection")
+        alice.share_model("m1")
+        # the stored blob of d1 (or m1) now holds d2's (or m2's) valid bytes
+        victim, donor = (d1.local_uri, d2.local_uri) if tampered == "dataset" else (
+            m1.model_uri, m2.model_uri)
+        alice.store.path_for(victim.rsplit("/", 1)[-1]).write_bytes(
+            alice.store.path_for(donor.rsplit("/", 1)[-1]).read_bytes())
+        log_len = len(net.ledger.log)
+        blobs = oracles.stored_addresses(alice.root)
+        triples = alice.graph.export_bytes()
+
+        with pytest.raises(IntegrityFailure):
+            if tampered == "dataset":
+                alice.train_model("m3", "d1", "occupancy_detection")
+            else:
+                alice.fine_tune_model("m3", "m1", "d2", steps=5, learning_rate=0.05)
+        assert not alice.graph.has_model(kgstore.model_iri("alice", "m3"))
+        assert len(net.ledger.log) == log_len
+        assert oracles.stored_addresses(alice.root) == blobs
+        assert alice.graph.export_bytes() == triples
+
     def test_reused_dataset_is_shared_before_its_first_model(self, net):
         # m3 goes back to m1's dataset; fine-tuning m1 on d1 directly would
         # not move the least-squares fit, so m2 on d2 sits in between

@@ -7,7 +7,7 @@ and paid acquisition with integrity verification.
 """
 
 from .cas import BlobStore, content_address, is_address
-from .contracts import IslContract, OracleContract
+from .contracts import ChainStep, IslContract, OracleContract, walk_provenance
 from .depgraph import DependencyGraph, ProvenanceChain
 from .errors import IslError
 from .kgstore import DatasetDescriptor, KnowledgeGraph, ModelRecord, Triple
@@ -21,7 +21,7 @@ from .mlsim import (
     make_synthetic_room,
     train,
 )
-from .node import ChainStep, IslNode, Network, RankedModel, walk_provenance
+from .node import IslNode, Network, RankedModel
 
 __version__ = "0.1.0"
 

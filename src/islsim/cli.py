@@ -47,11 +47,11 @@ import sys
 from pathlib import Path
 
 from .cas import is_address, write_atomic
-from .contracts import OracleContract
+from .contracts import ChainStep, OracleContract, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
 from .ledger import WORD, Ledger, canonical_json, log_lines, parse_log_line, replay
 from .mlsim import RoomProfile
-from .node import ChainStep, IslNode, Network, walk_provenance
+from .node import IslNode, Network
 
 LEDGER_FILE = "ledger.log"
 CHAINSTATE_FILE = "chainstate.json"

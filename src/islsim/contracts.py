@@ -24,9 +24,11 @@ A contract's ``ARGS`` gives each method's exact argument types (a
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 from .cas import is_address
-from .errors import CorruptLog
+from .depgraph import lineage
+from .errors import CorruptLog, IncompleteChain, IslError, UnknownResource
 from .ledger import CallContext, Revert
 
 STR, INT, STR_OR_NONE = frozenset({str}), frozenset({int}), frozenset({str, type(None)})
@@ -172,21 +174,10 @@ class OracleContract(Contract):
         datasets = self.state["shared_datasets"]
         models = self.state["shared_models"]
         for addr in sorted(models):
-            seen: set[str] = set()
-            cur_addr = addr
-            while True:
-                if cur_addr in seen:
-                    return f"cycle through {cur_addr}"
-                seen.add(cur_addr)
-                entry = models[cur_addr]
-                if entry["dataset_addr"] not in datasets:
-                    return f"model {cur_addr} references unshared dataset {entry['dataset_addr']}"
-                base = entry["base_model_addr"]
-                if base is None:
-                    break
-                if base not in models:
-                    return f"model {cur_addr} references unshared base {base}"
-                cur_addr = base
+            try:
+                walk_provenance(self, addr)
+            except IslError as exc:
+                return f"model {addr}: {exc}"
         for task, addrs in self.state["task_index"].items():
             for addr in addrs:
                 if addr not in models or models[addr]["task"] != task:
@@ -207,6 +198,41 @@ class OracleContract(Contract):
             "shared_models": {a: dict(e) for a, e in sorted(self.state["shared_models"].items())},
             "task_index": {t: list(a) for t, a in sorted(self.state["task_index"].items())},
         }
+
+
+@dataclass(frozen=True)
+class ChainStep:
+    """One link of an on-chain provenance chain, root first."""
+
+    model_addr: str
+    model_iri: str
+    dataset_addr: str
+    dataset_iri: str
+    tx_id: str
+    owner: str
+
+
+def walk_provenance(oracle: OracleContract, addr: str) -> list[ChainStep]:
+    """Reconstruct a shared model's full ancestry from the registry tables alone."""
+    models, datasets = oracle.state["shared_models"], oracle.state["shared_datasets"]
+    if addr not in models:
+        raise UnknownResource(f"{addr} is not a shared model")
+
+    def base_of(model_addr: str) -> str | None:
+        base = models[model_addr]["base_model_addr"]
+        if base is not None and base not in models:
+            raise IncompleteChain(f"base model {base} is not shared")
+        return base
+
+    steps = []
+    for model_addr in lineage(addr, base_of):
+        entry = models[model_addr]
+        ds = datasets.get(entry["dataset_addr"])
+        if ds is None:
+            raise IncompleteChain(f"training dataset {entry['dataset_addr']} is not shared")
+        steps.append(ChainStep(model_addr, entry["iri"], entry["dataset_addr"], ds["iri"],
+                               entry["tx_id"], entry["owner"]))
+    return steps
 
 
 class IslContract(Contract):

@@ -1,21 +1,42 @@
-"""Model dependency chains.
+"""Model dependency chains, and the one walker that follows them.
 
 Every model descends from at most one base model and was fitted on
 exactly one dataset, so the lineage of a set of models is a forest of
-chains: stored as a child -> (parent-or-None, dataset) map. A second
-parent for the same child is unrepresentable in that map, and
-`add_model` only accepts a base that is already present, so a cycle can
-only appear in a hand-mutated map; `trace` refuses to loop on one.
+chains. `lineage` follows one such chain from its tip to its root,
+whatever table holds the base links: the local `DependencyGraph.trace`,
+the on-chain `contracts.walk_provenance` and the registry audit
+`OracleContract.check_closure` all walk through it. A cycle can only
+appear in a hand-mutated table; `lineage` refuses to loop on one.
 
+A `DependencyGraph` stores a node's chains as a child -> (parent-or-None,
+dataset) map. A second parent for the same child is unrepresentable in
+that map, and `add_model` only accepts a base that is already present.
 Datasets are edge labels, not vertices; reusing one dataset for many
 trainings is fine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DuplicateModel, IslError, UnknownBase, UnknownModel
+
+
+def lineage(tip: str, base_of: Callable[[str], str | None]) -> list[str]:
+    """``tip`` and its chain of bases, root first.
+
+    ``base_of`` names a model's base (None at a root) and raises for a
+    base it cannot follow; a model met twice raises ``IslError``.
+    """
+    chain: dict[str, None] = {}
+    cur: str | None = tip
+    while cur is not None:
+        if cur in chain:
+            raise IslError(f"cycle through {cur}")
+        chain[cur] = None
+        cur = base_of(cur)
+    return list(reversed(chain))
 
 
 @dataclass(frozen=True)
@@ -40,17 +61,8 @@ class DependencyGraph:
         self._edges[model_id] = (base, dataset_id)
 
     def trace(self, model_id: str) -> ProvenanceChain:
-        if model_id not in self._edges:
+        edges = self._edges
+        if model_id not in edges:
             raise UnknownModel(f"{model_id} is not in the graph")
-        steps: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        cur: str | None = model_id
-        while cur is not None:
-            if cur in seen:
-                raise IslError(f"dependency cycle through {cur}")
-            seen.add(cur)
-            base, dataset = self._edges[cur]
-            steps.append((cur, dataset))
-            cur = base
-        steps.reverse()
-        return ProvenanceChain(tuple(steps))
+        chain = lineage(model_id, lambda m: edges[m][0])
+        return ProvenanceChain(tuple((m, edges[m][1]) for m in chain))

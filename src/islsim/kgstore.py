@@ -179,8 +179,7 @@ def _check_dataset(d: DatasetDescriptor) -> None:
     if not d.feature_schema:
         raise MalformedDescriptor("feature schema is empty")
     for entry in d.feature_schema:
-        name, sep, unit = entry.partition(":")
-        if not sep or name not in FEATURE_UNITS or unit != FEATURE_UNITS[name]:
+        if not isinstance(entry, str) or entry.partition(":")[::2] not in FEATURE_UNITS.items():
             raise MalformedDescriptor(f"bad feature schema entry {entry!r}")
 
 
@@ -189,9 +188,9 @@ def _check_model(m: ModelRecord) -> None:
         raise MalformedDescriptor(f"unknown task {m.task!r}")
     if not m.input_features:
         raise MalformedDescriptor("model has no input features")
-    unknown = set(m.input_features) - set(FEATURE_UNITS)
+    unknown = {repr(f) for f in m.input_features if not isinstance(f, str) or f not in FEATURE_UNITS}
     if unknown:
-        raise MalformedDescriptor(f"unknown input features {sorted(unknown)}")
+        raise MalformedDescriptor(f"unknown input features {', '.join(sorted(unknown))}")
     for key, value in (("MAE", m.mae), ("MSE", m.mse)):
         if not (isinstance(value, (int, float)) and value >= 0):
             raise MalformedDescriptor(f"{key} must be a non-negative number")

@@ -314,7 +314,10 @@ def replay(
     expected_seq = 1
     for entry in entries:
         if isinstance(entry, AccountCreation):
-            created = replica.create_account(entry.balance, owner=entry.owner)
+            try:
+                created = replica.create_account(entry.balance, owner=entry.owner)
+            except ValueError as exc:
+                raise CorruptLog(f"account {entry.address} rejected on replay: {exc}") from None
             if created.address != entry.address:
                 raise CorruptLog(
                     f"account line claims {entry.address}, replay produced {created.address}"

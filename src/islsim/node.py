@@ -15,13 +15,12 @@ nodes.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from . import kgstore, mlsim
 from .cas import BlobStore, content_address, is_address, write_atomic
-from .contracts import IslContract, OracleContract
+from .contracts import IslContract, OracleContract, walk_provenance
 from .depgraph import DependencyGraph
 from .errors import (
     AlreadyShared,
@@ -66,53 +65,6 @@ class RankedModel(NamedTuple):
     mae: float
     owner_node: str
     price: int
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    """One link of an on-chain provenance chain, root first."""
-
-    model_addr: str
-    model_iri: str
-    dataset_addr: str
-    dataset_iri: str
-    tx_id: str
-    owner: str
-
-
-def walk_provenance(oracle: OracleContract, addr: str) -> list[ChainStep]:
-    """Reconstruct a shared model's full ancestry from contract state alone."""
-    if oracle.model_entry(addr) is None:
-        raise UnknownResource(f"{addr} is not a shared model")
-    lineage = []
-    seen = set()
-    cur: str | None = addr
-    while cur is not None:
-        if cur in seen:
-            raise IslError(f"provenance cycle through {cur}")
-        seen.add(cur)
-        entry = oracle.model_entry(cur)
-        if entry is None:
-            raise IncompleteChain(f"base model {cur} is not shared")
-        lineage.append((cur, entry))
-        cur = entry["base_model_addr"]
-    lineage.reverse()
-    steps = []
-    for model_addr, entry in lineage:
-        ds = oracle.dataset_entry(entry["dataset_addr"])
-        if ds is None:
-            raise IncompleteChain(f"training dataset {entry['dataset_addr']} is not shared")
-        steps.append(
-            ChainStep(
-                model_addr=model_addr,
-                model_iri=entry["iri"],
-                dataset_addr=entry["dataset_addr"],
-                dataset_iri=ds["iri"],
-                tx_id=entry["tx_id"],
-                owner=entry["owner"],
-            )
-        )
-    return steps
 
 
 def _addr_of(local_uri: str) -> str:

@@ -452,16 +452,28 @@ class TestInspection:
         assert run(["inspect", str(ws), "provenance", "f" * 64]) == 1
         assert capsys.readouterr().err.startswith("UnknownResource: ")
 
-    def test_provenance_refuses_a_broken_chain(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda oracle, addr: oracle.update(shared_datasets={}), "IncompleteChain: training dataset "),
+            (lambda oracle, addr: oracle["shared_models"][addr].update(base_model_addr="e" * 64),
+             "IncompleteChain: base model "),
+            (lambda oracle, addr: oracle["shared_models"][addr].update(base_model_addr=addr),
+             "IslError: cycle through "),
+        ],
+        ids=["missing-dataset", "missing-base", "base-cycle"],
+    )
+    def test_provenance_refuses_a_broken_chain(self, workspace, capsys, edit, error):
         ws, out = workspace
         addr = re.search(r"^shared isl://alice/model/m1 addr=([0-9a-f]{64})", out, re.M).group(1)
         state_path = ws / cli.CHAINSTATE_FILE
         state = json.loads(state_path.read_text())
-        state["oracle"]["shared_datasets"] = {}  # the model's training dataset is gone
+        edit(state["oracle"], addr)
         state_path.write_text(json.dumps(state))
 
         assert run(["inspect", str(ws), "provenance", addr]) == 1
-        assert capsys.readouterr().err.startswith("IncompleteChain: ")
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err
 
     def test_graph_dump_is_verbatim(self, workspace, capsys):
         ws, _ = workspace
@@ -514,6 +526,21 @@ class TestReplay:
 
         log_path = ws / cli.LEDGER_FILE
         log_path.write_text(log_path.read_text() + "not a log line\n")
+
+        assert run(["replay", str(ws)]) == 1
+        assert capsys.readouterr().err.startswith("CorruptLog: ")
+
+    @pytest.mark.parametrize("balance", [-5, 2**256], ids=["negative", "above-word"])
+    def test_replay_rejects_a_bad_account_balance(self, tmp_path, capsys, balance):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+
+        log_path = ws / cli.LEDGER_FILE
+        text, n = re.subn(r"^(account\t\S+\tbalance=)\d+", rf"\g<1>{balance}", log_path.read_text(),
+                          count=1, flags=re.M)
+        assert n == 1
+        log_path.write_text(text)
 
         assert run(["replay", str(ws)]) == 1
         assert capsys.readouterr().err.startswith("CorruptLog: ")

@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "islsim"
 ADDR_D = "1" * 64
 ADDR_M = "2" * 64
 ADDR_M2 = "3" * 64
+TASK = "isl://vocab/task/occupancy_detection"
 
 
 @pytest.fixture
@@ -149,6 +150,35 @@ class TestSharing:
         assert oracle.check_closure() is None
         assert oracle.find_model_by_iri("isl://bob/model/m2") == ADDR_M2
         assert oracle.owner_of_resource(ADDR_D) == alice
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            pytest.param(lambda s: s["shared_datasets"].clear(),
+                         f"model {ADDR_M}: training dataset {ADDR_D} is not shared", id="missing-dataset"),
+            pytest.param(lambda s: s["shared_models"].pop(ADDR_M),
+                         f"model {ADDR_M2}: base model {ADDR_M} is not shared", id="missing-base"),
+            pytest.param(lambda s: s["shared_models"][ADDR_M].update(base_model_addr=ADDR_M2),
+                         f"model {ADDR_M}: cycle through {ADDR_M}", id="base-cycle"),
+            pytest.param(lambda s: s["task_index"][TASK].update({"4" * 64: True}),
+                         f"task index entry {TASK} -> {'4' * 64} is inconsistent", id="index-unknown-model"),
+            pytest.param(lambda s: s["task_index"].update({"isl://vocab/task/other": {ADDR_M: True}}),
+                         f"task index entry isl://vocab/task/other -> {ADDR_M} is inconsistent",
+                         id="index-other-task"),
+            pytest.param(lambda s: s["task_index"][TASK].pop(ADDR_M2),
+                         f"model {ADDR_M2} is not listed under {TASK}", id="model-unindexed"),
+            pytest.param(lambda s: s["shared_datasets"].update({ADDR_M: s["shared_datasets"][ADDR_D]}),
+                         f"addresses registered in both roles: {[ADDR_M]}", id="both-tables"),
+        ],
+    )
+    def test_check_closure_reports_a_hand_edited_registry(self, net, edit, reason):
+        ledger, oracle, _, alice, bob = net
+        ok(ledger.submit(alice, "oracle", "share_dataset", ("isl://alice/dataset/d", ADDR_D)))
+        ok(ledger.submit(alice, "oracle", "share_model", ("isl://alice/model/m", ADDR_M, TASK, ADDR_D, None)))
+        ok(ledger.submit(bob, "oracle", "share_model", ("isl://bob/model/m2", ADDR_M2, TASK, ADDR_D, ADDR_M)))
+        assert oracle.check_closure() is None
+        edit(oracle.state)
+        assert oracle.check_closure() == reason
 
     def test_role_separation(self, net):
         ledger, _, _, alice, _ = net

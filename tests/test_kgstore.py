@@ -88,11 +88,14 @@ class TestRegistration:
             kg.register_dataset(dataset(node="bob"))
 
     @pytest.mark.parametrize(
-        "schema", [(), ("co2",), ("co2:bad",), ("unknown:ppm",), ("temperature:ppm",)]
+        "schema",
+        [(), ("co2",), ("co2:bad",), ("unknown:ppm",), ("temperature:ppm",),
+         (1,), (None,), (["co2:ppm"],), ("co2:ppm", 1)],
     )
     def test_bad_feature_schema(self, kg, schema):
         with pytest.raises(MalformedDescriptor):
             kg.register_dataset(dataset(feature_schema=schema))
+        assert kg.triples == set() and kg.datasets() == []
 
     def test_model_needs_known_dataset(self, kg):
         with pytest.raises(UnresolvedDependency):
@@ -113,6 +116,14 @@ class TestRegistration:
         kg.register_dataset(dataset())
         with pytest.raises(MalformedDescriptor):
             kg.register_model(model(task="isl://vocab/task/time_travel"))
+
+    @pytest.mark.parametrize("features", [(["co2"],), (1, "x"), ("co2", None)])
+    def test_input_features_that_are_not_strings(self, kg, features):
+        kg.register_dataset(dataset())
+        before = set(kg.triples)
+        with pytest.raises(MalformedDescriptor):
+            kg.register_model(model(input_features=features))
+        assert kg.triples == before and kg.models() == []
 
     def test_bad_measures(self, kg):
         kg.register_dataset(dataset())

@@ -295,6 +295,15 @@ def test_replay_detects_account_mismatch():
         replay(forged, counter_factory)
 
 
+@pytest.mark.parametrize("balance", [-5, WORD + 1], ids=["negative", "above-word"])
+def test_replay_rejects_an_account_line_with_a_bad_balance(balance):
+    lines = [line.replace("\tbalance=100\t", f"\tbalance={balance}\t") for line in log_lines(build_session())]
+    entries = [parse_log_line(line) for line in lines]
+    assert AccountCreation(entries[0].address, balance, False) in entries
+    with pytest.raises(CorruptLog, match="rejected on replay"):
+        replay(entries, counter_factory)
+
+
 def test_replay_detects_unfunded_transaction():
     led = build_session()
     entries = [parse_log_line(line) for line in log_lines(led)]

@@ -37,11 +37,16 @@ def is_address(value: str) -> bool:
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` via a sibling ``.tmp`` file and a rename: never a partial file."""
+    """Write ``data`` via a sibling ``.tmp`` file and a rename; a failure removes the temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    f = open(tmp, "wb")  # if this fails, there is no temp file to remove
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 class BlobStore:

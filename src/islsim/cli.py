@@ -34,9 +34,12 @@ address come from the named node's own graph, never from the registry;
 an unknown node or an id that is both a model and a dataset there is
 malformed input.
 
-The workspace is written once, via temp file plus rename, when the
-scenario ends or stops at its first failing command, so on failure it
-holds the state up to and including that command.
+The workspace is written once, by ``Network.persist`` (temp file plus
+rename per file), when the scenario ends or stops at its first failing
+command, so on failure it holds the state up to and including that
+command. ``replay`` re-executes ``ledger.log`` and prints MATCH only if
+the result serializes to the very bytes of ``chainstate.json``; a log
+line or file ending the writer would not write is ``CorruptLog``.
 """
 
 from __future__ import annotations
@@ -46,15 +49,12 @@ import json
 import sys
 from pathlib import Path
 
-from .cas import is_address, write_atomic
+from .cas import is_address
 from .contracts import ChainStep, OracleContract, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
-from .ledger import WORD, Ledger, canonical_json, log_lines, parse_log_line, replay
+from .ledger import WORD, parse_log_line, replay
 from .mlsim import RoomProfile
-from .node import IslNode, Network
-
-LEDGER_FILE = "ledger.log"
-CHAINSTATE_FILE = "chainstate.json"
+from .node import CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,7 +102,11 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     path = Path(ns.scenario)
     if not path.is_file():
         raise ParseError(f"no scenario file {path}")
-    commands = _parse_scenario(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario {path} is not UTF-8: {exc}") from None
+    commands = _parse_scenario(text)
     runner = ScenarioRunner(Path(ns.workspace))
     return runner.run(commands)
 
@@ -182,27 +186,9 @@ class ScenarioRunner:
         getattr(self, handler)(*args)
 
     def _persist(self) -> None:
-        net = self.network
-        if net is None:
-            # an empty scenario still leaves a well-formed genesis workspace
-            ledger = Ledger()
-            for contract in Network.contract_factory():
-                ledger.register_contract(contract)
-            meta = {"owner": None, "nodes": {}}
-        else:
-            ledger = net.ledger
-            meta = {
-                "owner": net.owner_account,
-                "nodes": {name: net.node(name).account for name in net.node_names()},
-            }
-        lines = log_lines(ledger)
-        text = "\n".join(lines) + ("\n" if lines else "")
-        write_atomic(self.workspace / LEDGER_FILE, text.encode("ascii"))
-        payload = ledger.state_dict()  # what replay must reproduce
-        payload["meta"] = meta
-        write_atomic(self.workspace / CHAINSTATE_FILE, canonical_json(payload) + b"\n")
-        if net is not None:
-            net.persist()
+        # an empty scenario still leaves a well-formed genesis workspace
+        net = self.network or Network(self.workspace, replay((), Network.contract_factory), None)
+        net.persist()
 
     def _net(self) -> Network:
         assert self.network is not None
@@ -295,12 +281,14 @@ _ENTRY_KEYS = {
 }
 
 
-def _load_chainstate(workspace: Path) -> dict:
+def _load_chainstate(workspace: Path) -> tuple[dict, bytes]:
+    """The parsed ``chainstate.json`` and its bytes."""
     path = workspace / CHAINSTATE_FILE
     if not path.is_file():
         raise UnknownWorkspace(f"{workspace} has no {CHAINSTATE_FILE}")
+    data = path.read_bytes()
     try:
-        state = json.loads(path.read_text(encoding="utf-8"))
+        state = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # bad JSON or not UTF-8
         raise UnknownWorkspace(f"unreadable {CHAINSTATE_FILE}: {exc}") from None
     if not isinstance(state, dict):
@@ -308,7 +296,7 @@ def _load_chainstate(workspace: Path) -> dict:
     for key in ("balances", "contract_balances", "oracle", "isl"):
         if not isinstance(state.get(key), dict):
             raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
-    return state
+    return state, data
 
 
 def _check_registry(state: dict) -> None:
@@ -353,7 +341,7 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
         sys.stdout.write(kg_path.read_text(encoding="utf-8"))
         return 0
 
-    state = _load_chainstate(workspace)
+    state, _ = _load_chainstate(workspace)
     _check_registry(state)
     if ns.what == "balances":
         for addr, bal in sorted(state["balances"].items()):
@@ -391,15 +379,15 @@ def _cmd_replay(ns: argparse.Namespace) -> int:
     log_path = workspace / LEDGER_FILE
     if not log_path.is_file():
         raise UnknownWorkspace(f"{workspace} has no {LEDGER_FILE}")
-    stored = _load_chainstate(workspace)
+    stored, data = _load_chainstate(workspace)
     try:
-        text = log_path.read_text(encoding="ascii")
+        lines = log_path.read_text(encoding="ascii").split("\n")
     except UnicodeDecodeError as exc:
         raise CorruptLog(f"{LEDGER_FILE} is not ASCII: {exc}") from None
-    entries = [parse_log_line(line) for line in text.split("\n") if line]
-    replica = replay(entries, Network.contract_factory)
-    expected = {k: v for k, v in stored.items() if k != "meta"}
-    if replica.canonical_state() == canonical_json(expected):
+    if lines.pop():
+        raise CorruptLog(f"{LEDGER_FILE} does not end with a newline")
+    replica = replay([parse_log_line(line) for line in lines], Network.contract_factory)
+    if chainstate_bytes(replica, stored.get("meta")) == data:
         print("MATCH")
         return 0
     # a file equal to the replayed state is well formed; only a mismatch is checked

@@ -26,7 +26,8 @@ re-executed from the log to reach a bit-identical state.
 The persisted log has one entry per line, tab separated. Transaction
 lines carry the fields of :class:`Transaction`; ``account`` lines record
 account creation (address, starting balance, owner flag) so that a log
-alone reconstructs balances during replay.
+alone reconstructs balances during replay. :func:`parse_log_line` takes
+only a line that :func:`format_log_entry` writes back byte for byte.
 """
 
 from __future__ import annotations
@@ -246,51 +247,40 @@ class Ledger:
 
 # -------------------------------------------------------------- serialization
 
+_encode_args = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def format_log_entry(entry: AccountCreation | Transaction) -> str:
     if isinstance(entry, AccountCreation):
         return (
             f"account\taddress={entry.address}\tbalance={entry.balance}"
             f"\towner={1 if entry.owner else 0}"
         )
-    args = json.dumps(list(entry.args), separators=(",", ":"))
     return (
         f"tx\tseq={entry.seq}\tsender={entry.sender}\tcontract={entry.contract}"
-        f"\tmethod={entry.method}\tvalue={entry.value}\targs={args}"
+        f"\tmethod={entry.method}\tvalue={entry.value}\targs={_encode_args(list(entry.args))}"
     )
 
 
-def _fields(parts: list[str], expected: tuple[str, ...], line: str) -> list[str]:
-    values = []
-    if len(parts) != len(expected):
-        raise CorruptLog(f"wrong field count in log line: {line!r}")
-    for part, key in zip(parts, expected):
-        prefix = key + "="
-        if not part.startswith(prefix):
-            raise CorruptLog(f"expected field {key!r} in log line: {line!r}")
-        values.append(part[len(prefix):])
-    return values
-
-
 def parse_log_line(line: str) -> AccountCreation | Transaction:
-    parts = line.rstrip("\n").split("\t")
-    kind, rest = parts[0], parts[1:]
+    """The entry ``line`` holds; only a line :func:`format_log_entry` writes back is taken."""
+    kind, *parts = line.split("\t")
+    values = [part.partition("=")[2] for part in parts]
     try:
         if kind == "account":
-            address, balance, owner = _fields(rest, ("address", "balance", "owner"), line)
-            if owner not in ("0", "1"):
-                raise CorruptLog(f"bad owner flag in log line: {line!r}")
-            return AccountCreation(address, int(balance), owner == "1")
-        if kind == "tx":
-            seq, sender, contract, method, value, args = _fields(
-                rest, ("seq", "sender", "contract", "method", "value", "args"), line
-            )
-            decoded = json.loads(args)
-            if not isinstance(decoded, list):
-                raise CorruptLog(f"args is not a list in log line: {line!r}")
-            return Transaction(int(seq), sender, contract, method, tuple(decoded), int(value))
-    except (ValueError, json.JSONDecodeError):
+            address, balance, owner = values
+            entry = AccountCreation(address, int(balance), owner == "1")
+        elif kind == "tx":
+            seq, sender, contract, method, value, args = values
+            args = tuple(json.loads(args))
+            entry = Transaction(int(seq), sender, contract, method, args, int(value))
+        else:
+            raise CorruptLog(f"unknown log entry kind {kind!r}")
+    except (ValueError, TypeError):
         raise CorruptLog(f"unparseable log line: {line!r}") from None
-    raise CorruptLog(f"unknown log entry kind {kind!r}")
+    if format_log_entry(entry) != line:
+        raise CorruptLog(f"log line is not as the ledger writes it: {line!r}")
+    return entry
 
 
 def log_lines(ledger: Ledger) -> list[str]:

@@ -34,9 +34,11 @@ from .errors import (
     from_reason,
 )
 from .kgstore import DatasetDescriptor, KnowledgeGraph, ModelRecord
-from .ledger import Ledger, Receipt
+from .ledger import Ledger, Receipt, canonical_json, log_lines
 
 IRI_PREFIX = "isl://"
+LEDGER_FILE = "ledger.log"
+CHAINSTATE_FILE = "chainstate.json"
 _IRI_OF = {"model": kgstore.model_iri, "dataset": kgstore.dataset_iri}
 
 Record = DatasetDescriptor | ModelRecord
@@ -67,6 +69,11 @@ class RankedModel(NamedTuple):
     price: int
 
 
+def chainstate_bytes(ledger: Ledger, meta: object) -> bytes:
+    """The bytes of ``chainstate.json``: the state replay must reproduce, plus ``meta``."""
+    return canonical_json({**ledger.state_dict(), "meta": meta}) + b"\n"
+
+
 def _addr_of(local_uri: str) -> str:
     addr = local_uri.rsplit("/", 1)[-1]
     if not is_address(addr):
@@ -77,7 +84,7 @@ def _addr_of(local_uri: str) -> str:
 class Network:
     """A complete simulated deployment rooted at one directory."""
 
-    def __init__(self, root: Path, ledger: Ledger, owner_account: str) -> None:
+    def __init__(self, root: Path, ledger: Ledger, owner_account: str | None) -> None:
         self.root = Path(root)
         self.ledger = ledger
         self.owner_account = owner_account
@@ -212,6 +219,12 @@ class Network:
         return receipt
 
     def persist(self) -> None:
+        """Write the whole workspace: ``ledger.log``, ``chainstate.json`` and each node's files."""
+        log = "".join(line + "\n" for line in log_lines(self.ledger))
+        write_atomic(self.root / LEDGER_FILE, log.encode("ascii"))
+        meta = {"owner": self.owner_account,
+                "nodes": {name: self._nodes[name].account for name in self.node_names()}}
+        write_atomic(self.root / CHAINSTATE_FILE, chainstate_bytes(self.ledger, meta))
         for node in self._nodes.values():
             node.persist()
 

@@ -121,3 +121,19 @@ def test_no_temp_file_is_left_behind(tmp_path):
     assert (tmp_path / "state.json").read_bytes() == b"{}\n"
     assert (tmp_path / "log.txt").read_bytes() == b"entry\n"
     assert len(stored_addresses(tmp_path)) == 3
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_atomic(tmp_path / "state.json", b"{}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        write_atomic(tmp_path / "state.json", "not bytes")  # type: ignore[arg-type]
+    assert list(tmp_path.iterdir()) == []

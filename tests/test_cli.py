@@ -132,6 +132,13 @@ class TestScenarioParsing:
         assert run(["run", path, "--workspace", str(tmp_path / "ws")]) == 2
         assert capsys.readouterr().err.startswith("ParseError: ")
 
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.isl"
+        path.write_bytes(b"create-network 100\nadd-node \xff 5\n")
+        assert run(["run", str(path), "--workspace", str(tmp_path / "ws")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError: ") and "Traceback" not in err
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.isl")
         assert run(["run", missing, "--workspace", str(tmp_path / "ws")]) == 2
@@ -544,6 +551,42 @@ class TestReplay:
 
         assert run(["replay", str(ws)]) == 1
         assert capsys.readouterr().err.startswith("CorruptLog: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("\n", "\n\n", 1),
+            lambda text: text + "\n",
+            lambda text: text.rstrip("\n"),
+            lambda text: text.replace("\tseq=1\t", "\tseq=01\t", 1),
+        ],
+        ids=["blank-line", "blank-last-line", "no-final-newline", "padded-seq"],
+    )
+    def test_replay_rejects_a_log_the_ledger_would_not_write(self, tmp_path, capsys, edit):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+
+        log_path = ws / cli.LEDGER_FILE
+        text = log_path.read_text()
+        assert edit(text) != text
+        log_path.write_text(edit(text))
+
+        assert run(["replay", str(ws)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("CorruptLog: ") and captured.out == ""
+
+    def test_replay_compares_chainstate_bytes(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+
+        # the same content in other bytes is not what the writer writes
+        state_path = ws / cli.CHAINSTATE_FILE
+        state_path.write_text(json.dumps(json.loads(state_path.read_text()), indent=2) + "\n")
+
+        assert run(["replay", str(ws)]) == 1
+        assert capsys.readouterr().out.strip() == "MISMATCH"
 
     def test_replay_rejects_non_ascii_log(self, tmp_path, capsys):
         ws = tmp_path / "ws"

@@ -1,6 +1,7 @@
 """Ledger semantics: serial execution, atomicity, conservation, replay."""
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given
@@ -247,11 +248,56 @@ def test_log_line_roundtrip_tx(args, value):
         "account\taddress=aa\tbalance=5\towner=2",
         "tx\tseq=1\tsender=aa\tcontract=c\tmethod=m\tvalue=0\targs={}",
         "tx\tseq=x\tsender=aa\tcontract=c\tmethod=m\tvalue=0\targs=[]",
+        # lines that read as a valid entry, but not as the ledger writes it
+        "tx\tseq=0_1\tsender=aa\tcontract=c\tmethod=m\tvalue=0\targs=[]",
+        "tx\tseq=1\tsender=aa\tcontract=c\tmethod=m\tvalue=+0\targs=[]",
+        "account\taddress=aa\tbalance= 5\towner=0",
+        'tx\tseq=1\tsender=aa\tcontract=c\tmethod=m\tvalue=0\targs=["a", 1]',
+        "account\taddres=aa\tbalance=5\towner=0",
     ],
 )
 def test_parse_log_line_rejects_garbage(line):
     with pytest.raises(CorruptLog):
         parse_log_line(line)
+
+
+_NUMBER = st.one_of(
+    st.integers(-(10**6), 10**6).map(str), st.from_regex(r"[ +-]?[0-9_]{1,3} ?", fullmatch=True)
+)
+_WORD = st.text(st.characters(blacklist_characters="\t", blacklist_categories=("Cs",)), max_size=6)
+_ARGS = st.builds(
+    lambda args, sep, ascii_only: json.dumps(args, separators=sep, ensure_ascii=ascii_only),
+    st.one_of(st.lists(st.one_of(st.integers(), st.text(max_size=4), st.none(), st.booleans()),
+                       max_size=3),
+              st.dictionaries(st.text(max_size=2), st.integers(), max_size=2), st.integers()),
+    st.sampled_from([(",", ":"), (", ", ": ")]),
+    st.booleans(),
+)
+_LINE_FIELDS = {
+    "account": [("address", _WORD), ("balance", _NUMBER), ("owner", st.sampled_from("0112 "))],
+    "tx": [("seq", _NUMBER), ("sender", _WORD), ("contract", _WORD), ("method", _WORD),
+           ("value", _NUMBER), ("args", _ARGS)],
+}
+
+
+@st.composite
+def near_log_lines(draw):
+    """Log lines with each field close to, and often exactly, what the ledger writes."""
+    kind = draw(st.sampled_from(sorted(_LINE_FIELDS)))
+    fields = [
+        f"{draw(st.sampled_from([key, key, key.title()]))}={draw(values)}"
+        for key, values in _LINE_FIELDS[kind]
+    ]
+    return "\t".join([kind] + fields)
+
+
+@given(near_log_lines())
+def test_parse_log_line_accepts_only_what_format_log_entry_writes(line):
+    try:
+        entry = parse_log_line(line)
+    except CorruptLog:
+        return
+    assert format_log_entry(entry) == line
 
 
 # -------------------------------------------------------------------- replay

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from islsim import kgstore
+from islsim import cli, kgstore
 from islsim.cas import content_address
 from islsim.errors import (
     AlreadyShared,
@@ -686,6 +686,15 @@ class TestPersistence:
         assert all(oracles.is_ntriples_line(line) for line in lines)
         address = f'<{record.iri}> <{kgstore.P_CONTENT_ADDRESS}> "{record.content_address}" .'
         assert address in lines
+
+    def test_persisted_network_replays_to_match(self, net, capsys):
+        record = shared_model(net)
+        net.node("alice").set_price("m1", 10)
+        net.node("bob").acquire_model(record.content_address, 10)
+        net.persist()
+
+        assert cli.main(["replay", str(net.root)]) == 0
+        assert capsys.readouterr().out == "MATCH\n"
 
 
 class TestReferenceResolution:

@@ -21,7 +21,9 @@ line, ``#`` starting a comment::
 
 A number outside what the chain or the models take (a negative
 balance or payment, an amount beyond 2**256 - 1, fewer than one row,
-negative STEPS, an LR that is not positive) is malformed input.
+negative STEPS, an LR that is not positive, a SLOPE, INTERCEPT, NOISE
+or LR that is not finite) is malformed input, as is a ``--workspace``
+that is not a directory.
 
 A resource reference (DSID, BASEREF, RESID, REF) has one grammar, read
 by ``Network.resolve``: a 64-hex content address is taken as given (in
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -136,9 +139,12 @@ def _int(token: str, what: str, lo: int | None = None, hi: int | None = None) ->
 
 def _float(token: str, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise ParseError(f"{what} must be a number, got {token!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {token!r}")
+    return value
 
 
 class ScenarioRunner:
@@ -163,7 +169,10 @@ class ScenarioRunner:
         self.network: Network | None = None
 
     def run(self, commands: list[list[str]]) -> int:
-        self.workspace.mkdir(parents=True, exist_ok=True)
+        try:
+            self.workspace.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ParseError(f"workspace {self.workspace} is not a directory") from None
         try:
             for lineno, name, *args in commands:
                 self._dispatch(lineno, name, args)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .cas import is_address
 from .depgraph import lineage
-from .errors import CorruptLog, IncompleteChain, IslError, UnknownResource
+from .errors import IncompleteChain, IslError, UnknownResource
 from .ledger import CallContext, Revert
 
 STR, INT, STR_OR_NONE = frozenset({str}), frozenset({int}), frozenset({str, type(None)})
@@ -73,7 +73,7 @@ class OracleContract(Contract):
     def on_owner_account(self, address: str) -> None:
         current = self.state["owner"]
         if current is not None and current != address:
-            raise CorruptLog(f"second owner account {address}; owner is {current}")
+            raise ValueError(f"second owner account {address}; owner is {current}")
         self.state["owner"] = address
 
     # ------------------------------------------------------------ tx methods

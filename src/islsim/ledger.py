@@ -6,10 +6,11 @@ strictly serial state machine. A transaction debits the sender by
 contract method. Each write goes through :meth:`CallContext.put`, which
 journals the old value first, so undoing costs what the transaction
 wrote, not the size of the state. If the method raises *any* exception
-the journal is unwound, newest first. A :class:`Revert` stays in the log
-as a ``reverted`` receipt; any other exception is a crash: the
-transaction also leaves the log, its sequence number is reused, and the
-exception propagates, so replay never meets it.
+the journal is unwound, newest first; it is the ledger's one rollback.
+The log takes only settled entries: an ``ok`` transaction, a
+:class:`Revert` (a ``reverted`` receipt), and an account every owner
+hook accepted. Any other exception is a crash; it re-raises having
+touched only the journal, so it never enters the log.
 
 ``submit`` refuses, before logging, a method name that is not an ASCII
 identifier, a bad ``value`` and any argument that is not a JSON scalar
@@ -27,7 +28,8 @@ The persisted log has one entry per line, tab separated. Transaction
 lines carry the fields of :class:`Transaction`; ``account`` lines record
 account creation (address, starting balance, owner flag) so that a log
 alone reconstructs balances during replay. :func:`parse_log_line` takes
-only a line that :func:`format_log_entry` writes back byte for byte.
+only a line that :func:`format_log_entry` writes back byte for byte, and
+:func:`replay` requires the replica to log each entry exactly as written.
 """
 
 from __future__ import annotations
@@ -151,15 +153,15 @@ class Ledger:
 
     def create_account(self, initial_balance: int, owner: bool = False) -> Account:
         _require_amount(initial_balance, "initial balance")
-        self._account_counter += 1
-        address = hashlib.sha256(str(self._account_counter).encode()).hexdigest()[:40]
-        self._balances[address] = initial_balance
-        self.log.append(AccountCreation(address, initial_balance, owner))
+        address = hashlib.sha256(str(self._account_counter + 1).encode()).hexdigest()[:40]
         if owner:
             for contract in self._contracts.values():
                 hook = getattr(contract, "on_owner_account", None)
                 if hook is not None:
                     hook(address)
+        self._account_counter += 1
+        self._balances[address] = initial_balance
+        self.log.append(AccountCreation(address, initial_balance, owner))
         return Account(address)
 
     def balance_of(self, address: str) -> int:
@@ -208,14 +210,11 @@ class Ledger:
                 f"balance {self._balances[sender]} cannot cover value {value}"
             )
 
-        tx = Transaction(self._next_seq, sender, contract, method, args, value)
-        self._next_seq += 1
-        self.log.append(tx)
-        ctx = CallContext(sender, tx.seq, value, contract, self)
+        ctx = CallContext(sender, self._next_seq, value, contract, self)
         try:
             ctx.put(self._balances, sender, self._balances[sender] - value)
             ctx.put(self._contract_balances, contract, self._contract_balances[contract] + value)
-            ret = self._contracts[contract].call(ctx, method, tx.args)
+            ret = self._contracts[contract].call(ctx, method, args)
         except BaseException as exc:
             while self._journal:
                 table, key, previous = self._journal.pop()
@@ -224,12 +223,14 @@ class Ledger:
                 else:
                     table[key] = previous
             if not isinstance(exc, Revert):
-                self.log.pop()
-                self._next_seq = tx.seq
                 raise
-            return Receipt(ctx.tx_id, "reverted", str(exc), None)
-        self._journal.clear()
-        return Receipt(ctx.tx_id, "ok", None, ret)
+            receipt = Receipt(ctx.tx_id, "reverted", str(exc), None)
+        else:
+            self._journal.clear()
+            receipt = Receipt(ctx.tx_id, "ok", None, ret)
+        self.log.append(Transaction(ctx.seq, sender, contract, method, args, value))
+        self._next_seq += 1
+        return receipt
 
     # ------------------------------------------------------------------- state
 
@@ -294,30 +295,22 @@ def replay(
     """Re-execute a log from genesis and return the resulting ledger.
 
     The factory must build fresh contract instances wired exactly like
-    the live network's. Any entry that cannot be applied exactly as
-    logged (sequence gap, address mismatch, rejected transaction) means
-    the log does not describe a real history.
+    the live network's. The replica must take each entry and log exactly
+    it (same sequence number, same address); otherwise the log does not
+    describe a real history.
     """
     replica = Ledger()
     for contract in contract_factory():
         replica.register_contract(contract)
-    expected_seq = 1
     for entry in entries:
-        if isinstance(entry, AccountCreation):
-            try:
-                created = replica.create_account(entry.balance, owner=entry.owner)
-            except ValueError as exc:
-                raise CorruptLog(f"account {entry.address} rejected on replay: {exc}") from None
-            if created.address != entry.address:
-                raise CorruptLog(
-                    f"account line claims {entry.address}, replay produced {created.address}"
-                )
-            continue
-        if entry.seq != expected_seq:
-            raise CorruptLog(f"sequence gap: expected {expected_seq}, log has {entry.seq}")
-        expected_seq += 1
         try:
-            replica.submit(entry.sender, entry.contract, entry.method, entry.args, entry.value)
+            if isinstance(entry, AccountCreation):
+                replica.create_account(entry.balance, owner=entry.owner)
+            else:
+                replica.submit(entry.sender, entry.contract, entry.method, entry.args, entry.value)
         except (UnknownSender, InsufficientFunds, ValueError) as exc:
-            raise CorruptLog(f"transaction {entry.seq} rejected on replay: {exc}") from None
+            raise CorruptLog(f"{format_log_entry(entry)!r} rejected on replay: {exc}") from None
+        if replica.log[-1] != entry:
+            line, logged = format_log_entry(entry), format_log_entry(replica.log[-1])
+            raise CorruptLog(f"log has {line!r}, replay logs {logged!r}")
     return replica

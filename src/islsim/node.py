@@ -89,7 +89,7 @@ class Network:
         self.ledger = ledger
         self.owner_account = owner_account
         self._nodes: dict[str, IslNode] = {}
-        self._names_by_account: dict[str, str] = {}
+        self._nodes_by_account: dict[str, IslNode] = {}
 
     @classmethod
     def create(cls, root: str | Path, owner_balance: int) -> "Network":
@@ -128,7 +128,7 @@ class Network:
         node_dir.mkdir(parents=True, exist_ok=True)
         node = IslNode(self, name, account.address, node_dir)
         self._nodes[name] = node
-        self._names_by_account[account.address] = name
+        self._nodes_by_account[account.address] = node
         return node
 
     def register_node(self, name: str) -> Receipt:
@@ -144,8 +144,13 @@ class Network:
     def node_names(self) -> list[str]:
         return sorted(self._nodes)
 
-    def node_name_of(self, account: str) -> str | None:
-        return self._names_by_account.get(account)
+    def registered_record(
+        self, owner: str, type_iri: str, iri: str, addr: str
+    ) -> tuple[IslNode | None, Record | None]:
+        """The node of account ``owner``, and its ``type_iri`` record of ``iri`` if its
+        own graph records ``iri`` shared as ``addr``; None for what is missing."""
+        node = self._nodes_by_account.get(owner)
+        return node, None if node is None else node.graph.shared_record(type_iri, iri, addr)
 
     # ------------------------------------------------------------- references
 
@@ -448,14 +453,9 @@ class IslNode:
         network = self.network
         price_of = network.isl.price_of
         sensors = set(sensors)
-        owners: dict[str, IslNode | None] = {}
         matches = []
         for addr, owner, iri in network.oracle.query_task(task):
-            if owner not in owners:
-                name = network.node_name_of(owner)
-                owners[owner] = None if name is None else network.node(name)
-            node = owners[owner]
-            record = None if node is None else node.graph.shared_record(kgstore.T_MODEL, iri, addr)
+            node, record = network.registered_record(owner, kgstore.T_MODEL, iri, addr)
             if record is None or not sensors.issuperset(record.input_features):
                 continue
             matches.append(RankedModel(addr, task, record.input_features, record.mse,
@@ -481,14 +481,11 @@ class IslNode:
         model_entry = oracle.model_entry(addr)
         entry = model_entry or oracle.dataset_entry(addr)
         if entry is not None:
-            owner_name = self.network.node_name_of(entry["owner"])
-            if owner_name is None:
-                raise NotFound(f"no node serves account {entry['owner']}")
-            owner_node = self.network.node(owner_name)
             kind = kgstore.T_MODEL if model_entry else kgstore.T_DATASET
-            remote = owner_node.graph.shared_record(kind, entry["iri"], addr)
+            owner_node, remote = self.network.registered_record(entry["owner"], kind,
+                                                                entry["iri"], addr)
             if remote is None:
-                raise NotFound(f"{owner_name} records no {entry['iri']} shared as {addr}")
+                raise NotFound(f"the registering node records no {entry['iri']} shared as {addr}")
 
         # an address with no registry entry reverts here, so owner_node is bound below
         receipt = self.network.submit(self.account, "isl", "acquire", (addr,), value=payment)
@@ -497,7 +494,7 @@ class IslNode:
         if content_address(data) != addr:
             raise IntegrityFailure(f"served bytes do not hash to {addr}")
 
-        if owner_name == self.name:
+        if owner_node is self:
             return remote
 
         self.store.put(data)

@@ -228,8 +228,12 @@ class TestScenarioParsing:
             "add-node b -5",
             f"add-node b {2**256}",
             "gen-data a d2 1 2.0 1.0 0.05 0",
+            "gen-data a d2 1 nan 1.0 0.05 20",
+            "gen-data a d2 1 2.0 inf 0.05 20",
+            "gen-data a d2 1 2.0 1.0 -inf 20",
             "fine-tune a m2 m1 d1 -1 0.05",
             "fine-tune a m2 m1 d1 5 0",
+            "fine-tune a m2 m1 d1 5 inf",
             f"set-price a m1 {2**256}",
             f"set-price a m1 -{2**256}",
             "acquire a a/m1 -1",
@@ -241,8 +245,12 @@ class TestScenarioParsing:
             "balance-negative",
             "balance-beyond-word",
             "zero-rows",
+            "slope-nan",
+            "intercept-inf",
+            "noise-minus-inf",
             "negative-steps",
             "zero-learning-rate",
+            "learning-rate-inf",
             "price-beyond-word",
             "price-below-minus-word",
             "payment-negative",
@@ -395,6 +403,18 @@ class TestUsageErrors:
     def test_run_without_workspace(self, capsys):
         assert run(["run", "x.isl"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("where", [(), ("sub", "ws")], ids=["a-file", "under-a-file"])
+    def test_workspace_that_is_not_a_directory(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        path = scenario_file(tmp_path, "create-network 10\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert run(["run", path, "--workspace", str(blocker.joinpath(*where))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError: ") and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "kept\n"
 
     def test_inspect_missing_workspace(self, tmp_path, capsys):
         assert run(["inspect", str(tmp_path / "void"), "balances"]) == 1

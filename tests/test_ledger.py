@@ -215,6 +215,26 @@ def test_crash_is_rolled_back_and_dropped_from_log():
     assert led.submit(acct.address, "counter", "bump").tx_id == "tx-2"
 
 
+def test_second_owner_account_is_refused_before_logging():
+    led = Ledger()
+    for contract in Network.contract_factory():
+        led.register_contract(contract)
+    led.create_account(100, owner=True)
+    led.create_account(40)
+
+    def observed():
+        return led.canonical_state(), log_lines(led)
+
+    before = observed()
+    with pytest.raises(ValueError, match="second owner account"):
+        led.create_account(50, owner=True)
+    assert observed() == before
+    assert led.total_supply() == 140
+    assert led.create_account(1).address == hashlib.sha256(b"3").hexdigest()[:40]
+    replica = replay([parse_log_line(line) for line in log_lines(led)], Network.contract_factory)
+    assert replica.canonical_state() == led.canonical_state()
+
+
 # ------------------------------------------------------------------ log text
 
 def test_log_line_roundtrip_account():
@@ -328,6 +348,29 @@ def test_replay_detects_sequence_gap():
     dropped = [e for e in entries if not (isinstance(e, Transaction) and e.seq == 2)]
     with pytest.raises(CorruptLog):
         replay(dropped, counter_factory)
+
+
+def _index_of_tx(entries, seq):
+    return next(i for i, e in enumerate(entries) if isinstance(e, Transaction) and e.seq == seq)
+
+
+def drop_tx_2(entries):
+    del entries[_index_of_tx(entries, 2)]
+
+
+def swap_tx_2_and_3(entries):
+    i, j = _index_of_tx(entries, 2), _index_of_tx(entries, 3)
+    entries[i], entries[j] = entries[j], entries[i]
+
+
+@pytest.mark.parametrize("edit", [drop_tx_2, swap_tx_2_and_3], ids=["dropped", "swapped"])
+def test_replay_names_the_first_diverging_line(edit):
+    entries = [parse_log_line(line) for line in log_lines(build_session())]
+    edit(entries)
+    with pytest.raises(CorruptLog) as excinfo:
+        replay(entries, counter_factory)
+    # the log's line for seq 3 stands where the replica logs seq 2
+    assert "seq=3" in str(excinfo.value) and "seq=2" in str(excinfo.value)
 
 
 def test_replay_detects_account_mismatch():

@@ -37,9 +37,9 @@ an unknown node or an id that is both a model and a dataset there is
 malformed input.
 
 The workspace is written once, by ``Network.persist`` (temp file plus
-rename per file), when the scenario ends or stops at its first failing
-command, so on failure it holds the state up to and including that
-command. ``replay`` re-executes ``ledger.log`` and prints MATCH only if
+rename per file, ``chainstate.json`` last), when the scenario ends or
+stops at its first failing command, so on failure it holds the state up
+to and including that command. ``replay`` re-executes ``ledger.log`` and prints MATCH only if
 the result serializes to the very bytes of ``chainstate.json``; a log
 line or file ending the writer would not write is ``CorruptLog``.
 """

@@ -69,6 +69,36 @@ class RankedModel(NamedTuple):
     price: int
 
 
+# a verified registry row: (mse, addr, input features, mae, registering node's name)
+Listed = tuple[float, str, tuple[str, ...], float, str]
+
+
+class TaskListing:
+    """What the marketplace queries of one task have read of its registry rows.
+
+    ``seen`` counts the task's rows examined so far, ``verified`` holds
+    the rows whose registering node records that model shared under that
+    address, sorted by ``(mse, addr)``, and ``unverified`` the other rows
+    as ``OracleContract.query_task`` gives them.
+
+    A verified row stays verified: a committed registry row never
+    changes, and a graph never replaces or drops a record it holds as
+    shared (``mark_shared`` refuses one already shared,
+    ``_cache_remote`` a different record under a held IRI, and
+    ``discard`` only runs on a record just registered and still
+    unshared). An unverified row can still become valid, when its
+    registering node later shares those exact bytes and so adopts the
+    row, so it is checked again on every query.
+    """
+
+    __slots__ = ("seen", "verified", "unverified")
+
+    def __init__(self) -> None:
+        self.seen = 0
+        self.verified: list[Listed] = []
+        self.unverified: list[tuple[str, str, str]] = []
+
+
 def chainstate_bytes(ledger: Ledger, meta: object) -> bytes:
     """The bytes of ``chainstate.json``: the state replay must reproduce, plus ``meta``."""
     return canonical_json({**ledger.state_dict(), "meta": meta}) + b"\n"
@@ -90,6 +120,7 @@ class Network:
         self.owner_account = owner_account
         self._nodes: dict[str, IslNode] = {}
         self._nodes_by_account: dict[str, IslNode] = {}
+        self._listings: dict[str, TaskListing] = {}  # task iri -> listing, once it has rows
 
     @classmethod
     def create(cls, root: str | Path, owner_balance: int) -> "Network":
@@ -151,6 +182,31 @@ class Network:
         own graph records ``iri`` shared as ``addr``; None for what is missing."""
         node = self._nodes_by_account.get(owner)
         return node, None if node is None else node.graph.shared_record(type_iri, iri, addr)
+
+    def listed_models(self, task: str) -> list[Listed]:
+        """The verified registry rows of ``task``, sorted by ``(mse, addr)``.
+
+        Only the rows registered since the last call and the rows not
+        verified yet are checked against the registering node's graph;
+        see ``TaskListing`` for why a verified row needs no second look.
+        """
+        listing = self._listings.get(task) or TaskListing()
+        new = self.oracle.query_task(task, listing.seen)
+        if not new and not listing.unverified:
+            return listing.verified
+        self._listings[task] = listing
+        listing.seen += len(new)
+        rows, listing.unverified = listing.unverified + new, []
+        found = []
+        for addr, owner, iri in rows:
+            node, record = self.registered_record(owner, kgstore.T_MODEL, iri, addr)
+            if record is None:
+                listing.unverified.append((addr, owner, iri))
+            else:
+                found.append((record.mse, addr, record.input_features, record.mae, node.name))
+        if found:
+            listing.verified = sorted(listing.verified + found)
+        return listing.verified
 
     # ------------------------------------------------------------- references
 
@@ -224,14 +280,19 @@ class Network:
         return receipt
 
     def persist(self) -> None:
-        """Write the whole workspace: ``ledger.log``, ``chainstate.json`` and each node's files."""
+        """Write the whole workspace: each node's files, ``ledger.log``, then ``chainstate.json``.
+
+        ``chainstate.json`` comes last, so a persist into a fresh directory
+        that stops part way leaves none, and ``replay`` and ``inspect``
+        report ``UnknownWorkspace`` rather than read a partial workspace.
+        """
+        for node in self._nodes.values():
+            node.persist()
         log = "".join(line + "\n" for line in log_lines(self.ledger))
         write_atomic(self.root / LEDGER_FILE, log.encode("ascii"))
         meta = {"owner": self.owner_account,
                 "nodes": {name: self._nodes[name].account for name in self.node_names()}}
         write_atomic(self.root / CHAINSTATE_FILE, chainstate_bytes(self.ledger, meta))
-        for node in self._nodes.values():
-            node.persist()
 
 
 class IslNode:
@@ -444,24 +505,19 @@ class IslNode:
         A registry entry is listed only when the node that registered it
         records, in its own graph, that model shared under that address;
         an entry whose IRI the registering node does not hold as shared
-        there (a squatted or foreign IRI) is skipped.
+        there (a squatted or foreign IRI) is skipped. The network checks
+        an entry on every query until it is verified, and not after
+        (``Network.listed_models``); prices are read at query time.
 
         Results come back best first: ascending mean squared error, ties
         broken by content address so the order is total.
         """
         task = self._task_ref(task)
-        network = self.network
-        price_of = network.isl.price_of
+        price_of = self.network.isl.price_of
         sensors = set(sensors)
-        matches = []
-        for addr, owner, iri in network.oracle.query_task(task):
-            node, record = network.registered_record(owner, kgstore.T_MODEL, iri, addr)
-            if record is None or not sensors.issuperset(record.input_features):
-                continue
-            matches.append(RankedModel(addr, task, record.input_features, record.mse,
-                                       record.mae, node.name, price_of(addr)))
-        matches.sort(key=lambda m: (m.mse, m.address))
-        return matches
+        return [RankedModel(addr, task, features, mse, mae, owner, price_of(addr))
+                for mse, addr, features, mae, owner in self.network.listed_models(task)
+                if sensors.issuperset(features)]
 
     def set_price(self, ref: str, price: int) -> str:
         addr = self.network.shared_address(ref, self.name)

@@ -6,6 +6,7 @@ dependency graph, and the two contracts behind a real ledger.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 import tempfile
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from islsim import cli, kgstore
+from islsim import node as node_module
 from islsim.cas import content_address
 from islsim.errors import (
     AlreadyShared,
@@ -38,14 +40,18 @@ PROFILE = RoomProfile(slope=2.0, intercept=1.0, noise_scale=0.05)
 WARM = RoomProfile(slope=2.0, intercept=1.5, noise_scale=0.05)
 
 
-@pytest.fixture
-def net(tmp_path):
-    network = Network.create(tmp_path / "net", owner_balance=1_000)
+def two_node_network(root):
+    network = Network.create(root, owner_balance=1_000)
     network.add_node("alice", balance=500)
     network.add_node("bob", balance=500)
     network.register_node("alice")
     network.register_node("bob")
     return network
+
+
+@pytest.fixture
+def net(tmp_path):
+    return two_node_network(tmp_path / "net")
 
 
 def shared_model(net, node_name="alice", local="m1", seed=11, n_rows=40):
@@ -409,6 +415,67 @@ class TestMarketplace:
             expected = sorted(expected + [(own.content_address, "bob", own.mse)], key=lambda r: r[2])
         assert [(m.address, m.owner_node, m.mse) for m in ranked] == expected
 
+    def test_model_shared_after_a_query_is_listed_by_the_next(self, net):
+        first = shared_model(net)
+        bob = net.node("bob")
+        assert [m.address for m in bob.query_models("occupancy_detection", {"co2"})] == [
+            first.content_address]
+
+        alice = net.node("alice")
+        alice.create_local_dataset("d2", seed=12, profile=WARM, n_rows=30)
+        alice.train_model("m2", "d2", "occupancy_detection")
+        second = alice.share_model("m2")
+
+        ranked = bob.query_models("occupancy_detection", {"co2"})
+        assert sorted(m.address for m in ranked) == sorted(
+            [first.content_address, second.content_address])
+        assert [(m.mse, m.address) for m in ranked] == sorted((m.mse, m.address) for m in ranked)
+
+    def test_adopted_registration_is_listed_by_the_next_query(self, net):
+        shared_model(net)
+        bob = net.node("bob")
+        bob.create_local_dataset("d1", seed=12, profile=WARM, n_rows=30)
+        own = bob.train_model("m1", "d1", "occupancy_detection")
+        ds_addr = bob.share_dataset("d1").content_address
+        addr = own.model_uri.rsplit("/", 1)[-1]
+        # bob registers his own model's real address while his graph holds it unshared
+        receipt = net.ledger.submit(
+            bob.account, "oracle", "share_model", (own.iri, addr, own.task, ds_addr, None))
+        assert receipt.status == "ok"
+        carol = net.add_node("carol", balance=0)
+        assert addr not in [m.address for m in carol.query_models("occupancy_detection", {"co2"})]
+
+        adopted = bob.share_model("m1")  # finds the row and adopts its registration
+        assert (adopted.content_address, adopted.tx_id) == (addr, receipt.tx_id)
+        ranked = carol.query_models("occupancy_detection", {"co2"})
+        assert [m.owner_node for m in ranked if m.address == addr] == ["bob"]
+
+    def test_a_query_looks_up_only_new_and_unverified_rows(self, net, monkeypatch):
+        lookups = []
+        real = kgstore.KnowledgeGraph.shared_record
+        monkeypatch.setattr(kgstore.KnowledgeGraph, "shared_record",
+                            lambda graph, *args: lookups.append(args) or real(graph, *args))
+        record = shared_model(net)
+        bob = net.node("bob")
+
+        def lookups_of_a_query():
+            lookups.clear()
+            ranked = bob.query_models("occupancy_detection", {"co2"})
+            assert ranked == reference_query(net, record.task, {"co2"})
+            return len(lookups)
+
+        assert lookups_of_a_query() == 1
+        assert lookups_of_a_query() == 0  # the registry is unchanged
+
+        ds_addr = net.node("alice").graph.dataset(record.dataset).content_address
+        squat = net.ledger.submit(bob.account, "oracle", "share_model",
+                                  ("isl://bob/model/x", "ef" * 32, record.task, ds_addr, None))
+        assert squat.status == "ok"
+        assert lookups_of_a_query() == 1  # the new row, which stays unverified
+        shared_model(net, "bob", seed=12)
+        assert lookups_of_a_query() == 2  # the new share and the unverified row
+        assert lookups_of_a_query() == 1  # only the unverified row
+
     def test_acquire_refuses_a_squatted_entry(self, net):
         record = shared_model(net)
         bob = net.node("bob")
@@ -584,7 +651,11 @@ def reference_query(net, task, sensors):
        st.lists(registry_op, min_size=1, max_size=8),
        st.lists(market_query, min_size=1, max_size=4))
 def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, ops, queries):
-    """Criterion 10's ground-truth check, over registries that also hold raw entries."""
+    """Criterion 10's ground-truth check, over registries that also hold raw entries.
+
+    Every query runs after every op, so the network's listings are read
+    and then extended by each kind of op in turn.
+    """
     with tempfile.TemporaryDirectory() as root:
         net = Network.create(Path(root), owner_balance=1_000)
         nodes = [net.add_node(name, balance=500) for name in ("n0", "n1", "n2")]
@@ -619,9 +690,9 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
                 ds_addr = net.oracle.model_entry(models[0])["dataset_addr"]
                 net.ledger.submit(senders[who], "oracle", "share_model",
                                   (pool[pick % len(pool)], addr, kgstore.task_iri(task), ds_addr, None))
-        for who, task, sensors in queries:
-            got = nodes[who].query_models(task, sensors)
-            assert got == reference_query(net, kgstore.task_iri(task), sensors)
+            for who, task, sensors in queries:
+                got = nodes[who].query_models(task, sensors)
+                assert got == reference_query(net, kgstore.task_iri(task), sensors)
 
 
 class TestTransferIntegrity:
@@ -695,6 +766,40 @@ class TestPersistence:
 
         assert cli.main(["replay", str(net.root)]) == 0
         assert capsys.readouterr().out == "MATCH\n"
+
+
+    def test_a_persist_stopped_at_any_write_leaves_no_chainstate_or_a_replayable_workspace(
+            self, tmp_path, monkeypatch, capsys):
+        real = node_module.write_atomic
+        for k in itertools.count(1):
+            net = two_node_network(tmp_path / f"ws{k}")
+            record = shared_model(net)
+            net.node("bob").acquire_model(record.content_address, 0)
+            writes = []
+
+            def write_or_fail(path, data):
+                writes.append(path)
+                if len(writes) == k:
+                    raise OSError("injected write fault")
+                real(path, data)
+
+            monkeypatch.setattr(node_module, "write_atomic", write_or_fail)
+            with contextlib.suppress(OSError):
+                net.persist()
+            monkeypatch.setattr(node_module, "write_atomic", real)
+
+            code = cli.main(["replay", str(net.root)])
+            out, err = capsys.readouterr()
+            if (net.root / node_module.CHAINSTATE_FILE).exists():
+                for name in net.node_names():
+                    assert (net.root / "nodes" / name / "kg.nt").is_file()
+                    assert (net.root / "nodes" / name / "account.txt").is_file()
+                assert (code, out) == (0, "MATCH\n")
+            else:
+                assert code == 1 and err.startswith("UnknownWorkspace: ")
+            if len(writes) < k:  # the persist made fewer writes than k, so none failed
+                break
+        assert k == 7  # two node files per node, ledger.log and chainstate.json, then a clean run
 
 
 class TestReferenceResolution:

@@ -10,8 +10,11 @@ record stores nothing. It then adds the triples and keeps, as the
 record's view, the record those triples decode to; so a view always
 equals a read of its triples, and an ``int`` MAE comes back as a
 ``float``. A lookup is one dict read of that view. ``mark_shared``
-stores the record again with its sharing fields set, and ``discard``
-removes the triples of the stored view.
+stores only the two sharing fields, adding their two triples to the
+record's own and keeping the view with those fields set, and
+``discard`` removes the triples of the stored view. ``writes`` counts
+the stores, so a reader can tell whether any record may have changed
+since it last looked.
 
 Everything a node knows about its own assets and any remote shared
 assets it has cached lives here, so the N-Triples export of the graph
@@ -154,10 +157,13 @@ def _split(text: str) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()
 
 
+_CONTROL = re.compile(r"[\n\r\t]")
+
+
 def _literal(value: object) -> Literal:
     if not isinstance(value, str):
         raise MalformedTriple(f"literal is not a string: {value!r}")
-    if any(ch in value for ch in "\n\r\t"):
+    if _CONTROL.search(value):
         raise MalformedTriple("literal contains control characters")
     return Literal(value)
 
@@ -228,23 +234,32 @@ RECORDS: dict[str, _RecordType] = {
 }
 
 
-def _encode(type_iri: str, record: Any) -> tuple[list[Triple], Any]:
+def _encode(type_iri: str, record: Any, changes: dict | None = None) -> tuple[list[Triple], Any]:
     """The triples of ``record`` and the record they decode to.
 
-    An optional field that is None has no triple. A required field is
-    encoded as given, so a bad value raises ``MalformedTriple``.
+    With ``changes`` (field -> new value), only the triples of those
+    fields, and ``record`` with them set. An optional field that is None
+    has no triple. A required field is encoded as given, so a bad value
+    raises ``MalformedTriple``.
     """
     record_type = RECORDS[type_iri]
-    triples = [Triple(record.iri, P_TYPE, type_iri)]
-    values: dict[str, Any] = {"iri": record.iri}
+    triples = [] if changes is not None else [Triple(record.iri, P_TYPE, type_iri)]
+    values: dict[str, Any] = {}
     for field, pred, (encode, decode), required in record_type.fields:
-        value = getattr(record, field)
+        if changes is None:
+            value = getattr(record, field)
+        elif field in changes:
+            value = changes[field]
+        else:
+            continue
         if required or value is not None:
             obj = encode(value)
             triples.append(Triple(record.iri, pred, obj))
             value = decode(obj)
         values[field] = value
-    return triples, record_type.cls(**values)
+    if changes is not None:
+        return triples, replace(record, **values)
+    return triples, record_type.cls(iri=record.iri, **values)
 
 
 _TYPE_OF = {record_type.cls: type_iri for type_iri, record_type in RECORDS.items()}
@@ -255,12 +270,18 @@ class KnowledgeGraph:
         self.node_id = node_id
         self.triples: set[Triple] = set()
         self._views: dict[str, DatasetDescriptor | ModelRecord] = {}
+        self.writes = 0  # stores so far
 
-    def _store(self, type_iri: str, record: Any) -> Any:
-        """Add the triples of ``record`` and keep the record they decode to as its view."""
-        triples, view = _encode(type_iri, record)
+    def _store(self, type_iri: str, record: Any, changes: dict | None = None) -> Any:
+        """Add the triples of ``record`` and keep the record they decode to as its view.
+
+        With ``changes``, ``record`` is the stored view and only the
+        triples of the changed fields are added (see ``_encode``).
+        """
+        triples, view = _encode(type_iri, record, changes)
         self.triples.update(triples)
         self._views[view.iri] = view
+        self.writes += 1
         return view
 
     # ------------------------------------------------------------ registration
@@ -354,10 +375,10 @@ class KnowledgeGraph:
             raise NotFound(f"no resource {iri} in this graph")
         if existing.shared:
             raise AlreadyShared(f"{iri} was already shared as {existing.content_address}")
-        shared = replace(existing, content_address=addr, tx_id=tx_id)
-        if not shared.shared:
+        if addr is None or tx_id is None:
             raise MalformedTriple(f"{iri}: sharing needs both a content address and a tx id")
-        return self._store(_TYPE_OF[type(existing)], shared)
+        return self._store(_TYPE_OF[type(existing)], existing,
+                           {"content_address": addr, "tx_id": tx_id})
 
     # ----------------------------------------------------------------- queries
 

@@ -9,6 +9,13 @@ are identical on every platform. Serialized assets format floats with 9
 significant digits; 9-digit decimals round-trip exactly through IEEE
 doubles, which makes content addresses of serialized assets stable.
 
+The gradient of a fine-tuning step runs over feature columns, split
+from the rows once per ``fine_tune`` call, but adds up in the order a
+row-by-row loop would: each prediction starts at 0.0 and adds
+``w * x`` feature by feature, then the bias, and each gradient sum
+starts at 0.0 and adds the rows in order. No sum goes through the
+builtin ``sum()``, whose float algorithm changed in CPython 3.12.
+
 Synthetic room data
 -------------------
 ``make_synthetic_room`` lays feature values on a deterministic symmetric
@@ -22,12 +29,15 @@ A handful of rows therefore rarely pins down behaviour in the tails,
 which is what makes warm-starting from a model fitted on plentiful data
 genuinely better than refitting from scratch on a few rows. Only the
 target noise consumes random draws (12 uniforms per row, summed and
-centered: mean 0, variance 1, bounded by ±6, no transcendentals).
+centered: mean 0, variance 1, bounded by ±6, no transcendentals). The
+grid depends on the row count alone, so it is computed once per count
+and kept in a small bounded cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -227,25 +237,35 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
 def mse_gradient(m: LinearModel, d: TabularDataset) -> tuple[tuple[float, ...], float]:
     """Analytic gradient of mean squared error w.r.t. (weights, bias)."""
     _check_features(m, d)
-    grad_w, grad_b = _gradient(m.weights, m.bias, d.rows)
+    grad_w, grad_b = _gradient(m.weights, m.bias, *_columns(d))
     return tuple(grad_w), grad_b
 
 
-def _gradient(weights, bias: float, rows) -> tuple[list[float], float]:
-    """The loop of :func:`mse_gradient`; each prediction adds up as in ``predict``."""
-    if not rows:
+def _columns(d: TabularDataset) -> tuple[tuple[tuple[float, ...], ...], list[float]]:
+    """The feature columns and the targets of ``d``, each in row order."""
+    if not d.rows:
         raise EmptyDataset("gradient of an empty dataset is undefined")
-    grad_w = [0.0] * len(weights)
+    return tuple(zip(*[features for features, _ in d.rows])), [target for _, target in d.rows]
+
+
+def _gradient(weights, bias: float, columns, targets) -> tuple[list[float], float]:
+    """The loop of :func:`mse_gradient`, one column at a time, in the row
+    order the module docstring fixes; a prediction adds up as in ``predict``."""
+    preds = [0.0] * len(targets)
+    for w, column in zip(weights[:-1], columns):
+        preds = [acc + w * v for acc, v in zip(preds, column)]
+    w = weights[-1]  # the last feature's term, the bias and the target end each error
+    errs = [acc + w * v + bias - target for acc, v, target in zip(preds, columns[-1], targets)]
     grad_b = 0.0
-    for features, target in rows:
-        acc = 0.0
-        for w, v in zip(weights, features):
-            acc += w * v
-        err = acc + bias - target
+    for err in errs:
         grad_b += err
-        for j, x in enumerate(features):
-            grad_w[j] += err * x
-    scale = 2.0 / len(rows)
+    grad_w = []
+    for column in columns:
+        g = 0.0
+        for err, x in zip(errs, column):
+            g += err * x
+        grad_w.append(g)
+    scale = 2.0 / len(targets)
     return [scale * g for g in grad_w], scale * grad_b
 
 
@@ -262,9 +282,10 @@ def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: f
         raise ValueError("learning rate must be positive")
     if steps == 0:
         return base
+    columns, targets = _columns(d)
     weights, bias = base.weights, base.bias
     for _ in range(steps):
-        grad_w, grad_b = _gradient(weights, bias, d.rows)
+        grad_w, grad_b = _gradient(weights, bias, columns, targets)
         weights = [w - learning_rate * g for w, g in zip(weights, grad_w)]
         bias -= learning_rate * grad_b
     return LinearModel(tuple(weights), bias, base.input_features)
@@ -303,6 +324,16 @@ _X_TAIL_COEF = 10.0  # tail weight: extremes reach ~11x the bulk scale
 _X_TAIL_EXP = 9  # odd, keeps the grid symmetric around zero
 
 
+@lru_cache(maxsize=16)
+def _grid(n_rows: int) -> tuple[float, ...]:
+    """The feature values of an ``n_rows`` room dataset; the same for every seed."""
+    values = []
+    for i in range(n_rows):
+        u = 2.0 * (i + 0.5) / n_rows - 1.0
+        values.append(quantize(_X_SCALE * (u + _X_TAIL_COEF * u**_X_TAIL_EXP)))
+    return tuple(values)
+
+
 def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> TabularDataset:
     """Deterministic single-feature room dataset for the given seed.
 
@@ -314,9 +345,7 @@ def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> Tabular
         raise ValueError("n_rows must be at least 1")
     state = seed & _LCG_MASK
     rows = []
-    for i in range(n_rows):
-        u = 2.0 * (i + 0.5) / n_rows - 1.0
-        x = quantize(_X_SCALE * (u + _X_TAIL_COEF * u**_X_TAIL_EXP))
+    for x in _grid(n_rows):
         noise = 0.0  # 12 uniform draws in [0, 1), 53 bits of the 64-bit state each
         for _ in range(12):
             state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK

@@ -78,8 +78,10 @@ class TaskListing:
 
     ``seen`` counts the task's rows examined so far, ``verified`` holds
     the rows whose registering node records that model shared under that
-    address, sorted by ``(mse, addr)``, and ``unverified`` the other rows
-    as ``OracleContract.query_task`` gives them.
+    address, sorted by ``(mse, addr)``, and ``unverified`` the other rows,
+    as ``(addr, iri)`` pairs keyed by registering account together with
+    that account's graph ``writes`` when they were last checked (None if
+    the account has no node).
 
     A verified row stays verified: a committed registry row never
     changes, and a graph never replaces or drops a record it holds as
@@ -88,7 +90,8 @@ class TaskListing:
     ``discard`` only runs on a record just registered and still
     unshared). An unverified row can still become valid, when its
     registering node later shares those exact bytes and so adopts the
-    row, so it is checked again on every query.
+    row; that takes a store in the node's graph, so the row is checked
+    again only once the graph's ``writes`` has moved.
     """
 
     __slots__ = ("seen", "verified", "unverified")
@@ -96,7 +99,7 @@ class TaskListing:
     def __init__(self) -> None:
         self.seen = 0
         self.verified: list[Listed] = []
-        self.unverified: list[tuple[str, str, str]] = []
+        self.unverified: dict[str, tuple[int | None, list[tuple[str, str]]]] = {}
 
 
 def chainstate_bytes(ledger: Ledger, meta: object) -> bytes:
@@ -186,27 +189,38 @@ class Network:
     def listed_models(self, task: str) -> list[Listed]:
         """The verified registry rows of ``task``, sorted by ``(mse, addr)``.
 
-        Only the rows registered since the last call and the rows not
-        verified yet are checked against the registering node's graph;
-        see ``TaskListing`` for why a verified row needs no second look.
+        Only the rows registered since the last call, and the unverified
+        rows of an account whose graph has stored a record since they
+        were last checked, are checked against the registering node's
+        graph; see ``TaskListing`` for why no other row needs a look.
         """
         listing = self._listings.get(task) or TaskListing()
         new = self.oracle.query_task(task, listing.seen)
-        if not new and not listing.unverified:
+        moved = [owner for owner, (writes, _) in listing.unverified.items()
+                 if self._writes_of(owner) != writes]
+        if not new and not moved:
             return listing.verified
         self._listings[task] = listing
         listing.seen += len(new)
-        rows, listing.unverified = listing.unverified + new, []
+        rows = list(new)
+        for owner in moved:
+            rows += [(addr, owner, iri) for addr, iri in listing.unverified.pop(owner)[1]]
         found = []
         for addr, owner, iri in rows:
             node, record = self.registered_record(owner, kgstore.T_MODEL, iri, addr)
             if record is None:
-                listing.unverified.append((addr, owner, iri))
+                pending = listing.unverified.setdefault(owner, (self._writes_of(owner), []))
+                pending[1].append((addr, iri))
             else:
                 found.append((record.mse, addr, record.input_features, record.mae, node.name))
         if found:
             listing.verified = sorted(listing.verified + found)
         return listing.verified
+
+    def _writes_of(self, account: str) -> int | None:
+        """The ``writes`` count of the graph of ``account``'s node; None if it has no node."""
+        node = self._nodes_by_account.get(account)
+        return None if node is None else node.graph.writes
 
     # ------------------------------------------------------------- references
 
@@ -506,7 +520,8 @@ class IslNode:
         records, in its own graph, that model shared under that address;
         an entry whose IRI the registering node does not hold as shared
         there (a squatted or foreign IRI) is skipped. The network checks
-        an entry on every query until it is verified, and not after
+        a new entry once, and an unverified one again only after its
+        registering node's graph has stored a record
         (``Network.listed_models``); prices are read at query time.
 
         Results come back best first: ascending mean squared error, ties

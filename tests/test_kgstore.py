@@ -217,6 +217,36 @@ class TestSharing:
         with pytest.raises(NotFound):
             kg.mark_shared(kgstore.dataset_iri("alice", "nope"), ADDR, "tx-1")
 
+    @pytest.mark.parametrize("kind", ["Dataset", "Model"])
+    def test_mark_shared_adds_only_the_two_sharing_triples(self, kg, kind):
+        kg.register_dataset(dataset())
+        kg.register_model(model())
+        iri = (dataset() if kind == "Dataset" else model()).iri
+        before = set(kg.triples)
+        shared = kg.mark_shared(iri, ADDR, "tx-3")
+        assert kg.triples - before == {
+            Triple(iri, kgstore.P_CONTENT_ADDRESS, Literal(ADDR)),
+            Triple(iri, kgstore.P_TX_ID, Literal("tx-3")),
+        }
+        assert before <= kg.triples
+        assert _expected_record(kg, iri, kind) == shared
+        read = kg.dataset if kind == "Dataset" else kg.model
+        assert read(iri) == shared
+
+    @pytest.mark.parametrize("addr, tx_id", [(7, "tx-1"), (ADDR, 7), (ADDR.encode(), "tx-1"),
+                                             (ADDR, ("tx-1",))])
+    def test_a_share_refused_for_a_non_string_changes_nothing(self, kg, addr, tx_id):
+        kg.register_dataset(dataset())
+        kg.register_model(model())
+        before = set(kg.triples)
+        views = (kg.datasets(), kg.models())
+        for iri in (dataset().iri, model().iri):
+            with pytest.raises(MalformedTriple):
+                kg.mark_shared(iri, addr, tx_id)
+        assert kg.triples == before
+        assert (kg.datasets(), kg.models()) == views
+        assert not kg.dataset(dataset().iri).shared and not kg.model(model().iri).shared
+
 
 class TestQueries:
     def test_models_by_task_sorted_by_iri(self, kg):

@@ -274,6 +274,13 @@ class TestGenerator:
         with pytest.raises(ValueError):
             make_synthetic_room(1, RoomProfile(1.0, 0.0, 0.1), 0)
 
+    def test_a_repeated_size_equals_the_reference(self):
+        # the grid of a size seen before comes from the cache, also after
+        # other sizes and seeds, and after more sizes than the cache holds
+        p = RoomProfile(2.0, 1.0, 0.05)
+        for seed, n in [(1, 40), (2, 5), (3, 40), (4, 8), *((5, k) for k in range(1, 41)), (6, 40)]:
+            assert make_synthetic_room(seed, p, n).rows == ref_room_rows(seed, 2.0, 1.0, 0.05, n)
+
     def test_values_are_quantized_at_birth(self):
         d = make_synthetic_room(17, RoomProfile(2.0, 1.0, 0.05), 40)
         for features, target in d.rows:
@@ -326,3 +333,12 @@ def test_gradient_and_fine_tune_are_bit_identical_to_the_reference(pair, steps, 
     ref_w, ref_b = ref_fine_tune(m.weights, m.bias, d.rows, steps, learning_rate)
     assert (tuned.weights, tuned.bias) == (ref_w, ref_b)
     assert tuned.to_bytes() == LinearModel(ref_w, ref_b, m.input_features).to_bytes()
+
+
+def test_a_twelve_thousand_row_fit_is_bit_identical_to_the_reference():
+    # the size of the base datasets the ml_fit benchmark workload fits and tunes from
+    d = make_synthetic_room(3, RoomProfile(2.0, 1.0, 0.05), 12_000)
+    base = LinearModel((1.5,), 0.8, ("co2",))
+    assert mse_gradient(base, d) == ref_mse_gradient(base.weights, base.bias, d.rows)
+    tuned = fine_tune(base, d, 3, 0.05)
+    assert (tuned.weights, tuned.bias) == ref_fine_tune(base.weights, base.bias, d.rows, 3, 0.05)

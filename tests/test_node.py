@@ -462,7 +462,11 @@ class TestMarketplace:
             lookups.clear()
             ranked = bob.query_models("occupancy_detection", {"co2"})
             assert ranked == reference_query(net, record.task, {"co2"})
+            listed.clear()
+            listed.extend(m.address for m in ranked)
             return len(lookups)
+
+        listed: list[str] = []
 
         assert lookups_of_a_query() == 1
         assert lookups_of_a_query() == 0  # the registry is unchanged
@@ -474,7 +478,23 @@ class TestMarketplace:
         assert lookups_of_a_query() == 1  # the new row, which stays unverified
         shared_model(net, "bob", seed=12)
         assert lookups_of_a_query() == 2  # the new share and the unverified row
-        assert lookups_of_a_query() == 1  # only the unverified row
+        assert lookups_of_a_query() == 0  # bob's graph stored nothing since the last look
+
+        # bob registers the real address of a model its graph holds unshared
+        bob.create_local_dataset("d2", seed=13, profile=WARM, n_rows=30)
+        own = bob.train_model("m2", "d2", "occupancy_detection")
+        ds_addr = bob.share_dataset("d2").content_address
+        addr = own.model_uri.rsplit("/", 1)[-1]
+        receipt = net.ledger.submit(
+            bob.account, "oracle", "share_model", (own.iri, addr, own.task, ds_addr, None))
+        assert receipt.status == "ok"
+        assert lookups_of_a_query() == 2  # the new row, and the squat as bob's graph moved
+        assert addr not in listed
+        assert lookups_of_a_query() == 0
+        bob.share_model("m2")  # adopts the row
+        assert lookups_of_a_query() == 2  # both of bob's unverified rows
+        assert addr in listed
+        assert lookups_of_a_query() == 0
 
     def test_acquire_refuses_a_squatted_entry(self, net):
         record = shared_model(net)

@@ -23,7 +23,8 @@ A number outside what the chain or the models take (a negative
 balance or payment, an amount beyond 2**256 - 1, fewer than one row,
 negative STEPS, an LR that is not positive, a SLOPE, INTERCEPT, NOISE
 or LR that is not finite) is malformed input, as is a ``--workspace``
-that is not a directory.
+that is not a directory or is a directory that is not empty: a
+workspace holds the output of one run.
 
 A resource reference (DSID, BASEREF, RESID, REF) has one grammar, read
 by ``Network.resolve``: a 64-hex content address is taken as given (in
@@ -57,7 +58,7 @@ from .contracts import ChainStep, OracleContract, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
 from .ledger import WORD, parse_log_line, replay
 from .mlsim import RoomProfile
-from .node import CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes
+from .node import CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes, is_node_name
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario file into a workspace")
     run.add_argument("scenario", help="path to the scenario file")
-    run.add_argument("--workspace", required=True, help="directory to (re)build")
+    run.add_argument("--workspace", required=True, help="new or empty directory to build")
     run.set_defaults(func=_cmd_run)
 
     inspect = sub.add_parser("inspect", help="read a persisted workspace")
@@ -110,7 +111,10 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise ParseError(f"scenario {path} is not UTF-8: {exc}") from None
     commands = _parse_scenario(text)
-    runner = ScenarioRunner(Path(ns.workspace))
+    workspace = Path(ns.workspace)
+    if workspace.is_dir() and any(workspace.iterdir()):
+        raise ParseError(f"workspace {workspace} is not empty")
+    runner = ScenarioRunner(workspace)
     return runner.run(commands)
 
 
@@ -342,8 +346,8 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
     if not workspace.is_dir():
         raise UnknownWorkspace(f"no workspace directory {workspace}")
     if ns.what == "graph":
-        if not ns.arg:
-            raise ParseError("inspect graph needs a node name")
+        if not is_node_name(ns.arg or ""):
+            raise ParseError(f"inspect graph needs a node name, got {ns.arg!r}")
         kg_path = workspace / "nodes" / ns.arg / "kg.nt"
         if not kg_path.is_file():
             raise UnknownWorkspace(f"no persisted graph for node {ns.arg!r}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import islice
 
 from .cas import is_address
 from .depgraph import lineage
@@ -137,18 +136,10 @@ class OracleContract(Contract):
 
     # ------------------------------------------------------------- read-only
 
-    def query_task(self, task: str, start: int = 0) -> list[tuple[str, str, str]]:
-        """``(addr, owner account, iri)`` of each model registered for ``task``, in share order,
-        from the ``start``-th on.
-
-        A committed row keeps its place, since the registry only ever
-        appends, so a caller that has read ``n`` rows reads the rest from
-        ``start=n``.
-        """
-        models, addrs = self.state["shared_models"], self.state["task_index"].get(task, {})
-        if start >= len(addrs):
-            return []
-        return [(a, (e := models[a])["owner"], e["iri"]) for a in islice(addrs, start, None)]
+    def query_task(self, task: str) -> list[tuple[str, str, str]]:
+        """``(addr, owner account, iri)`` of each model registered for ``task``, in share order."""
+        models = self.state["shared_models"]
+        return [(a, (e := models[a])["owner"], e["iri"]) for a in self.state["task_index"].get(task, ())]
 
     def dataset_entry(self, addr: str) -> dict | None:
         entry = self.state["shared_datasets"].get(addr)

@@ -12,9 +12,7 @@ equals a read of its triples, and an ``int`` MAE comes back as a
 ``float``. A lookup is one dict read of that view. ``mark_shared``
 stores only the two sharing fields, adding their two triples to the
 record's own and keeping the view with those fields set, and
-``discard`` removes the triples of the stored view. ``writes`` counts
-the stores, so a reader can tell whether any record may have changed
-since it last looked.
+``discard`` removes the triples of the stored view.
 
 Everything a node knows about its own assets and any remote shared
 assets it has cached lives here, so the N-Triples export of the graph
@@ -270,7 +268,6 @@ class KnowledgeGraph:
         self.node_id = node_id
         self.triples: set[Triple] = set()
         self._views: dict[str, DatasetDescriptor | ModelRecord] = {}
-        self.writes = 0  # stores so far
 
     def _store(self, type_iri: str, record: Any, changes: dict | None = None) -> Any:
         """Add the triples of ``record`` and keep the record they decode to as its view.
@@ -281,7 +278,6 @@ class KnowledgeGraph:
         triples, view = _encode(type_iri, record, changes)
         self.triples.update(triples)
         self._views[view.iri] = view
-        self.writes += 1
         return view
 
     # ------------------------------------------------------------ registration

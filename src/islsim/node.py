@@ -14,6 +14,7 @@ nodes.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from pathlib import Path
 from typing import NamedTuple
@@ -73,38 +74,14 @@ class RankedModel(NamedTuple):
 Listed = tuple[float, str, tuple[str, ...], float, str]
 
 
-class TaskListing:
-    """What the marketplace queries of one task have read of its registry rows.
-
-    ``seen`` counts the task's rows examined so far, ``verified`` holds
-    the rows whose registering node records that model shared under that
-    address, sorted by ``(mse, addr)``, and ``unverified`` the other rows,
-    as ``(addr, iri)`` pairs keyed by registering account together with
-    that account's graph ``writes`` when they were last checked (None if
-    the account has no node).
-
-    A verified row stays verified: a committed registry row never
-    changes, and a graph never replaces or drops a record it holds as
-    shared (``mark_shared`` refuses one already shared,
-    ``_cache_remote`` a different record under a held IRI, and
-    ``discard`` only runs on a record just registered and still
-    unshared). An unverified row can still become valid, when its
-    registering node later shares those exact bytes and so adopts the
-    row; that takes a store in the node's graph, so the row is checked
-    again only once the graph's ``writes`` has moved.
-    """
-
-    __slots__ = ("seen", "verified", "unverified")
-
-    def __init__(self) -> None:
-        self.seen = 0
-        self.verified: list[Listed] = []
-        self.unverified: dict[str, tuple[int | None, list[tuple[str, str]]]] = {}
-
-
 def chainstate_bytes(ledger: Ledger, meta: object) -> bytes:
     """The bytes of ``chainstate.json``: the state replay must reproduce, plus ``meta``."""
     return canonical_json({**ledger.state_dict(), "meta": meta}) + b"\n"
+
+
+def is_node_name(name: str) -> bool:
+    """Whether ``name`` may name a node: non-empty, alphanumeric with ``-`` or ``_``."""
+    return bool(name) and all(c.isalnum() or c in "-_" for c in name)
 
 
 def _addr_of(local_uri: str) -> str:
@@ -123,10 +100,13 @@ class Network:
         self.owner_account = owner_account
         self._nodes: dict[str, IslNode] = {}
         self._nodes_by_account: dict[str, IslNode] = {}
-        self._listings: dict[str, TaskListing] = {}  # task iri -> listing, once it has rows
+        self._listed: dict[str, list[Listed]] = {}  # task iri -> its listed rows, sorted
 
     @classmethod
     def create(cls, root: str | Path, owner_balance: int) -> "Network":
+        """A new network in ``root``, which must be missing or an empty directory."""
+        if Path(root).is_dir() and any(Path(root).iterdir()):
+            raise IslError(f"workspace {root} is not empty")
         ledger = Ledger()
         for contract in cls.contract_factory():
             ledger.register_contract(contract)
@@ -155,7 +135,7 @@ class Network:
     def add_node(self, name: str, balance: int) -> "IslNode":
         if name in self._nodes:
             raise IslError(f"node {name!r} already exists")
-        if not name or not all(c.isalnum() or c in "-_" for c in name):
+        if not is_node_name(name):
             raise IslError(f"node name {name!r} must be alphanumeric with - or _")
         account = self.ledger.create_account(balance)
         node_dir = self.root / "nodes" / name
@@ -187,40 +167,21 @@ class Network:
         return node, None if node is None else node.graph.shared_record(type_iri, iri, addr)
 
     def listed_models(self, task: str) -> list[Listed]:
-        """The verified registry rows of ``task``, sorted by ``(mse, addr)``.
+        """The listed registry rows of ``task``, sorted by ``(mse, addr)``.
 
-        Only the rows registered since the last call, and the unverified
-        rows of an account whose graph has stored a record since they
-        were last checked, are checked against the registering node's
-        graph; see ``TaskListing`` for why no other row needs a look.
+        A row ``(addr, owner, iri)`` is valid when the node of account
+        ``owner`` records ``iri`` shared as ``addr`` in its own graph.
+        That turns true in one place, ``IslNode._share_tx``, the only
+        caller of ``mark_shared``, which runs once the row exists (its own
+        transaction or an adopted row) and lists the row if it is the
+        node's own; a cached remote record is shared under its source's
+        row. It never turns false: a committed row never changes, and a
+        graph never replaces or drops a record it holds as shared
+        (``mark_shared`` refuses one already shared, ``_cache_remote`` a
+        different record under a held IRI, and ``discard`` only runs on a
+        record just registered and still unshared).
         """
-        listing = self._listings.get(task) or TaskListing()
-        new = self.oracle.query_task(task, listing.seen)
-        moved = [owner for owner, (writes, _) in listing.unverified.items()
-                 if self._writes_of(owner) != writes]
-        if not new and not moved:
-            return listing.verified
-        self._listings[task] = listing
-        listing.seen += len(new)
-        rows = list(new)
-        for owner in moved:
-            rows += [(addr, owner, iri) for addr, iri in listing.unverified.pop(owner)[1]]
-        found = []
-        for addr, owner, iri in rows:
-            node, record = self.registered_record(owner, kgstore.T_MODEL, iri, addr)
-            if record is None:
-                pending = listing.unverified.setdefault(owner, (self._writes_of(owner), []))
-                pending[1].append((addr, iri))
-            else:
-                found.append((record.mse, addr, record.input_features, record.mae, node.name))
-        if found:
-            listing.verified = sorted(listing.verified + found)
-        return listing.verified
-
-    def _writes_of(self, account: str) -> int | None:
-        """The ``writes`` count of the graph of ``account``'s node; None if it has no node."""
-        node = self._nodes_by_account.get(account)
-        return None if node is None else node.graph.writes
+        return self._listed.get(task, [])
 
     # ------------------------------------------------------------- references
 
@@ -501,15 +462,24 @@ class IslNode:
         oracle = self.network.oracle
         existing = oracle.model_entry(addr) if kind == "model" else oracle.dataset_entry(addr)
         if existing is not None:
-            # identical content already on chain; adopt its registration
-            return self.graph.mark_shared(record.iri, addr, existing["tx_id"])
-        args: tuple = (record.iri, addr)
-        if isinstance(record, ModelRecord):
-            base = record.base_model
-            base_addr = None if base is None else self.graph.model(base).content_address
-            args += (record.task, self.graph.dataset(record.dataset).content_address, base_addr)
-        receipt = self.network.submit(self.account, "oracle", "share_" + kind, args)
-        return self.graph.mark_shared(record.iri, addr, str(receipt.return_value))
+            tx_id = existing["tx_id"]  # identical content already on chain; adopt its registration
+        else:
+            args: tuple = (record.iri, addr)
+            if isinstance(record, ModelRecord):
+                base = record.base_model
+                base_addr = None if base is None else self.graph.model(base).content_address
+                args += (record.task, self.graph.dataset(record.dataset).content_address, base_addr)
+            receipt = self.network.submit(self.account, "oracle", "share_" + kind, args)
+            tx_id = str(receipt.return_value)
+        shared = self.graph.mark_shared(record.iri, addr, tx_id)
+        if isinstance(shared, ModelRecord):
+            # list this node's own row of the record (see ``Network.listed_models``) under the
+            # row's task: an adopted row may name another task than the record
+            row = oracle.model_entry(addr)
+            if (row["owner"], row["iri"]) == (self.account, shared.iri):
+                bisect.insort(self.network._listed.setdefault(row["task"], []), (
+                    shared.mse, addr, shared.input_features, shared.mae, self.name))
+        return shared
 
     # ------------------------------------------------------------- marketplace
 
@@ -519,9 +489,9 @@ class IslNode:
         A registry entry is listed only when the node that registered it
         records, in its own graph, that model shared under that address;
         an entry whose IRI the registering node does not hold as shared
-        there (a squatted or foreign IRI) is skipped. The network checks
-        a new entry once, and an unverified one again only after its
-        registering node's graph has stored a record
+        there (a squatted or foreign IRI) is skipped. The share path
+        lists an entry once, when its registering node marks it shared,
+        so a query reads no registry row and no graph record
         (``Network.listed_models``); prices are read at query time.
 
         Results come back best first: ascending mean squared error, ties

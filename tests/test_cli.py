@@ -37,6 +37,11 @@ MODEL_ENTRY = {
 }
 
 
+def files_of(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def scenario_file(tmp_path: Path, text: str) -> str:
     path = tmp_path / "scenario.isl"
     path.write_text(text, encoding="utf-8")
@@ -415,6 +420,55 @@ class TestUsageErrors:
         assert err.startswith("ParseError: ") and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
         assert blocker.read_text() == "kept\n"
+
+    def test_rerun_into_a_workspace_with_an_altered_blob_is_refused(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run(["run", str(TWO_NODE), "--workspace", str(ws)]) == 0
+        out = capsys.readouterr().out
+        addr = re.search(r"^shared isl://alice/model/m1 addr=([0-9a-f]{64})", out, re.M).group(1)
+        with (ws / "nodes" / "alice" / "blobs" / addr[:2] / addr).open("ab") as blob:
+            blob.write(b"x")
+        before = files_of(ws)
+
+        # a rebuild would keep the altered blob, since a put skips an existing path
+        assert run(["run", str(TWO_NODE), "--workspace", str(ws)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ParseError: ") and "Traceback" not in captured.err
+        assert files_of(ws) == before
+
+    def test_a_second_scenario_does_not_run_into_a_used_workspace(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run(["run", str(TRANSFER), "--workspace", str(ws)]) == 0
+        before = files_of(ws)
+        capsys.readouterr()
+
+        # the earlier run's nodes would stay beside the new run's
+        assert run(["run", str(UNAUTHORIZED), "--workspace", str(ws)]) == 2
+        assert capsys.readouterr().err.startswith("ParseError: ")
+        assert files_of(ws) == before
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out == "MATCH\n"
+
+    def test_an_empty_workspace_directory_is_used(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        assert run(["run", str(TWO_NODE), "--workspace", str(ws)]) == 0
+        capsys.readouterr()
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out == "MATCH\n"
+
+    @pytest.mark.parametrize("name", ["..", "../..", "alice/..", ".", "alice/../alice"])
+    def test_inspect_graph_takes_only_a_node_name(self, tmp_path, capsys, name):
+        ws = tmp_path / "ws"
+        assert run(["run", str(TWO_NODE), "--workspace", str(ws)]) == 0
+        (tmp_path / "kg.nt").write_text("<isl://outside> <isl://p> \"planted\" .\n")
+        (ws / "kg.nt").write_text("<isl://inside> <isl://p> \"planted\" .\n")
+        capsys.readouterr()
+        assert run(["inspect", str(ws), "graph", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ParseError: ")
 
     def test_inspect_missing_workspace(self, tmp_path, capsys):
         assert run(["inspect", str(tmp_path / "void"), "balances"]) == 1

@@ -431,26 +431,59 @@ class TestMarketplace:
             [first.content_address, second.content_address])
         assert [(m.mse, m.address) for m in ranked] == sorted((m.mse, m.address) for m in ranked)
 
-    def test_adopted_registration_is_listed_by_the_next_query(self, net):
+    @pytest.mark.parametrize("row_task", ["occupancy_detection", "energy_prediction"])
+    def test_adopted_registration_is_listed_by_the_next_query(self, net, row_task):
         shared_model(net)
         bob = net.node("bob")
         bob.create_local_dataset("d1", seed=12, profile=WARM, n_rows=30)
         own = bob.train_model("m1", "d1", "occupancy_detection")
         ds_addr = bob.share_dataset("d1").content_address
         addr = own.model_uri.rsplit("/", 1)[-1]
-        # bob registers his own model's real address while his graph holds it unshared
-        receipt = net.ledger.submit(
-            bob.account, "oracle", "share_model", (own.iri, addr, own.task, ds_addr, None))
+        # bob registers his own model's real address while his graph holds it unshared,
+        # under the model's task or another one
+        receipt = net.ledger.submit(bob.account, "oracle", "share_model",
+                                    (own.iri, addr, kgstore.task_iri(row_task), ds_addr, None))
         assert receipt.status == "ok"
         carol = net.add_node("carol", balance=0)
-        assert addr not in [m.address for m in carol.query_models("occupancy_detection", {"co2"})]
+        assert addr not in [m.address for m in carol.query_models(row_task, {"co2"})]
 
         adopted = bob.share_model("m1")  # finds the row and adopts its registration
         assert (adopted.content_address, adopted.tx_id) == (addr, receipt.tx_id)
-        ranked = carol.query_models("occupancy_detection", {"co2"})
-        assert [m.owner_node for m in ranked if m.address == addr] == ["bob"]
+        for task in ("occupancy_detection", "energy_prediction"):
+            ranked = carol.query_models(task, {"co2"})
+            listed = ["bob"] if task == row_task else []
+            assert [m.owner_node for m in ranked if m.address == addr] == listed
+            assert ranked == reference_query(net, kgstore.task_iri(task), {"co2"})
 
-    def test_a_query_looks_up_only_new_and_unverified_rows(self, net, monkeypatch):
+    def test_identical_bytes_are_listed_once_under_the_first_registrant(self, net):
+        first = shared_model(net)
+        second = shared_model(net, "bob")  # the same dataset and model bytes as alice's
+        assert (second.content_address, second.tx_id) == (first.content_address, first.tx_id)
+
+        ranked = net.node("bob").query_models("occupancy_detection", {"co2"})
+        assert [(m.address, m.owner_node) for m in ranked] == [(first.content_address, "alice")]
+        assert ranked == reference_query(net, first.task, {"co2"})
+
+    def test_a_row_adopted_under_another_own_iri_is_not_listed(self, net):
+        shared_model(net)
+        bob = net.node("bob")
+        bob.create_local_dataset("d1", seed=12, profile=WARM, n_rows=30)
+        own = bob.train_model("m1", "d1", "occupancy_detection")
+        other = bob.train_model("m2", "d1", "energy_prediction")
+        ds_addr = bob.share_dataset("d1").content_address
+        addr = own.model_uri.rsplit("/", 1)[-1]
+        # bob registers m1's bytes under m2's IRI, then shares m1, which adopts that row
+        receipt = net.ledger.submit(
+            bob.account, "oracle", "share_model", (other.iri, addr, own.task, ds_addr, None))
+        assert receipt.status == "ok"
+        assert bob.share_model("m1").content_address == addr
+
+        carol = net.add_node("carol", balance=0)
+        ranked = carol.query_models("occupancy_detection", {"co2"})
+        assert addr not in [m.address for m in ranked]
+        assert ranked == reference_query(net, own.task, {"co2"})
+
+    def test_a_query_reads_no_graph_record(self, net, monkeypatch):
         lookups = []
         real = kgstore.KnowledgeGraph.shared_record
         monkeypatch.setattr(kgstore.KnowledgeGraph, "shared_record",
@@ -468,17 +501,17 @@ class TestMarketplace:
 
         listed: list[str] = []
 
-        assert lookups_of_a_query() == 1
+        assert lookups_of_a_query() == 0
         assert lookups_of_a_query() == 0  # the registry is unchanged
 
         ds_addr = net.node("alice").graph.dataset(record.dataset).content_address
         squat = net.ledger.submit(bob.account, "oracle", "share_model",
                                   ("isl://bob/model/x", "ef" * 32, record.task, ds_addr, None))
         assert squat.status == "ok"
-        assert lookups_of_a_query() == 1  # the new row, which stays unverified
+        assert lookups_of_a_query() == 0  # the squatted row is never listed
         shared_model(net, "bob", seed=12)
-        assert lookups_of_a_query() == 2  # the new share and the unverified row
-        assert lookups_of_a_query() == 0  # bob's graph stored nothing since the last look
+        assert lookups_of_a_query() == 0
+        assert lookups_of_a_query() == 0
 
         # bob registers the real address of a model its graph holds unshared
         bob.create_local_dataset("d2", seed=13, profile=WARM, n_rows=30)
@@ -488,13 +521,11 @@ class TestMarketplace:
         receipt = net.ledger.submit(
             bob.account, "oracle", "share_model", (own.iri, addr, own.task, ds_addr, None))
         assert receipt.status == "ok"
-        assert lookups_of_a_query() == 2  # the new row, and the squat as bob's graph moved
+        assert lookups_of_a_query() == 0
         assert addr not in listed
-        assert lookups_of_a_query() == 0
         bob.share_model("m2")  # adopts the row
-        assert lookups_of_a_query() == 2  # both of bob's unverified rows
-        assert addr in listed
         assert lookups_of_a_query() == 0
+        assert addr in listed
 
     def test_acquire_refuses_a_squatted_entry(self, net):
         record = shared_model(net)
@@ -763,6 +794,12 @@ class TestPricing:
 
 
 class TestPersistence:
+    def test_create_refuses_a_non_empty_root(self, tmp_path):
+        (tmp_path / "kept.txt").write_text("kept\n")
+        with pytest.raises(IslError, match="not empty"):
+            Network.create(tmp_path, owner_balance=10)
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
     def test_persist_writes_graph_and_account(self, net, tmp_path):
         record = shared_model(net)
         alice = net.node("alice")

@@ -43,6 +43,10 @@ stops at its first failing command, so on failure it holds the state up
 to and including that command. ``replay`` re-executes ``ledger.log`` and prints MATCH only if
 the result serializes to the very bytes of ``chainstate.json``; a log
 line or file ending the writer would not write is ``CorruptLog``.
+
+``inspect registry|balances|provenance`` prints only the replayed state
+and refuses (``UnknownWorkspace``) a workspace ``replay`` would not call
+MATCH; ``inspect graph`` prints a node's ``kg.nt`` as found.
 """
 
 from __future__ import annotations
@@ -54,9 +58,9 @@ import sys
 from pathlib import Path
 
 from .cas import is_address
-from .contracts import ChainStep, OracleContract, walk_provenance
+from .contracts import ChainStep, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
-from .ledger import WORD, parse_log_line, replay
+from .ledger import WORD, Ledger, parse_log_line, replay
 from .mlsim import RoomProfile
 from .node import CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes, is_node_name
 
@@ -287,51 +291,6 @@ class ScenarioRunner:
 
 # ----------------------------------------------------------------- inspect
 
-# the registry entry fields that ``inspect registry`` and ``inspect provenance`` read
-_ENTRY_KEYS = {
-    "shared_datasets": ("iri", "owner", "tx_id"),
-    "shared_models": ("iri", "owner", "tx_id", "task", "dataset_addr", "base_model_addr"),
-}
-
-
-def _load_chainstate(workspace: Path) -> tuple[dict, bytes]:
-    """The parsed ``chainstate.json`` and its bytes."""
-    path = workspace / CHAINSTATE_FILE
-    if not path.is_file():
-        raise UnknownWorkspace(f"{workspace} has no {CHAINSTATE_FILE}")
-    data = path.read_bytes()
-    try:
-        state = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # bad JSON or not UTF-8
-        raise UnknownWorkspace(f"unreadable {CHAINSTATE_FILE}: {exc}") from None
-    if not isinstance(state, dict):
-        raise UnknownWorkspace(f"{CHAINSTATE_FILE} is not a JSON object")
-    for key in ("balances", "contract_balances", "oracle", "isl"):
-        if not isinstance(state.get(key), dict):
-            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
-    return state, data
-
-
-def _check_registry(state: dict) -> None:
-    """Refuse registry tables and entries that ``inspect`` could not read."""
-    for table, keys in _ENTRY_KEYS.items():
-        entries = state["oracle"].get(table)
-        if not isinstance(entries, dict):
-            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no oracle {table!r} object")
-        for addr, entry in entries.items():
-            if not _is_entry(entry, keys):
-                raise UnknownWorkspace(f"{CHAINSTATE_FILE} has a malformed {table} entry {addr}")
-
-
-def _is_entry(entry: object, keys: tuple[str, ...]) -> bool:
-    """An object with every key; each value is a string, but a model's base may be null."""
-    if not isinstance(entry, dict) or not all(k in entry for k in keys):
-        return False
-    return all(
-        isinstance(entry[k], str) or (k == "base_model_addr" and entry[k] is None) for k in keys
-    )
-
-
 def _format_chain(steps: list[ChainStep]) -> list[str]:
     """One line per provenance step, root first."""
     return [
@@ -353,46 +312,81 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
             raise UnknownWorkspace(f"no persisted graph for node {ns.arg!r}")
         sys.stdout.write(kg_path.read_text(encoding="utf-8"))
         return 0
+    if ns.what == "provenance" and not (ns.arg and is_address(ns.arg)):
+        raise ParseError("inspect provenance needs a content address")
 
-    state, _ = _load_chainstate(workspace)
-    _check_registry(state)
-    if ns.what == "balances":
-        for addr, bal in sorted(state["balances"].items()):
-            print(f"{addr} {bal}")
-        for name, bal in sorted(state["contract_balances"].items()):
-            print(f"contract:{name} {bal}")
-        return 0
-    if ns.what == "registry":
-        oracle = state["oracle"]
-        for addr, e in sorted(oracle["shared_datasets"].items()):
-            print(f"dataset {addr} iri={e['iri']} owner={e['owner']} tx={e['tx_id']}")
-        for addr, e in sorted(oracle["shared_models"].items()):
-            base = e["base_model_addr"] or "NULL"
-            print(
-                f"model {addr} iri={e['iri']} task={e['task']} "
-                f"dataset={e['dataset_addr']} base={base} owner={e['owner']} tx={e['tx_id']}"
-            )
-        return 0
+    replica = _replayed(workspace)
+    if replica is None:
+        raise UnknownWorkspace(f"{workspace} does not replay to its {CHAINSTATE_FILE}")
     if ns.what == "provenance":
-        if not ns.arg or not is_address(ns.arg):
-            raise ParseError("inspect provenance needs a content address")
-        registry = OracleContract()
-        for table in ("shared_datasets", "shared_models"):
-            registry.state[table] = state["oracle"][table]
-        for line in _format_chain(walk_provenance(registry, ns.arg)):
+        for line in _format_chain(walk_provenance(replica.contract("oracle"), ns.arg)):
             print(line)
         return 0
-    raise ParseError(f"unknown inspect target {ns.what!r}")
+    state = replica.state_dict()
+    if ns.what == "balances":
+        for addr, bal in state["balances"].items():
+            print(f"{addr} {bal}")
+        for name, bal in state["contract_balances"].items():
+            print(f"contract:{name} {bal}")
+        return 0
+    for addr, e in state["oracle"]["shared_datasets"].items():
+        print(f"dataset {addr} iri={e['iri']} owner={e['owner']} tx={e['tx_id']}")
+    for addr, e in state["oracle"]["shared_models"].items():
+        base = e["base_model_addr"] or "NULL"
+        print(
+            f"model {addr} iri={e['iri']} task={e['task']} "
+            f"dataset={e['dataset_addr']} base={base} owner={e['owner']} tx={e['tx_id']}"
+        )
+    return 0
 
 
 # ------------------------------------------------------------------ replay
 
-def _cmd_replay(ns: argparse.Namespace) -> int:
-    workspace = Path(ns.workspace)
+# the registry entry fields a chainstate.json must hold for replay to call it MISMATCH
+_ENTRY_KEYS = {
+    "shared_datasets": ("iri", "owner", "tx_id"),
+    "shared_models": ("iri", "owner", "tx_id", "task", "dataset_addr", "base_model_addr"),
+}
+
+
+def _check_registry(state: dict) -> None:
+    """Refuse registry tables and entries that are not what the ledger writes."""
+    for table, keys in _ENTRY_KEYS.items():
+        entries = state["oracle"].get(table)
+        if not isinstance(entries, dict):
+            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no oracle {table!r} object")
+        for addr, entry in entries.items():
+            if not _is_entry(entry, keys):
+                raise UnknownWorkspace(f"{CHAINSTATE_FILE} has a malformed {table} entry {addr}")
+
+
+def _is_entry(entry: object, keys: tuple[str, ...]) -> bool:
+    """An object with every key; each value is a string, but a model's base may be null."""
+    if not isinstance(entry, dict) or not all(k in entry for k in keys):
+        return False
+    return all(
+        isinstance(entry[k], str) or (k == "base_model_addr" and entry[k] is None) for k in keys
+    )
+
+
+def _replayed(workspace: Path) -> Ledger | None:
+    """The replayed ledger if it serializes to the bytes of ``chainstate.json``, else None."""
     log_path = workspace / LEDGER_FILE
     if not log_path.is_file():
         raise UnknownWorkspace(f"{workspace} has no {LEDGER_FILE}")
-    stored, data = _load_chainstate(workspace)
+    state_path = workspace / CHAINSTATE_FILE
+    if not state_path.is_file():
+        raise UnknownWorkspace(f"{workspace} has no {CHAINSTATE_FILE}")
+    data = state_path.read_bytes()
+    try:
+        stored = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # bad JSON or not UTF-8
+        raise UnknownWorkspace(f"unreadable {CHAINSTATE_FILE}: {exc}") from None
+    if not isinstance(stored, dict):
+        raise UnknownWorkspace(f"{CHAINSTATE_FILE} is not a JSON object")
+    for key in ("balances", "contract_balances", "oracle", "isl"):
+        if not isinstance(stored.get(key), dict):
+            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
     try:
         lines = log_path.read_text(encoding="ascii").split("\n")
     except UnicodeDecodeError as exc:
@@ -401,12 +395,16 @@ def _cmd_replay(ns: argparse.Namespace) -> int:
         raise CorruptLog(f"{LEDGER_FILE} does not end with a newline")
     replica = replay([parse_log_line(line) for line in lines], Network.contract_factory)
     if chainstate_bytes(replica, stored.get("meta")) == data:
-        print("MATCH")
-        return 0
+        return replica
     # a file equal to the replayed state is well formed; only a mismatch is checked
     _check_registry(stored)
-    print("MISMATCH")
-    return 1
+    return None
+
+
+def _cmd_replay(ns: argparse.Namespace) -> int:
+    matched = _replayed(Path(ns.workspace)) is not None
+    print("MATCH" if matched else "MISMATCH")
+    return 0 if matched else 1
 
 
 if __name__ == "__main__":

@@ -37,6 +37,42 @@ MODEL_ENTRY = {
 }
 
 
+def edit_chainstate(ws: Path, edit) -> None:
+    """Rewrite ``ws``'s chainstate.json with ``edit`` applied to its parsed state."""
+    path = ws / cli.CHAINSTATE_FILE
+    state = json.loads(path.read_text(encoding="utf-8"))
+    edit(state)
+    path.write_text(json.dumps(state), encoding="utf-8")
+
+
+def forge_model_owners(state: dict) -> None:
+    for entry in state["oracle"]["shared_models"].values():
+        entry["owner"] = "f" * 40
+
+
+def bump_a_balance(state: dict) -> None:
+    state["balances"][min(state["balances"])] += 1
+
+
+def inspect_lines(state: dict, what: str) -> str:
+    """What ``inspect balances|registry`` prints for a parsed chainstate.json."""
+    if what == "balances":
+        lines = [f"{addr} {bal}" for addr, bal in sorted(state["balances"].items())]
+        lines += [f"contract:{name} {bal}" for name, bal in sorted(state["contract_balances"].items())]
+    else:
+        oracle = state["oracle"]
+        lines = [
+            f"dataset {addr} iri={e['iri']} owner={e['owner']} tx={e['tx_id']}"
+            for addr, e in sorted(oracle["shared_datasets"].items())
+        ]
+        lines += [
+            f"model {addr} iri={e['iri']} task={e['task']} dataset={e['dataset_addr']} "
+            f"base={e['base_model_addr'] or 'NULL'} owner={e['owner']} tx={e['tx_id']}"
+            for addr, e in sorted(oracle["shared_models"].items())
+        ]
+    return "".join(f"{line}\n" for line in lines)
+
+
 def files_of(root: Path) -> dict[str, bytes]:
     """Every file under ``root`` by its relative path, with its bytes."""
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -482,6 +518,12 @@ class TestUsageErrors:
         assert run(["inspect", str(ws), "provenance", "not-an-address"]) == 2
         assert capsys.readouterr().err.startswith("ParseError: ")
 
+    def test_inspect_checks_the_address_before_reading_the_workspace(self, tmp_path, capsys):
+        assert run(["inspect", str(tmp_path), "provenance", "not-an-address"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ParseError: ")
+
     def test_replay_missing_workspace(self, tmp_path, capsys):
         assert run(["replay", str(tmp_path / "void")]) == 1
         assert capsys.readouterr().err.startswith("UnknownWorkspace: ")
@@ -533,18 +575,19 @@ class TestInspection:
         assert run(["inspect", str(ws), "provenance", "f" * 64]) == 1
         assert capsys.readouterr().err.startswith("UnknownResource: ")
 
+    # a hand-edited chain does not replay, so inspect refuses the workspace
+    # before walking it; walk_provenance's own refusals are covered in
+    # test_contracts.py through check_closure
     @pytest.mark.parametrize(
-        "edit, error",
+        "edit",
         [
-            (lambda oracle, addr: oracle.update(shared_datasets={}), "IncompleteChain: training dataset "),
-            (lambda oracle, addr: oracle["shared_models"][addr].update(base_model_addr="e" * 64),
-             "IncompleteChain: base model "),
-            (lambda oracle, addr: oracle["shared_models"][addr].update(base_model_addr=addr),
-             "IslError: cycle through "),
+            lambda oracle, addr: oracle.update(shared_datasets={}),
+            lambda oracle, addr: oracle["shared_models"][addr].update(base_model_addr="e" * 64),
+            lambda oracle, addr: oracle["shared_models"][addr].update(base_model_addr=addr),
         ],
         ids=["missing-dataset", "missing-base", "base-cycle"],
     )
-    def test_provenance_refuses_a_broken_chain(self, workspace, capsys, edit, error):
+    def test_provenance_refuses_a_broken_chain(self, workspace, capsys, edit):
         ws, out = workspace
         addr = re.search(r"^shared isl://alice/model/m1 addr=([0-9a-f]{64})", out, re.M).group(1)
         state_path = ws / cli.CHAINSTATE_FILE
@@ -553,8 +596,40 @@ class TestInspection:
         state_path.write_text(json.dumps(state))
 
         assert run(["inspect", str(ws), "provenance", addr]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(error) and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("UnknownWorkspace: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["balances", "registry", "provenance"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda ws: edit_chainstate(ws, forge_model_owners), id="model-owner-forged"),
+            pytest.param(lambda ws: edit_chainstate(ws, bump_a_balance), id="balance-bumped"),
+            pytest.param(lambda ws: (ws / cli.LEDGER_FILE).unlink(), id="no-ledger-log"),
+        ],
+    )
+    def test_inspect_refuses_a_workspace_that_does_not_replay(self, workspace, capsys, edit, command):
+        ws, out = workspace
+        addr = re.search(r"^shared isl://alice/model/m1 addr=([0-9a-f]{64})", out, re.M).group(1)
+        edit(ws)
+
+        args = ["inspect", str(ws), command] + ([addr] if command == "provenance" else [])
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("UnknownWorkspace: ")
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.isl")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("what", ["balances", "registry"])
+    def test_inspect_prints_what_chainstate_holds(self, tmp_path, capsys, scenario, what):
+        ws = tmp_path / "ws"
+        run(["run", str(scenario), "--workspace", str(ws)])
+        capsys.readouterr()
+        state = json.loads((ws / cli.CHAINSTATE_FILE).read_text(encoding="utf-8"))
+
+        assert run(["inspect", str(ws), what]) == 0
+        assert capsys.readouterr().out == inspect_lines(state, what)
 
     def test_graph_dump_is_verbatim(self, workspace, capsys):
         ws, _ = workspace

@@ -370,7 +370,11 @@ def _is_entry(entry: object, keys: tuple[str, ...]) -> bool:
 
 
 def _replayed(workspace: Path) -> Ledger | None:
-    """The replayed ledger if it serializes to the bytes of ``chainstate.json``, else None."""
+    """The replayed ledger if it serializes to the bytes of ``chainstate.json``, else None.
+
+    Each log line is parsed as replay takes it, so ``CorruptLog`` names the
+    first bad line in log order.
+    """
     log_path = workspace / LEDGER_FILE
     if not log_path.is_file():
         raise UnknownWorkspace(f"{workspace} has no {LEDGER_FILE}")
@@ -387,17 +391,19 @@ def _replayed(workspace: Path) -> Ledger | None:
     for key in ("balances", "contract_balances", "oracle", "isl"):
         if not isinstance(stored.get(key), dict):
             raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
+    meta = stored.get("meta")
+    del stored  # the replica rebuilds the state; only a mismatch parses the file again
     try:
         lines = log_path.read_text(encoding="ascii").split("\n")
     except UnicodeDecodeError as exc:
         raise CorruptLog(f"{LEDGER_FILE} is not ASCII: {exc}") from None
     if lines.pop():
         raise CorruptLog(f"{LEDGER_FILE} does not end with a newline")
-    replica = replay([parse_log_line(line) for line in lines], Network.contract_factory)
-    if chainstate_bytes(replica, stored.get("meta")) == data:
+    replica = replay(map(parse_log_line, lines), Network.contract_factory)
+    if chainstate_bytes(replica, meta) == data:
         return replica
     # a file equal to the replayed state is well formed; only a mismatch is checked
-    _check_registry(stored)
+    _check_registry(json.loads(data))
     return None
 
 

@@ -24,7 +24,7 @@ A contract's ``ARGS`` gives each method's exact argument types (a
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cas import is_address
 from .depgraph import lineage
@@ -200,8 +200,7 @@ class OracleContract(Contract):
         }
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One link of an on-chain provenance chain, root first."""
 
     model_addr: str

@@ -18,7 +18,7 @@ trainings is fine.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DuplicateModel, IslError, UnknownBase, UnknownModel
 
@@ -39,8 +39,7 @@ def lineage(tip: str, base_of: Callable[[str], str | None]) -> list[str]:
     return list(reversed(chain))
 
 
-@dataclass(frozen=True)
-class ProvenanceChain:
+class ProvenanceChain(NamedTuple):
     """Root-first (model, dataset) steps ending at the traced model."""
 
     steps: tuple[tuple[str, str], ...]

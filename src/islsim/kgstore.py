@@ -33,7 +33,6 @@ comma-joined literal instead of one triple per element.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple
 
 from .errors import (
@@ -91,8 +90,7 @@ def model_iri(node_id: str, local_id: str) -> str:
     return f"isl://{node_id}/model/{local_id}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     """Typed literal object. datatype is 'string' or 'decimal'."""
 
     lexical: str
@@ -103,15 +101,13 @@ def decimal(value: float) -> Literal:
     return Literal(repr(float(value)), "decimal")
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     predicate: str
     obj: str | Literal
 
 
-@dataclass(frozen=True, slots=True)
-class DatasetDescriptor:
+class DatasetDescriptor(NamedTuple):
     iri: str
     owner_node: str
     feature_schema: tuple[str, ...]  # entries "name:unit"
@@ -124,8 +120,7 @@ class DatasetDescriptor:
         return self.content_address is not None and self.tx_id is not None
 
 
-@dataclass(frozen=True, slots=True)
-class ModelRecord:
+class ModelRecord(NamedTuple):
     iri: str
     task: str
     dataset: str
@@ -256,7 +251,7 @@ def _encode(type_iri: str, record: Any, changes: dict | None = None) -> tuple[li
             value = decode(obj)
         values[field] = value
     if changes is not None:
-        return triples, replace(record, **values)
+        return triples, record._replace(**values)
     return triples, record_type.cls(iri=record.iri, **values)
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .errors import CorruptLog, InsufficientFunds, UnknownSender
 
@@ -50,13 +50,11 @@ class Revert(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Account:
+class Account(NamedTuple):
     address: str  # 40 lowercase hex chars
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     seq: int
     sender: str
     contract: str
@@ -65,15 +63,13 @@ class Transaction:
     value: int
 
 
-@dataclass(frozen=True)
-class AccountCreation:
+class AccountCreation(NamedTuple):
     address: str
     balance: int
     owner: bool
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     tx_id: str
     status: str  # "ok" | "reverted"
     revert_reason: str | None
@@ -85,7 +81,7 @@ _SCALARS = frozenset({str, int, bool, type(None)})  # the argument types a log l
 WORD = 2**256 - 1  # the largest magnitude of an int the log takes
 
 
-@dataclass
+@dataclass(slots=True)
 class CallContext:
     """What a contract method sees of the transaction executing it."""
 
@@ -248,7 +244,18 @@ class Ledger:
 
 # -------------------------------------------------------------- serialization
 
-_encode_args = json.JSONEncoder(separators=(",", ":")).encode
+# what ``json.dumps`` writes for each type a logged argument may have
+_ENCODE_SCALAR = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode_args(args: tuple) -> str:
+    """``args`` as the compact JSON array ``json.dumps`` writes, without its per-call set-up."""
+    return "[" + ",".join([_ENCODE_SCALAR[type(a)](a) for a in args]) + "]"
 
 
 def format_log_entry(entry: AccountCreation | Transaction) -> str:
@@ -259,7 +266,7 @@ def format_log_entry(entry: AccountCreation | Transaction) -> str:
         )
     return (
         f"tx\tseq={entry.seq}\tsender={entry.sender}\tcontract={entry.contract}"
-        f"\tmethod={entry.method}\tvalue={entry.value}\targs={_encode_args(list(entry.args))}"
+        f"\tmethod={entry.method}\tvalue={entry.value}\targs={_encode_args(entry.args)}"
     )
 
 
@@ -274,6 +281,8 @@ def parse_log_line(line: str) -> AccountCreation | Transaction:
         elif kind == "tx":
             seq, sender, contract, method, value, args = values
             args = tuple(json.loads(args))
+            if not _SCALARS.issuperset(map(type, args)):
+                raise ValueError("a logged argument is not a scalar")
             entry = Transaction(int(seq), sender, contract, method, args, int(value))
         else:
             raise CorruptLog(f"unknown log entry kind {kind!r}")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -63,8 +64,7 @@ def quantize(value: float) -> float:
     return float(format_float(value))
 
 
-@dataclass(frozen=True)
-class RoomProfile:
+class RoomProfile(NamedTuple):
     slope: float
     intercept: float
     noise_scale: float

@@ -15,7 +15,6 @@ nodes.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 from pathlib import Path
 from typing import NamedTuple
 
@@ -112,7 +111,10 @@ class Network:
             ledger.register_contract(contract)
         owner = ledger.create_account(owner_balance, owner=True)
         net = cls(Path(root), ledger, owner.address)
-        net.root.mkdir(parents=True, exist_ok=True)
+        try:
+            net.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise IslError(f"workspace {root} is not a directory") from None
         (net.root / "nodes").mkdir(exist_ok=True)
         return net
 
@@ -497,6 +499,8 @@ class IslNode:
         Results come back best first: ascending mean squared error, ties
         broken by content address so the order is total.
         """
+        if isinstance(sensors, str):
+            raise TypeError(f"sensors must be a set of feature names, not the string {sensors!r}")
         task = self._task_ref(task)
         price_of = self.network.isl.price_of
         sensors = set(sensors)
@@ -540,11 +544,11 @@ class IslNode:
 
         self.store.put(data)
         if model_entry is None:
-            cached_ds = dataclasses.replace(remote, local_uri=self.store.relative_uri(addr))
+            cached_ds = remote._replace(local_uri=self.store.relative_uri(addr))
             self.graph.cache_remote_dataset(cached_ds)
             return cached_ds
 
-        cached = dataclasses.replace(remote, model_uri=self.store.relative_uri(addr))
+        cached = remote._replace(model_uri=self.store.relative_uri(addr))
         self.graph.cache_remote_model(cached)
         self._import_provenance(addr)
         return cached

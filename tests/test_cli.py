@@ -725,6 +725,41 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.err.startswith("CorruptLog: ") and captured.out == ""
 
+    # replay parses each line as it takes it, so the first bad line in log order is named
+    @pytest.mark.parametrize("rejected_first", [True, False], ids=["rejected-first", "unparseable-first"])
+    def test_replay_names_the_first_bad_line(self, tmp_path, capsys, rejected_first):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+
+        log_path = ws / cli.LEDGER_FILE
+        lines = log_path.read_text().split("\n")[:-1]
+        rejected = f"account\taddress={'0' * 40}\tbalance=-5\towner=0"  # parses; replay refuses it
+        unparseable = "tx\tseq=nine"
+        bad = [rejected, unparseable] if rejected_first else [unparseable, rejected]
+        log_path.write_text("\n".join([lines[0], bad[0], *lines[1:], bad[1]]) + "\n")
+
+        assert run(["replay", str(ws)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptLog: ")
+        if rejected_first:
+            assert "rejected on replay" in err and "balance=-5" in err
+        else:
+            assert "unparseable log line" in err and "seq=nine" in err
+
+    @pytest.mark.parametrize("entry", [1, {**MODEL_ENTRY, "base_model_addr": []}], ids=["int", "base-list"])
+    def test_malformed_entry_in_a_mismatching_chainstate_is_unknown_workspace(
+            self, tmp_path, capsys, entry):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+        edit_chainstate(ws, lambda state: state["oracle"]["shared_models"].update({"f" * 64: entry}))
+
+        assert run(["replay", str(ws)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("UnknownWorkspace: ") and f"entry {'f' * 64}" in captured.err
+
     def test_replay_compares_chainstate_bytes(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         run(["run", str(TWO_NODE), "--workspace", str(ws)])

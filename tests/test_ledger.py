@@ -258,6 +258,22 @@ def test_log_line_roundtrip_tx(args, value):
     assert parse_log_line(format_log_entry(entry)) == entry
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-WORD, WORD),
+            st.text(st.characters(blacklist_categories=())),  # surrogates and controls too
+            st.booleans(),
+            st.none(),
+        ),
+        max_size=5,
+    )
+)
+def test_logged_args_are_the_json_array_of_the_args(args):
+    line = format_log_entry(Transaction(1, "cd" * 20, "oracle", "share_dataset", tuple(args), 0))
+    assert line.endswith("\targs=" + json.dumps(args, separators=(",", ":")))
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -278,6 +294,13 @@ def test_log_line_roundtrip_tx(args, value):
 )
 def test_parse_log_line_rejects_garbage(line):
     with pytest.raises(CorruptLog):
+        parse_log_line(line)
+
+
+@pytest.mark.parametrize("args", ["[1.5]", '["a",["b"]]', '[{"k":1}]'])
+def test_parse_log_line_refuses_non_scalar_args(args):
+    line = f"tx\tseq=1\tsender=aa\tcontract=c\tmethod=m\tvalue=0\targs={args}"
+    with pytest.raises(CorruptLog, match="^unparseable log line"):
         parse_log_line(line)
 
 

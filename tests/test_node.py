@@ -378,6 +378,14 @@ class TestMarketplace:
         assert bob.query_models("occupancy_detection", {"temperature"}) == []
         assert bob.query_models("energy_prediction", {"co2"}) == []
 
+    def test_query_refuses_a_string_of_sensors(self, net):
+        shared_model(net)
+        bob = net.node("bob")
+        # iterated, "co2" would be the sensor set {"c", "o", "2"} and match nothing
+        with pytest.raises(TypeError, match="'co2'"):
+            bob.query_models("occupancy_detection", "co2")
+        assert len(bob.query_models("occupancy_detection", {"co2"})) == 1
+
     def test_query_orders_by_mse_then_address(self, net):
         alice = net.node("alice")
         alice.create_local_dataset("noisy", seed=5, profile=RoomProfile(2.0, 1.0, 0.8), n_rows=60)
@@ -799,6 +807,15 @@ class TestPersistence:
         with pytest.raises(IslError, match="not empty"):
             Network.create(tmp_path, owner_balance=10)
         assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["the-file", "below-the-file"])
+    def test_create_refuses_a_regular_file(self, tmp_path, inside):
+        kept = tmp_path / "kept.txt"
+        kept.write_text("kept\n")
+        with pytest.raises(IslError, match="not a directory"):
+            Network.create(kept / "ws" if inside else kept, owner_balance=10)
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+        assert kept.read_text() == "kept\n"
 
     def test_persist_writes_graph_and_account(self, net, tmp_path):
         record = shared_model(net)

@@ -194,7 +194,8 @@ class ScenarioRunner:
             raise ParseError(f"line {lineno}: unknown command {name!r}")
         handler, lo, hi = entry
         if len(args) < lo or (hi is not None and len(args) > hi):
-            raise ParseError(f"line {lineno}: {name} takes {lo} arguments, got {len(args)}")
+            least = "" if hi is not None else "at least "
+            raise ParseError(f"line {lineno}: {name} takes {least}{lo} arguments, got {len(args)}")
         if name == "create-network":
             if self.network is not None:
                 raise ParseError(f"line {lineno}: create-network given twice")

@@ -397,11 +397,6 @@ class KnowledgeGraph:
     def has_model(self, iri: str) -> bool:
         return self._view(T_MODEL, iri) is not None
 
-    def shared_record(self, type_iri: str, iri: str, addr: str) -> Any:
-        """The ``type_iri`` record of ``iri`` if this graph records it shared as ``addr``, else None."""
-        view = self._view(type_iri, iri)
-        return view if view is not None and view.content_address == addr else None
-
     def _view(self, type_iri: str, iri: str) -> Any:
         """The record of ``iri`` as a ``type_iri``; None if it has no record of that type."""
         view = self._views.get(iri)

@@ -36,6 +36,7 @@ and kept in a small bounded cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -278,8 +279,8 @@ def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: f
     _check_features(base, d)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if learning_rate <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0 < learning_rate < math.inf:  # a NaN fails both comparisons
+        raise ValueError("learning rate must be positive and finite")
     if steps == 0:
         return base
     columns, targets = _columns(d)

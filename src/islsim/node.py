@@ -98,7 +98,7 @@ class Network:
         self.ledger = ledger
         self.owner_account = owner_account
         self._nodes: dict[str, IslNode] = {}
-        self._nodes_by_account: dict[str, IslNode] = {}
+        self._valid: dict[str, tuple[IslNode, Record]] = {}  # addr -> (registrant, its record)
         self._listed: dict[str, list[Listed]] = {}  # task iri -> its listed rows, sorted
 
     @classmethod
@@ -144,7 +144,6 @@ class Network:
         node_dir.mkdir(parents=True, exist_ok=True)
         node = IslNode(self, name, account.address, node_dir)
         self._nodes[name] = node
-        self._nodes_by_account[account.address] = node
         return node
 
     def register_node(self, name: str) -> Receipt:
@@ -160,29 +159,34 @@ class Network:
     def node_names(self) -> list[str]:
         return sorted(self._nodes)
 
-    def registered_record(
-        self, owner: str, type_iri: str, iri: str, addr: str
-    ) -> tuple[IslNode | None, Record | None]:
-        """The node of account ``owner``, and its ``type_iri`` record of ``iri`` if its
-        own graph records ``iri`` shared as ``addr``; None for what is missing."""
-        node = self._nodes_by_account.get(owner)
-        return node, None if node is None else node.graph.shared_record(type_iri, iri, addr)
-
-    def listed_models(self, task: str) -> list[Listed]:
-        """The listed registry rows of ``task``, sorted by ``(mse, addr)``.
+    def mark_valid(self, node: "IslNode", addr: str, row: dict, record: Record) -> None:
+        """Record ``row``, the registry row of ``addr``, valid: ``node`` registered it and
+        records it shared as ``addr``. A model row is also listed under the row's task.
 
         A row ``(addr, owner, iri)`` is valid when the node of account
         ``owner`` records ``iri`` shared as ``addr`` in its own graph.
         That turns true in one place, ``IslNode._share_tx``, the only
-        caller of ``mark_shared``, which runs once the row exists (its own
-        transaction or an adopted row) and lists the row if it is the
-        node's own; a cached remote record is shared under its source's
-        row. It never turns false: a committed row never changes, and a
-        graph never replaces or drops a record it holds as shared
-        (``mark_shared`` refuses one already shared, ``_cache_remote`` a
-        different record under a held IRI, and ``discard`` only runs on a
-        record just registered and still unshared).
+        caller of ``mark_shared`` and of this method, which runs once the
+        row exists (its own transaction or an adopted row) and records
+        the row if it is the node's own; a cached remote record is shared
+        under its source's row. It never turns false: a committed row
+        never changes, and a graph never replaces or drops a record it
+        holds as shared (``mark_shared`` refuses one already shared,
+        ``_cache_remote`` a different record under a held IRI, and
+        ``discard`` only runs on a record just registered and still
+        unshared). So ``record`` stays the registrant's record of the row.
         """
+        self._valid[addr] = (node, record)
+        if isinstance(record, ModelRecord):
+            bisect.insort(self._listed.setdefault(row["task"], []), (
+                record.mse, addr, record.input_features, record.mae, node.name))
+
+    def valid_row(self, addr: str) -> tuple[IslNode, Record] | None:
+        """The registering node and its shared record of ``addr``'s row, if the row is valid."""
+        return self._valid.get(addr)
+
+    def listed_models(self, task: str) -> list[Listed]:
+        """The valid model rows of ``task`` (see ``mark_valid``), sorted by ``(mse, addr)``."""
         return self._listed.get(task, [])
 
     # ------------------------------------------------------------- references
@@ -462,25 +466,19 @@ class IslNode:
     def _share_tx(self, kind: str, record: Record, addr: str) -> Record:
         """Register one record whose dataset and base this node already records as shared."""
         oracle = self.network.oracle
-        existing = oracle.model_entry(addr) if kind == "model" else oracle.dataset_entry(addr)
-        if existing is not None:
-            tx_id = existing["tx_id"]  # identical content already on chain; adopt its registration
-        else:
+        entry = oracle.model_entry if kind == "model" else oracle.dataset_entry
+        row = entry(addr)
+        if row is None:  # else identical content is already on chain; adopt its registration
             args: tuple = (record.iri, addr)
             if isinstance(record, ModelRecord):
                 base = record.base_model
                 base_addr = None if base is None else self.graph.model(base).content_address
                 args += (record.task, self.graph.dataset(record.dataset).content_address, base_addr)
-            receipt = self.network.submit(self.account, "oracle", "share_" + kind, args)
-            tx_id = str(receipt.return_value)
-        shared = self.graph.mark_shared(record.iri, addr, tx_id)
-        if isinstance(shared, ModelRecord):
-            # list this node's own row of the record (see ``Network.listed_models``) under the
-            # row's task: an adopted row may name another task than the record
-            row = oracle.model_entry(addr)
-            if (row["owner"], row["iri"]) == (self.account, shared.iri):
-                bisect.insort(self.network._listed.setdefault(row["task"], []), (
-                    shared.mse, addr, shared.input_features, shared.mae, self.name))
+            self.network.submit(self.account, "oracle", "share_" + kind, args)
+            row = entry(addr)
+        shared = self.graph.mark_shared(record.iri, addr, row["tx_id"])
+        if (row["owner"], row["iri"]) == (self.account, shared.iri):
+            self.network.mark_valid(self, addr, row, shared)
         return shared
 
     # ------------------------------------------------------------- marketplace
@@ -516,24 +514,22 @@ class IslNode:
     def acquire_model(self, addr: str, payment: int) -> ModelRecord | DatasetDescriptor:
         """Pay for a shared resource, fetch its bytes, verify, and cache it.
 
-        Unless the registering node records the resource shared under
-        ``addr``, nothing is paid or logged. Payment then settles on
+        Unless the share path recorded ``addr``'s row valid (see
+        ``Network.mark_valid``), nothing is paid or logged. Payment settles on
         chain, and the transfer that follows is verified against the
         content address before anything is written locally, so a
         corrupt or malicious serve leaves no local trace.
         """
-        oracle = self.network.oracle
-        model_entry = oracle.model_entry(addr)
-        entry = model_entry or oracle.dataset_entry(addr)
-        if entry is not None:
-            kind = kgstore.T_MODEL if model_entry else kgstore.T_DATASET
-            owner_node, remote = self.network.registered_record(entry["owner"], kind,
-                                                                entry["iri"], addr)
-            if remote is None:
+        valid = self.network.valid_row(addr)
+        if valid is None:
+            oracle = self.network.oracle
+            entry = oracle.model_entry(addr) or oracle.dataset_entry(addr)
+            if entry is not None:
                 raise NotFound(f"the registering node records no {entry['iri']} shared as {addr}")
 
-        # an address with no registry entry reverts here, so owner_node is bound below
+        # an address with no registry entry reverts here, so valid is set below
         receipt = self.network.submit(self.account, "isl", "acquire", (addr,), value=payment)
+        owner_node, remote = valid  # type: ignore[misc]
         grant = receipt.return_value
         data = owner_node.serve_blob(str(grant["resource_location"]), str(grant["token"]), self.account)
         if content_address(data) != addr:
@@ -543,7 +539,7 @@ class IslNode:
             return remote
 
         self.store.put(data)
-        if model_entry is None:
+        if isinstance(remote, DatasetDescriptor):
             cached_ds = remote._replace(local_uri=self.store.relative_uri(addr))
             self.graph.cache_remote_dataset(cached_ds)
             return cached_ds

@@ -146,16 +146,18 @@ class TestBundledScenarios:
 
 class TestScenarioParsing:
     @pytest.mark.parametrize(
-        "text",
+        "text,message",
         [
-            "frobnicate 1\n",
-            "create-network\n",  # missing argument
-            "create-network 100 extra\n",
-            "create-network 100\ncreate-network 100\n",
-            "add-node a 5\n",  # network must come first
-            "create-network abc\n",
-            "create-network 100\nadd-node a lots\n",
-            "create-network 100\ngen-data a d 1 x 1.0 0.05 10\n",
+            ("frobnicate 1\n", "unknown command 'frobnicate'"),
+            ("create-network\n", "create-network takes 1 arguments, got 0"),
+            ("create-network 100 extra\n", "create-network takes 1 arguments, got 2"),
+            ("create-network 100\ncreate-network 100\n", "create-network given twice"),
+            ("add-node a 5\n", "create-network must come first"),
+            ("create-network abc\n", "OWNER_BALANCE must be an integer"),
+            ("create-network 100\nadd-node a lots\n", "BALANCE must be an integer"),
+            ("create-network 100\ngen-data a d 1 x 1.0 0.05 10\n", "SLOPE must be a finite number"),
+            ("create-network 100\nadd-node a 5\nquery a occupancy_detection\n",
+             "query takes at least 3 arguments, got 2"),
         ],
         ids=[
             "unknown-command",
@@ -166,12 +168,14 @@ class TestScenarioParsing:
             "bad-balance",
             "bad-node-balance",
             "bad-slope",
+            "too-few-variadic-args",
         ],
     )
-    def test_malformed_scenarios_exit_2(self, tmp_path, capsys, text):
+    def test_malformed_scenarios_exit_2(self, tmp_path, capsys, text, message):
         path = scenario_file(tmp_path, text)
         assert run(["run", path, "--workspace", str(tmp_path / "ws")]) == 2
-        assert capsys.readouterr().err.startswith("ParseError: ")
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError: ") and message in err
 
     def test_non_utf8_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.isl"

@@ -160,8 +160,11 @@ class TestFineTune:
         m = train(FOUR_POINTS)
         with pytest.raises(ValueError):
             fine_tune(m, FOUR_POINTS, -1, 0.1)
-        with pytest.raises(ValueError):
-            fine_tune(m, FOUR_POINTS, 1, 0.0)
+        for learning_rate in (0.0, -0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                fine_tune(m, FOUR_POINTS, 1, learning_rate)
+            with pytest.raises(ValueError):  # refused before the identity of steps=0
+                fine_tune(m, FOUR_POINTS, 0, learning_rate)
         with pytest.raises(FeatureMismatch):
             fine_tune(m, TabularDataset(("power",), (((1.0,), 1.0),)), 1, 0.1)
 

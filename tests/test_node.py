@@ -492,10 +492,10 @@ class TestMarketplace:
         assert ranked == reference_query(net, own.task, {"co2"})
 
     def test_a_query_reads_no_graph_record(self, net, monkeypatch):
-        lookups = []
-        real = kgstore.KnowledgeGraph.shared_record
-        monkeypatch.setattr(kgstore.KnowledgeGraph, "shared_record",
-                            lambda graph, *args: lookups.append(args) or real(graph, *args))
+        lookups = []  # the graph of each call to the one record reader
+        real = kgstore.KnowledgeGraph._view
+        monkeypatch.setattr(kgstore.KnowledgeGraph, "_view",
+                            lambda graph, *args: lookups.append(graph) or real(graph, *args))
         record = shared_model(net)
         bob = net.node("bob")
 
@@ -534,6 +534,14 @@ class TestMarketplace:
         bob.share_model("m2")  # adopts the row
         assert lookups_of_a_query() == 0
         assert addr in listed
+
+        # the share path recorded the row valid, so an acquire reads the registrant's graph
+        # no more than a query does; only the buyer's graph is read, to cache the record
+        alice = net.node("alice")
+        lookups.clear()
+        assert bob.acquire_model(record.content_address, payment=0) == record._replace(
+            model_uri=bob.store.relative_uri(record.content_address))
+        assert lookups and all(graph is not alice.graph for graph in lookups)
 
     def test_acquire_refuses_a_squatted_entry(self, net):
         record = shared_model(net)
@@ -660,12 +668,12 @@ def honest_op(share):
 
 registry_op = st.one_of(
     honest_op(st.booleans()),
-    # (kind, buyer, pick among the registered models)
+    # (kind, buyer, pick among the registered models and datasets)
     st.tuples(st.just("acquire"), st.integers(0, 2), st.integers(0, 50)),
     # (kind, sender: a node or the network owner, IRI from the sender's own graph,
-    #  IRI pick, task, register bytes the sender holds)
+    #  IRI pick, task, register bytes the sender holds, row kind)
     st.tuples(st.just("raw"), st.integers(0, 3), st.booleans(), st.integers(0, 50),
-              st.sampled_from(kgstore.TASKS), st.booleans()),
+              st.sampled_from(kgstore.TASKS), st.booleans(), st.sampled_from(["Model", "Dataset"])),
 )
 market_query = st.tuples(st.integers(0, 2), st.sampled_from(kgstore.TASKS),
                          st.one_of(st.just(set(FEATURES)), st.sets(st.sampled_from(FEATURES))))
@@ -685,6 +693,15 @@ def honest_model(node, i, task, feats, seed):
         local_uri=node.store.relative_uri(addr),
     ))
     return node.train_model(f"m{i}", f"d{i}", task)
+
+
+def reference_valid(net, addr, kind):
+    """Whether the ``kind`` row's registrant records its IRI shared there, by brute force."""
+    entry = net.oracle.state_dict()[f"shared_{kind.lower()}s"][addr]
+    nodes = {net.node(name).account: net.node(name) for name in net.node_names()}
+    node = nodes.get(entry["owner"])
+    rec = None if node is None else oracles.scan_record(node.graph.triples, entry["iri"], kind)
+    return isinstance(rec, dict) and rec["content_address"] == addr
 
 
 def reference_query(net, task, sensors):
@@ -713,7 +730,9 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
     """Criterion 10's ground-truth check, over registries that also hold raw entries.
 
     Every query runs after every op, so the network's listings are read
-    and then extended by each kind of op in turn.
+    and then extended by each kind of op in turn. An acquire is refused
+    with ``NotFound``, before anything is paid or logged, exactly when its
+    row is invalid by the same brute-force reading of the registrant's graph.
     """
     with tempfile.TemporaryDirectory() as root:
         net = Network.create(Path(root), owner_balance=1_000)
@@ -724,7 +743,10 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
         senders = [node.account for node in nodes] + [net.owner_account]
         iris = ["isl://nobody/model/x"]
         for n, op in enumerate(shared + ops):
-            models = sorted(net.oracle.state_dict()["shared_models"])
+            registry = net.oracle.state_dict()
+            models = sorted(registry["shared_models"])
+            rows = [(a, "Model") for a in models]
+            rows += [(a, "Dataset") for a in registry["shared_datasets"]]
             if op[0] == "honest":
                 _, who, task, feats, seed, price, share = op
                 record = honest_model(nodes[who], n, task, tuple(sorted(feats)), seed)
@@ -735,20 +757,30 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
                         nodes[who].share_model(record.iri)
                         if price:
                             nodes[who].set_price(record.iri, price)
-            elif op[0] == "acquire" and models:
+            elif op[0] == "acquire" and rows:
                 _, who, pick = op
-                addr = models[pick % len(models)]
-                with contextlib.suppress(IslError):
-                    nodes[who].acquire_model(addr, payment=net.isl.price_of(addr))
+                addr, kind = rows[pick % len(rows)]
+                if reference_valid(net, addr, kind):
+                    got = nodes[who].acquire_model(addr, payment=net.isl.price_of(addr))
+                    assert got.content_address == addr
+                else:
+                    log_len, balances = len(net.ledger.log), net.ledger.state_dict()["balances"]
+                    with pytest.raises(NotFound):
+                        nodes[who].acquire_model(addr, payment=net.isl.price_of(addr))
+                    assert len(net.ledger.log) == log_len
+                    assert net.ledger.state_dict()["balances"] == balances
             elif op[0] == "raw" and models:
-                _, who, own, pick, task, held = op
-                pool = [m.iri for m in nodes[who].graph.models()] if own and who < 3 else []
+                _, who, own, pick, task, held, kind = op
+                triples = nodes[who].graph.triples if own and who < 3 else ()
+                pool = oracles.scan_subjects(triples, kind)
                 pool = pool or iris
                 blobs = oracles.stored_addresses(nodes[who].root) if held and who < 3 else []
                 addr = blobs[-1] if blobs else content_address(f"squat {n}".encode())
-                ds_addr = net.oracle.model_entry(models[0])["dataset_addr"]
-                net.ledger.submit(senders[who], "oracle", "share_model",
-                                  (pool[pick % len(pool)], addr, kgstore.task_iri(task), ds_addr, None))
+                args = (pool[pick % len(pool)], addr)
+                if kind == "Model":
+                    ds_addr = net.oracle.model_entry(models[0])["dataset_addr"]
+                    args += (kgstore.task_iri(task), ds_addr, None)
+                net.ledger.submit(senders[who], "oracle", f"share_{kind.lower()}", args)
             for who, task, sensors in queries:
                 got = nodes[who].query_models(task, sensors)
                 assert got == reference_query(net, kgstore.task_iri(task), sensors)

@@ -15,6 +15,8 @@ nodes.
 from __future__ import annotations
 
 import bisect
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,8 +71,7 @@ class RankedModel(NamedTuple):
     price: int
 
 
-# a verified registry row: (mse, addr, input features, mae, registering node's name)
-Listed = tuple[float, str, tuple[str, ...], float, str]
+_RANK = itemgetter(3, 0)  # a RankedModel's (mse, address)
 
 
 def chainstate_bytes(ledger: Ledger, meta: object) -> bytes:
@@ -99,7 +100,7 @@ class Network:
         self.owner_account = owner_account
         self._nodes: dict[str, IslNode] = {}
         self._valid: dict[str, tuple[IslNode, Record]] = {}  # addr -> (registrant, its record)
-        self._listed: dict[str, list[Listed]] = {}  # task iri -> its listed rows, sorted
+        self._listed: dict[str, dict[tuple, list[RankedModel]]] = {}  # task -> features -> rows
 
     @classmethod
     def create(cls, root: str | Path, owner_balance: int) -> "Network":
@@ -161,7 +162,8 @@ class Network:
 
     def mark_valid(self, node: "IslNode", addr: str, row: dict, record: Record) -> None:
         """Record ``row``, the registry row of ``addr``, valid: ``node`` registered it and
-        records it shared as ``addr``. A model row is also listed under the row's task.
+        records it shared as ``addr``. A model row is also listed, at price 0 until a
+        query reads it, under the row's task and its input features, sorted by ``_RANK``.
 
         A row ``(addr, owner, iri)`` is valid when the node of account
         ``owner`` records ``iri`` shared as ``addr`` in its own graph.
@@ -178,16 +180,26 @@ class Network:
         """
         self._valid[addr] = (node, record)
         if isinstance(record, ModelRecord):
-            bisect.insort(self._listed.setdefault(row["task"], []), (
-                record.mse, addr, record.input_features, record.mae, node.name))
+            rows = self._listed.setdefault(row["task"], {}).setdefault(record.input_features, [])
+            bisect.insort(rows, RankedModel(addr, row["task"], record.input_features, record.mse,
+                                            record.mae, node.name, 0), key=_RANK)
 
     def valid_row(self, addr: str) -> tuple[IslNode, Record] | None:
         """The registering node and its shared record of ``addr``'s row, if the row is valid."""
         return self._valid.get(addr)
 
-    def listed_models(self, task: str) -> list[Listed]:
-        """The valid model rows of ``task`` (see ``mark_valid``), sorted by ``(mse, addr)``."""
-        return self._listed.get(task, [])
+    def listed_models(self, task: str, sensors: set[str]) -> list[RankedModel]:
+        """A new list of the valid model rows of ``task`` (see ``mark_valid``) whose inputs
+        ``sensors`` cover, sorted by ``_RANK``; only a row whose posted price moved is rebuilt."""
+        covered, prices = [], self.isl.state["prices"]
+        for features, rows in self._listed.get(task, {}).items():
+            if sensors.issuperset(features):
+                posted = list(map(prices.get, map(itemgetter(0), rows), repeat(0)))
+                if posted != list(map(itemgetter(6), rows)):
+                    rows[:] = [r if r.price == p else r._replace(price=p)
+                               for r, p in zip(rows, posted)]
+                covered.append(rows)
+        return sorted(chain.from_iterable(covered), key=_RANK)
 
     # ------------------------------------------------------------- references
 
@@ -339,6 +351,7 @@ class IslNode:
 
     def train_model(self, local_id: str, dataset_ref: str, task: str) -> ModelRecord:
         """Fit a linear model from scratch on a local dataset."""
+        task = self._task_ref(task)
         ds_iri = self._iri(dataset_ref, "dataset")
         data = self.load_dataset(ds_iri)
         model = mlsim.train(data)
@@ -376,7 +389,7 @@ class IslNode:
         addr = content_address(blob)
         record = ModelRecord(
             iri=kgstore.model_iri(self.name, local_id),
-            task=self._task_ref(task),
+            task=task,
             dataset=ds_iri,
             model_uri=self.store.relative_uri(addr),
             base_model=base_iri,
@@ -491,7 +504,8 @@ class IslNode:
         an entry whose IRI the registering node does not hold as shared
         there (a squatted or foreign IRI) is skipped. The share path
         lists an entry once, when its registering node marks it shared,
-        so a query reads no registry row and no graph record
+        under its task and input features, so a query reads no registry
+        row, no graph record and no listed row its sensors cannot feed
         (``Network.listed_models``); prices are read at query time.
 
         Results come back best first: ascending mean squared error, ties
@@ -500,11 +514,10 @@ class IslNode:
         if isinstance(sensors, str):
             raise TypeError(f"sensors must be a set of feature names, not the string {sensors!r}")
         task = self._task_ref(task)
-        price_of = self.network.isl.price_of
         sensors = set(sensors)
-        return [RankedModel(addr, task, features, mse, mae, owner, price_of(addr))
-                for mse, addr, features, mae, owner in self.network.listed_models(task)
-                if sensors.issuperset(features)]
+        if not all(isinstance(sensor, str) for sensor in sensors):
+            raise TypeError(f"sensors must be feature names, not {sorted(map(repr, sensors))}")
+        return self.network.listed_models(task, sensors)
 
     def set_price(self, ref: str, price: int) -> str:
         addr = self.network.shared_address(ref, self.name)
@@ -569,6 +582,8 @@ class IslNode:
 
     @staticmethod
     def _task_ref(ref: str) -> str:
+        if not isinstance(ref, str):
+            raise TypeError(f"task must be a str, not {type(ref).__name__}")
         return ref if ref.startswith(kgstore.VOCAB) else kgstore.task_iri(ref)
 
     # -------------------------------------------------------------- filesystem

@@ -25,6 +25,7 @@ from islsim.errors import (
     IncompleteChain,
     IntegrityFailure,
     IslError,
+    MalformedArgs,
     MalformedDescriptor,
     NotFound,
     ParseError,
@@ -386,6 +387,110 @@ class TestMarketplace:
             bob.query_models("occupancy_detection", "co2")
         assert len(bob.query_models("occupancy_detection", {"co2"})) == 1
 
+    @pytest.mark.parametrize("task", [None, 3, b"occupancy_detection"])
+    def test_a_task_that_is_not_a_str_is_refused_before_any_work(self, net, monkeypatch, task):
+        shared_model(net)
+        alice = net.node("alice")
+        work = []  # listing reads, dataset loads and fits, none of which may run
+        monkeypatch.setattr(Network, "listed_models", lambda *args: work.append(args))
+        monkeypatch.setattr(node_module.IslNode, "load_dataset", lambda *args: work.append(args))
+        monkeypatch.setattr(node_module.mlsim, "train", lambda *args: work.append(args))
+        blobs = oracles.stored_addresses(alice.root)
+
+        with pytest.raises(TypeError, match="task must be a str"):
+            alice.query_models(task, {"co2"})
+        with pytest.raises(TypeError, match="task must be a str"):
+            alice.train_model("m2", "d1", task)
+
+        assert work == []
+        assert not alice.graph.has_model(kgstore.model_iri("alice", "m2"))
+        assert oracles.stored_addresses(alice.root) == blobs
+
+    @pytest.mark.parametrize("sensors", [{"co2", 5}, {None}, frozenset({("co2",)})])
+    def test_a_sensor_that_is_not_a_str_is_refused_before_any_listing_read(
+            self, net, monkeypatch, sensors):
+        shared_model(net)
+        reads = []
+        monkeypatch.setattr(Network, "listed_models", lambda *args: reads.append(args))
+        with pytest.raises(TypeError, match="sensors must be feature names"):
+            net.node("bob").query_models("occupancy_detection", sensors)
+        assert reads == []
+
+    def test_a_query_shows_every_price_write(self, net):
+        record = shared_model(net)
+        alice, bob = net.node("alice"), net.node("bob")
+        addr = record.content_address
+
+        def prices():
+            ranked = bob.query_models("occupancy_detection", {"co2"})
+            assert ranked == reference_query(net, record.task, {"co2"})
+            return [m.price for m in ranked]
+
+        first = bob.query_models("occupancy_detection", {"co2"})
+        assert [m.price for m in first] == [0]
+        alice.set_price("m1", 10)
+        assert prices() == [10]
+        assert first[0].price == 0  # an earlier result is the caller's and does not move
+
+        with pytest.raises(Unauthorized):
+            bob.set_price(addr, 3)
+        with pytest.raises(MalformedArgs):
+            alice.set_price("m1", -1)
+        assert prices() == [10]
+
+        # a raw transaction, with no IslNode in between
+        assert net.ledger.submit(alice.account, "isl", "set_price", (addr, 12)).status == "ok"
+        assert prices() == [12]
+        assert net.ledger.submit(bob.account, "isl", "set_price", (addr, 4)).status == "reverted"
+        assert prices() == [12]
+
+        got = bob.query_models("occupancy_detection", {"co2"})
+        got.clear()
+        assert prices() == [12]
+        got = bob.query_models("occupancy_detection", {"co2"})
+        got.append(got[0])
+        assert prices() == [12]
+
+    def test_a_query_does_no_work_per_listed_row(self, net, monkeypatch):
+        alice = net.node("alice")
+        for i, seed in enumerate((11, 12, 13)):
+            alice.create_local_dataset(f"d{i}", seed=seed, profile=PROFILE, n_rows=30)
+            alice.train_model(f"m{i}", f"d{i}", "occupancy_detection")
+            alice.share_model(f"m{i}")
+        bob = net.node("bob")
+        task = kgstore.task_iri("occupancy_detection")
+
+        gets: list[str] = []  # every posted price a query reads
+
+        class CountingPrices(dict):
+            def get(self, key, default=None):
+                gets.append(key)
+                return super().get(key, default)
+
+        net.isl.state["prices"] = CountingPrices(net.isl.state["prices"])
+        built: list[str] = []  # the address of every row a query rebuilds
+        real = node_module.RankedModel._replace
+        monkeypatch.setattr(node_module.RankedModel, "_replace",
+                            lambda row, **fields: built.append(row.address) or real(row, **fields))
+
+        def work_of_a_query(sensors):
+            gets.clear()
+            built.clear()
+            ranked = bob.query_models("occupancy_detection", sensors)
+            assert ranked == reference_query(net, task, sensors)
+            return len(gets), list(built)
+
+        assert work_of_a_query({"co2"}) == (3, [])  # every row was listed at the default 0
+        assert work_of_a_query({"temperature"}) == (0, [])  # no listed feature set is covered
+        assert work_of_a_query(set()) == (0, [])
+        assert work_of_a_query({"co2", "temperature"}) == (3, [])
+        assert work_of_a_query({"co2"}) == (3, [])  # no price moved
+
+        addr = alice.set_price("m1", 9)
+        assert work_of_a_query({"temperature"}) == (0, [])
+        assert work_of_a_query({"co2"}) == (3, [addr])
+        assert work_of_a_query({"co2"}) == (3, [])
+
     def test_query_orders_by_mse_then_address(self, net):
         alice = net.node("alice")
         alice.create_local_dataset("noisy", seed=5, profile=RoomProfile(2.0, 1.0, 0.8), n_rows=60)
@@ -666,14 +771,21 @@ def honest_op(share):
                      st.integers(0, 2**16), st.sampled_from([0, 0, 7]), share)
 
 
+# (kind, sender: a node or the network owner, IRI from the sender's own graph,
+#  IRI pick, task, register bytes the sender holds, row kind)
+raw_op = st.tuples(st.just("raw"), st.integers(0, 3), st.booleans(), st.integers(0, 50),
+                   st.sampled_from(kgstore.TASKS), st.booleans(),
+                   st.sampled_from(["Model", "Dataset"]))
 registry_op = st.one_of(
     honest_op(st.booleans()),
-    # (kind, buyer, pick among the registered models and datasets)
-    st.tuples(st.just("acquire"), st.integers(0, 2), st.integers(0, 50)),
-    # (kind, sender: a node or the network owner, IRI from the sender's own graph,
-    #  IRI pick, task, register bytes the sender holds, row kind)
-    st.tuples(st.just("raw"), st.integers(0, 3), st.booleans(), st.integers(0, 50),
-              st.sampled_from(kgstore.TASKS), st.booleans(), st.sampled_from(["Model", "Dataset"])),
+    # (kind, buyer, pick, whether to pick among the accepted raw rows, when there are
+    #  any, rather than among all registered models and datasets: two times in three)
+    st.tuples(st.just("acquire"), st.integers(0, 2), st.integers(0, 50),
+              st.sampled_from([True, True, False])),
+    # (kind, who re-prices and how, pick among the registered models and datasets, price)
+    st.tuples(st.just("reprice"), st.sampled_from(["owner", "other", "negative", "raw"]),
+              st.integers(0, 50), st.integers(0, 20)),
+    raw_op,
 )
 market_query = st.tuples(st.integers(0, 2), st.sampled_from(kgstore.TASKS),
                          st.one_of(st.just(set(FEATURES)), st.sets(st.sampled_from(FEATURES))))
@@ -724,15 +836,18 @@ def reference_query(net, task, sensors):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(honest_op(st.just(True)), min_size=1, max_size=4),
+       st.lists(raw_op, min_size=1, max_size=3),
        st.lists(registry_op, min_size=1, max_size=8),
        st.lists(market_query, min_size=1, max_size=4))
-def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, ops, queries):
+def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, raws, ops, queries):
     """Criterion 10's ground-truth check, over registries that also hold raw entries.
 
     Every query runs after every op, so the network's listings are read
-    and then extended by each kind of op in turn. An acquire is refused
-    with ``NotFound``, before anything is paid or logged, exactly when its
-    row is invalid by the same brute-force reading of the registrant's graph.
+    and then extended, or re-priced, by each kind of op in turn. A few
+    raw entries come first, and an acquire picks among the raw entries
+    two times in three. It is refused with ``NotFound``, before anything
+    is paid or logged, exactly when its row is invalid by the same
+    brute-force reading of the registrant's graph.
     """
     with tempfile.TemporaryDirectory() as root:
         net = Network.create(Path(root), owner_balance=1_000)
@@ -742,7 +857,8 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
         net.submit(net.owner_account, "oracle", "register_node", (net.owner_account,))
         senders = [node.account for node in nodes] + [net.owner_account]
         iris = ["isl://nobody/model/x"]
-        for n, op in enumerate(shared + ops):
+        raw_rows: list[tuple[str, str]] = []  # (addr, kind) of each accepted raw submit
+        for n, op in enumerate(shared + raws + ops):
             registry = net.oracle.state_dict()
             models = sorted(registry["shared_models"])
             rows = [(a, "Model") for a in models]
@@ -758,8 +874,9 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
                         if price:
                             nodes[who].set_price(record.iri, price)
             elif op[0] == "acquire" and rows:
-                _, who, pick = op
-                addr, kind = rows[pick % len(rows)]
+                _, who, pick, raw = op
+                pool = raw_rows if raw and raw_rows else rows
+                addr, kind = pool[pick % len(pool)]
                 if reference_valid(net, addr, kind):
                     got = nodes[who].acquire_model(addr, payment=net.isl.price_of(addr))
                     assert got.content_address == addr
@@ -780,7 +897,25 @@ def test_query_matches_a_brute_force_reference_over_squatted_registries(shared, 
                 if kind == "Model":
                     ds_addr = net.oracle.model_entry(models[0])["dataset_addr"]
                     args += (kgstore.task_iri(task), ds_addr, None)
-                net.ledger.submit(senders[who], "oracle", f"share_{kind.lower()}", args)
+                receipt = net.ledger.submit(senders[who], "oracle", f"share_{kind.lower()}", args)
+                if receipt.status == "ok":
+                    raw_rows.append((addr, kind))
+            elif op[0] == "reprice" and rows:
+                _, how, pick, price = op
+                addr = rows[pick % len(rows)][0]
+                owner = net.oracle.owner_of_resource(addr)
+                seller = next((node for node in nodes if node.account == owner), None)
+                if how == "other":
+                    other = next(node for node in nodes if node is not seller)
+                    with pytest.raises(Unauthorized):
+                        other.set_price(addr, price)
+                elif how == "negative":
+                    with pytest.raises(MalformedArgs):
+                        net.submit(owner, "isl", "set_price", (addr, -1 - price))
+                elif how == "raw" or seller is None:  # the network owner has no node
+                    assert net.ledger.submit(owner, "isl", "set_price", (addr, price)).status == "ok"
+                else:
+                    seller.set_price(addr, price)
             for who, task, sensors in queries:
                 got = nodes[who].query_models(task, sensors)
                 assert got == reference_query(net, kgstore.task_iri(task), sensors)

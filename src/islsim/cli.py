@@ -394,18 +394,26 @@ def _replayed(workspace: Path) -> Ledger | None:
             raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
     meta = stored.get("meta")
     del stored  # the replica rebuilds the state; only a mismatch parses the file again
-    try:
-        lines = log_path.read_text(encoding="ascii").split("\n")
-    except UnicodeDecodeError as exc:
-        raise CorruptLog(f"{LEDGER_FILE} is not ASCII: {exc}") from None
-    if lines.pop():
-        raise CorruptLog(f"{LEDGER_FILE} does not end with a newline")
-    replica = replay(map(parse_log_line, lines), Network.contract_factory)
+    replica = _replay_log(log_path)
     if chainstate_bytes(replica, meta) == data:
         return replica
     # a file equal to the replayed state is well formed; only a mismatch is checked
     _check_registry(json.loads(data))
     return None
+
+
+def _replay_log(log_path: Path) -> Ledger:
+    """The ledger ``log_path`` replays to; its text is gone once this returns.
+
+    The bytes are split at ``\\n`` only, so a ``\\r`` stays in its line.
+    """
+    try:
+        lines = log_path.read_bytes().decode("ascii").split("\n")
+    except UnicodeDecodeError as exc:
+        raise CorruptLog(f"{LEDGER_FILE} is not ASCII: {exc}") from None
+    if lines.pop():
+        raise CorruptLog(f"{LEDGER_FILE} does not end with a newline")
+    return replay(map(parse_log_line, lines), Network.contract_factory)
 
 
 def _cmd_replay(ns: argparse.Namespace) -> int:

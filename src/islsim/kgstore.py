@@ -1,18 +1,17 @@
 """Embedded triple store: one knowledge graph per node.
 
-The graph is a set of subject/predicate/object triples. One field table,
-``RECORDS``, defines how each record type maps to triples: per field its
-predicate, its object kind (literal, IRI, decimal or comma-joined list)
-and whether it is required. ``_store`` is the only writer. It encodes a
-record through that table, each object kind refusing a value the export
-could not write as an N-Triples term (``MalformedTriple``), so a bad
-record stores nothing. It then adds the triples and keeps, as the
-record's view, the record those triples decode to; so a view always
-equals a read of its triples, and an ``int`` MAE comes back as a
-``float``. A lookup is one dict read of that view. ``mark_shared``
-stores only the two sharing fields, adding their two triples to the
-record's own and keeping the view with those fields set, and
-``discard`` removes the triples of the stored view.
+The graph is a set of subject/predicate/object triples, held as one
+record per subject. One field table, ``RECORDS``, defines how each
+record type maps to triples: per field its predicate, its object kind
+(literal, IRI, decimal or comma-joined list) and whether it is required.
+``_store`` is the only writer. It runs each field through its object
+kind, which refuses a value the export could not write as an N-Triples
+term (``MalformedTriple``), so a bad record stores nothing. It keeps, as
+the record's view, the record those objects decode to, so an ``int``
+MAE comes back as a ``float``. A lookup is one dict read of that view.
+``mark_shared`` runs only the two sharing fields and keeps the view with
+them set, and ``discard`` drops the view. The triples are derived from
+the views on demand (``triples``, ``export_bytes``); no triple is kept.
 
 Everything a node knows about its own assets and any remote shared
 assets it has cached lives here, so the N-Triples export of the graph
@@ -33,7 +32,7 @@ comma-joined literal instead of one triple per element.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import (
     AlreadyShared,
@@ -167,11 +166,16 @@ def _iri_object(value: object) -> str:
     return value  # type: ignore[return-value]
 
 
-# Object kinds: (value -> object, refusing what kg.nt could not write; object -> value).
-LITERAL = (_literal, lambda o: o.lexical)
-IRI = (_iri_object, lambda o: o)
-DECIMAL = (decimal, lambda o: float(o.lexical))
-LIST = (lambda v: _literal(",".join(v)), lambda o: _split(o.lexical))
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# Object kinds: (value -> object, refusing what kg.nt could not write; object -> value;
+# stored value -> its N-Triples term).
+LITERAL = (_literal, lambda o: o.lexical, _quoted)
+IRI = (_iri_object, lambda o: o, lambda v: f"<{v}>")
+DECIMAL = (decimal, lambda o: float(o.lexical), lambda v: f'"{v!r}"^^<{DECIMAL_TYPE}>')
+LIST = (lambda v: _literal(",".join(v)), lambda o: _split(o.lexical), lambda v: _quoted(",".join(v)))
 
 
 def _check_dataset(d: DatasetDescriptor) -> None:
@@ -202,7 +206,7 @@ class _RecordType(NamedTuple):
     fields: tuple[tuple[str, str, tuple, bool], ...]  # (field, predicate, kind, required)
 
 
-# How each record type maps to triples. ``_encode`` writes the fields in
+# How each record type maps to triples. ``_encode`` runs the fields in
 # this order, so the first bad field decides the MalformedTriple raised.
 RECORDS: dict[str, _RecordType] = {
     T_DATASET: _RecordType(DatasetDescriptor, "dataset", _check_dataset, (
@@ -227,51 +231,65 @@ RECORDS: dict[str, _RecordType] = {
 }
 
 
-def _encode(type_iri: str, record: Any, changes: dict | None = None) -> tuple[list[Triple], Any]:
-    """The triples of ``record`` and the record they decode to.
+def _encode(type_iri: str, record: Any, changes: dict | None = None) -> Any:
+    """The record the objects of ``record``'s fields decode to.
 
-    With ``changes`` (field -> new value), only the triples of those
-    fields, and ``record`` with them set. An optional field that is None
-    has no triple. A required field is encoded as given, so a bad value
-    raises ``MalformedTriple``.
+    With ``changes`` (field -> new value), only those fields are encoded,
+    into ``record`` with them set. An optional field that is None has no
+    object. A required field is encoded as given, so a bad value raises
+    ``MalformedTriple``.
     """
     record_type = RECORDS[type_iri]
-    triples = [] if changes is not None else [Triple(record.iri, P_TYPE, type_iri)]
     values: dict[str, Any] = {}
-    for field, pred, (encode, decode), required in record_type.fields:
+    for field, _, (encode, decode, _write), required in record_type.fields:
         if changes is None:
             value = getattr(record, field)
         elif field in changes:
             value = changes[field]
         else:
             continue
-        if required or value is not None:
-            obj = encode(value)
-            triples.append(Triple(record.iri, pred, obj))
-            value = decode(obj)
-        values[field] = value
+        values[field] = decode(encode(value)) if required or value is not None else None
     if changes is not None:
-        return triples, record._replace(**values)
-    return triples, record_type.cls(iri=record.iri, **values)
+        return record._replace(**values)
+    return record_type.cls(iri=record.iri, **values)
 
 
 _TYPE_OF = {record_type.cls: type_iri for type_iri, record_type in RECORDS.items()}
+
+# Per record class: (predicate, field, kind) of each triple in the order of
+# "<predicate>", the type triple's field being None. The export takes subjects
+# in the order of "<iri>"; as an IRI holds no ">" or space, its lines then
+# come out sorted.
+_TRIPLES = {
+    rt.cls: sorted([(P_TYPE, None, IRI)] + [(p, f, k) for f, p, k, _ in rt.fields],
+                   key=lambda e: e[0] + ">")
+    for rt in RECORDS.values()
+}
+
+
+def _values(view: Any) -> Iterator[tuple[str, tuple, Any]]:
+    """(predicate, kind, value) of each triple of ``view``, in the order of ``_TRIPLES``."""
+    type_iri = _TYPE_OF[type(view)]
+    for pred, field, kind in _TRIPLES[type(view)]:
+        value = type_iri if field is None else getattr(view, field)
+        if value is not None:
+            yield pred, kind, value
 
 
 class KnowledgeGraph:
     def __init__(self, node_id: str):
         self.node_id = node_id
-        self.triples: set[Triple] = set()
         self._views: dict[str, DatasetDescriptor | ModelRecord] = {}
 
-    def _store(self, type_iri: str, record: Any, changes: dict | None = None) -> Any:
-        """Add the triples of ``record`` and keep the record they decode to as its view.
+    @property
+    def triples(self) -> set[Triple]:
+        """A new set of the graph's triples, derived from the views; writing to it changes nothing."""
+        return {Triple(iri, p, kind[0](value))
+                for iri, view in self._views.items() for p, kind, value in _values(view)}
 
-        With ``changes``, ``record`` is the stored view and only the
-        triples of the changed fields are added (see ``_encode``).
-        """
-        triples, view = _encode(type_iri, record, changes)
-        self.triples.update(triples)
+    def _store(self, type_iri: str, record: Any, changes: dict | None = None) -> Any:
+        """Keep the record ``record``'s objects decode to as its view (see ``_encode``)."""
+        view = _encode(type_iri, record, changes)
         self._views[view.iri] = view
         return view
 
@@ -294,14 +312,12 @@ class KnowledgeGraph:
         return m.iri
 
     def discard(self, iri: str) -> None:
-        """Drop the record of ``iri`` and its triples, undoing a registration made just now.
+        """Drop the record of ``iri``, undoing a registration made just now.
 
         Records that refer to ``iri`` are not looked for, so this is only
         for a record nothing has referred to yet.
         """
-        view = self._views.pop(iri, None)
-        if view is not None:
-            self.triples.difference_update(_encode(_TYPE_OF[type(view)], view)[0])
+        self._views.pop(iri, None)
 
     def cache_remote_dataset(self, d: DatasetDescriptor) -> str:
         """Cache a shared dataset owned by another node, keeping its own IRI."""
@@ -405,19 +421,9 @@ class KnowledgeGraph:
     # ------------------------------------------------------------ serialization
 
     def export_bytes(self) -> bytes:
-        lines = sorted(format_triple(t) for t in self.triples)
-        return ("".join(line + "\n" for line in lines)).encode("utf-8")
-
-
-def _escape(lexical: str) -> str:
-    return lexical.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def format_triple(t: Triple) -> str:
-    if isinstance(t.obj, Literal):
-        body = f'"{_escape(t.obj.lexical)}"'
-        if t.obj.datatype == "decimal":
-            body += f"^^<{DECIMAL_TYPE}>"
-    else:
-        body = f"<{t.obj}>"
-    return f"<{t.subject}> <{t.predicate}> {body} ."
+        lines = [
+            f"<{iri}> <{pred}> {kind[2](value)} .\n"
+            for iri in sorted(self._views, key=lambda iri: iri + ">")
+            for pred, kind, value in _values(self._views[iri])
+        ]
+        return "".join(lines).encode("utf-8")

@@ -5,7 +5,8 @@ fitting goes through numpy's least-squares solver, metrics through
 numpy reductions, gradients through central finite differences,
 closure checks through a plain reachability walk over raw state dicts,
 knowledge-graph records through a full scan of the raw triple set,
-exported graph lines through the N-Triples line grammar, and a blob
+exported graph lines through the N-Triples line grammar and a triple
+writer of their own, and a blob
 store's contents through a scan of its directory. The gradient
 step loop and the synthetic data generator are also kept here in their
 earlier, object-per-step form, as the bit-exact reference for the
@@ -172,6 +173,16 @@ NT_LINE = re.compile(rf"[ \t]*{_IRIREF}[ \t]*{_IRIREF}[ \t]*(?:{_IRIREF}|{_LITER
 
 def is_ntriples_line(line: str) -> bool:
     return NT_LINE.fullmatch(line) is not None
+
+
+def format_triple(t) -> str:
+    """The N-Triples line of triple ``t``, its object an IRI string or a literal."""
+    if isinstance(t.obj, str):
+        return f"<{t.subject}> <{t.predicate}> <{t.obj}> ."
+    body = '"' + t.obj.lexical.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if t.obj.datatype == "decimal":
+        body += f"^^<{VOCAB}decimal>"
+    return f"<{t.subject}> <{t.predicate}> {body} ."
 
 
 def stored_addresses(root) -> list[str]:

@@ -712,8 +712,11 @@ class TestReplay:
             lambda text: text + "\n",
             lambda text: text.rstrip("\n"),
             lambda text: text.replace("\tseq=1\t", "\tseq=01\t", 1),
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r\n", 1),
         ],
-        ids=["blank-line", "blank-last-line", "no-final-newline", "padded-seq"],
+        ids=["blank-line", "blank-last-line", "no-final-newline", "padded-seq", "crlf",
+             "cr-before-newline"],
     )
     def test_replay_rejects_a_log_the_ledger_would_not_write(self, tmp_path, capsys, edit):
         ws = tmp_path / "ws"
@@ -721,9 +724,9 @@ class TestReplay:
         capsys.readouterr()
 
         log_path = ws / cli.LEDGER_FILE
-        text = log_path.read_text()
+        text = log_path.read_bytes().decode("ascii")
         assert edit(text) != text
-        log_path.write_text(edit(text))
+        log_path.write_bytes(edit(text).encode("ascii"))
 
         assert run(["replay", str(ws)]) == 1
         captured = capsys.readouterr()

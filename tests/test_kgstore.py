@@ -1,6 +1,8 @@
 """Knowledge graph behaviour: registration rules, queries, serialization."""
 
+import gc
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ from islsim.kgstore import (
     Literal,
     ModelRecord,
     Triple,
-    format_triple,
 )
 
 ADDR = "a" * 64
@@ -275,7 +276,7 @@ class TestSerialization:
         kg.register_model(model(local="m2", base_model=model().iri))
         kg.mark_shared(dataset().iri, ADDR, "tx-1")
         lines = kg.export_bytes().decode().splitlines()
-        assert lines == sorted(format_triple(t) for t in kg.triples)
+        assert lines == sorted(oracles.format_triple(t) for t in kg.triples)
         assert all(oracles.is_ntriples_line(line) for line in lines)
         m2 = model(local="m2").iri
         assert f"<{m2}> <{kgstore.P_BASE_MODEL}> <{model().iri}> ." in lines
@@ -285,6 +286,36 @@ class TestSerialization:
         lines = kg.export_bytes().decode().splitlines()
         assert lines == sorted(lines)
 
+    def test_the_triple_set_is_a_copy(self, kg):
+        kg.register_dataset(dataset())
+        kg.register_model(model())
+        views, export, triples = (kg.datasets(), kg.models()), kg.export_bytes(), set(kg.triples)
+        kg.triples.clear()
+        assert kg.triples == triples
+        kg.triples.add(Triple(model().iri, kgstore.P_TX_ID, Literal("tx-9")))
+        kg.triples.add(Triple(model(local="m2").iri, kgstore.P_TYPE, kgstore.T_MODEL))
+        assert kg.triples == triples
+        assert (kg.datasets(), kg.models()) == views
+        assert kg.export_bytes() == export
+
+
+def test_a_shared_record_retains_under_1200_bytes():
+    """tracemalloc bytes the graph keeps per model record, registered then shared."""
+    n = 400
+    kg = KnowledgeGraph("alice")
+    kg.register_dataset(dataset())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            kg.register_model(model(local=f"m{i}", model_uri=f"blobs/{i:064x}", mae=0.5 + i))
+            kg.mark_shared(model(local=f"m{i}").iri, f"{n + i:064x}", f"tx-{i}")
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - start) / n
+    finally:
+        tracemalloc.stop()
+    assert retained < 1200, f"{retained:.0f} bytes retained per record"
 
 
 @given(
@@ -294,7 +325,11 @@ class TestSerialization:
     )
 )
 def test_literal_escaping_roundtrips(text):
-    line = format_triple(Triple("isl://alice/dataset/x", kgstore.P_OWNER, Literal(text)))
+    kg = KnowledgeGraph("alice")
+    kg.register_dataset(dataset(local_uri=text))
+    # split at "\n" only: the text may hold other line breaks (str.splitlines would cut there)
+    lines = kg.export_bytes().decode("utf-8").split("\n")[:-1]
+    [line] = [line for line in lines if f"<{kgstore.P_LOCAL_URI}>" in line]
     assert oracles.is_ntriples_line(line)
     escaped = line[line.index('"') + 1 : line.rindex('"')]
     assert re.sub(r'\\([\\"])', r'\1', escaped) == text
@@ -340,7 +375,7 @@ def test_records_the_export_could_not_write_store_nothing(kg):
 
 # ------------------------------------------- views vs brute-force triple scan
 
-LOCALS = ("a", "b")
+LOCALS = ("a", "a-1", "b")  # "-" sorts before ">", so <…/a-1> exports before <…/a>
 ADDRS = (ADDR, "b" * 64)
 TX_IDS = ("tx-1", "tx-2")
 IRIS = tuple(
@@ -443,4 +478,5 @@ def test_index_agrees_with_a_triple_scan(ops):
         else:
             lines = kg.export_bytes().decode().splitlines()
             assert all(oracles.is_ntriples_line(line) for line in lines)
+            assert lines == sorted(oracles.format_triple(t) for t in kg.triples)
         _check_against_scan(kg)

@@ -16,6 +16,11 @@ Only ``ledger.submit`` may invoke the ``op_*`` methods, and they write
 state only through ``ctx.put`` so a failed transaction is undone. The
 plain read-only methods are free to call from anywhere.
 
+Each on-chain fact is held once. The two tables of ``chainstate.json``
+that repeat others are derived by ``state_dict`` when the state is written:
+the oracle's ``task_index`` (models by task, in share order) and the
+exchange's ``tokens`` (the acquisitions' tokens).
+
 A contract's ``ARGS`` gives each method's exact argument types (a
 ``bool`` is not an ``int``); ``call`` reverts ``UnknownMethod`` or
 ``MalformedArgs`` before any op runs, so op bodies check only values.
@@ -64,8 +69,8 @@ class OracleContract(Contract):
             "owner": None,
             "trusted": {},  # addr -> True
             "shared_datasets": {},  # addr -> {owner, iri, tx_id}
-            "shared_models": {},  # addr -> {owner, iri, tx_id, task, dataset_addr, base_model_addr}
-            "task_index": {},  # task iri -> {addr: True, ...} in share order
+            # addr -> {owner, iri, tx_id, task, dataset_addr, base_model_addr}, in share order
+            "shared_models": {},
         }
 
     # Owner binding happens at account creation, not through a transaction:
@@ -118,10 +123,6 @@ class OracleContract(Contract):
             "dataset_addr": dataset_addr,
             "base_model_addr": base_model_addr,
         })
-        index = self.state["task_index"]
-        if task not in index:
-            ctx.put(index, task, {})
-        ctx.put(index[task], addr, True)
         return ctx.tx_id
 
     def require_trusted(self, sender: str) -> None:
@@ -139,7 +140,7 @@ class OracleContract(Contract):
     def query_task(self, task: str) -> list[tuple[str, str, str]]:
         """``(addr, owner account, iri)`` of each model registered for ``task``, in share order."""
         models = self.state["shared_models"]
-        return [(a, (e := models[a])["owner"], e["iri"]) for a in self.state["task_index"].get(task, ())]
+        return [(a, e["owner"], e["iri"]) for a, e in models.items() if e["task"] == task]
 
     def dataset_entry(self, addr: str) -> dict | None:
         entry = self.state["shared_datasets"].get(addr)
@@ -178,25 +179,21 @@ class OracleContract(Contract):
                 walk_provenance(self, addr)
             except IslError as exc:
                 return f"model {addr}: {exc}"
-        for task, addrs in self.state["task_index"].items():
-            for addr in addrs:
-                if addr not in models or models[addr]["task"] != task:
-                    return f"task index entry {task} -> {addr} is inconsistent"
-        for addr, entry in models.items():
-            if addr not in self.state["task_index"].get(entry["task"], {}):
-                return f"model {addr} is not listed under {entry['task']}"
         overlap = set(datasets) & set(models)
         if overlap:
             return f"addresses registered in both roles: {sorted(overlap)}"
         return None
 
     def state_dict(self) -> dict:
+        task_index: dict[str, list[str]] = {}  # rows keep share order: one op inserts each
+        for addr, entry in self.state["shared_models"].items():
+            task_index.setdefault(entry["task"], []).append(addr)
         return {
             "owner": self.state["owner"],
             "trusted": sorted(self.state["trusted"]),
             "shared_datasets": {a: dict(e) for a, e in sorted(self.state["shared_datasets"].items())},
             "shared_models": {a: dict(e) for a, e in sorted(self.state["shared_models"].items())},
-            "task_index": {t: list(a) for t, a in sorted(self.state["task_index"].items())},
+            "task_index": dict(sorted(task_index.items())),
         }
 
 
@@ -251,7 +248,6 @@ class IslContract(Contract):
         self.state = {
             "prices": {},  # addr -> posted price
             "acquisitions": {},  # token -> {buyer, resource, granted_at_seq}
-            "tokens": {},  # token -> True
         }
 
     # ------------------------------------------------------------ tx methods
@@ -281,7 +277,6 @@ class IslContract(Contract):
             "resource": addr,
             "granted_at_seq": ctx.seq,
         })
-        ctx.put(self.state["tokens"], token, True)
         return {"token": token, "resource_location": addr}
 
     # ------------------------------------------------------------- read-only
@@ -291,16 +286,11 @@ class IslContract(Contract):
 
     def validate_token(self, token: str, addr: str, caller: str) -> bool:
         record = self.state["acquisitions"].get(token)
-        return bool(
-            record
-            and record["buyer"] == caller
-            and record["resource"] == addr
-            and self.state["tokens"].get(token)
-        )
+        return bool(record and record["buyer"] == caller and record["resource"] == addr)
 
     def state_dict(self) -> dict:
         return {
             "prices": dict(sorted(self.state["prices"].items())),
             "acquisitions": {t: dict(e) for t, e in sorted(self.state["acquisitions"].items())},
-            "tokens": dict(sorted(self.state["tokens"].items())),
+            "tokens": dict.fromkeys(sorted(self.state["acquisitions"]), True),
         }

@@ -32,6 +32,7 @@ comma-joined literal instead of one triple per element.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -123,7 +124,7 @@ class ModelRecord(NamedTuple):
     iri: str
     task: str
     dataset: str
-    model_uri: str
+    local_uri: str
     base_model: str | None
     input_features: tuple[str, ...]
     mae: float
@@ -195,8 +196,9 @@ def _check_model(m: ModelRecord) -> None:
     if unknown:
         raise MalformedDescriptor(f"unknown input features {', '.join(sorted(unknown))}")
     for key, value in (("MAE", m.mae), ("MSE", m.mse)):
-        if not (isinstance(value, (int, float)) and value >= 0):
-            raise MalformedDescriptor(f"{key} must be a non-negative number")
+        # compared, not converted: float() of an int beyond the largest float overflows
+        if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+            raise MalformedDescriptor(f"{key} must be a finite non-negative number, not {value!r}")
 
 
 class _RecordType(NamedTuple):
@@ -220,7 +222,7 @@ RECORDS: dict[str, _RecordType] = {
         ("input_features", P_INPUT_FEATURES, LIST, True),
         ("task", P_TASK, IRI, True),
         ("dataset", P_TRAINED_ON, IRI, True),
-        ("model_uri", P_LOCAL_URI, LITERAL, True),
+        ("local_uri", P_LOCAL_URI, LITERAL, True),
         ("base_model", P_BASE_MODEL, IRI, False),
         ("mae", P_MAE, DECIMAL, True),
         ("mse", P_MSE, DECIMAL, True),

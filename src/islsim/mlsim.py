@@ -9,12 +9,13 @@ are identical on every platform. Serialized assets format floats with 9
 significant digits; 9-digit decimals round-trip exactly through IEEE
 doubles, which makes content addresses of serialized assets stable.
 
-The gradient of a fine-tuning step runs over feature columns, split
-from the rows once per ``fine_tune`` call, but adds up in the order a
-row-by-row loop would: each prediction starts at 0.0 and adds
-``w * x`` feature by feature, then the bias, and each gradient sum
-starts at 0.0 and adds the rows in order. No sum goes through the
-builtin ``sum()``, whose float algorithm changed in CPython 3.12.
+The errors that ``evaluate`` and each fine-tuning step's gradient sum
+up run over feature columns, split from the rows once per ``evaluate``
+or ``fine_tune`` call, but add up in the order a row-by-row loop would:
+each prediction starts at 0.0 and adds ``w * x`` feature by feature,
+then the bias, and each sum starts at 0.0 and adds the rows in order.
+No sum goes through the builtin ``sum()``, whose float algorithm
+changed in CPython 3.12.
 
 Synthetic room data
 -------------------
@@ -133,15 +134,6 @@ class LinearModel:
                 f"{len(self.weights)} weights for {len(self.input_features)} features"
             )
 
-    def predict(self, x: tuple[float, ...] | list[float]) -> float:
-        # no builtin sum(): its float algorithm differs between Python versions
-        if len(x) != len(self.weights):
-            raise DimensionMismatch(f"expected {len(self.weights)} inputs, got {len(x)}")
-        acc = 0.0
-        for w, v in zip(self.weights, x):
-            acc += w * v
-        return acc + self.bias
-
     def to_bytes(self) -> bytes:
         lines = [MODEL_HEADER]
         for name, weight in zip(self.input_features, self.weights):
@@ -249,14 +241,19 @@ def _columns(d: TabularDataset) -> tuple[tuple[tuple[float, ...], ...], list[flo
     return tuple(zip(*[features for features, _ in d.rows])), [target for _, target in d.rows]
 
 
-def _gradient(weights, bias: float, columns, targets) -> tuple[list[float], float]:
-    """The loop of :func:`mse_gradient`, one column at a time, in the row
-    order the module docstring fixes; a prediction adds up as in ``predict``."""
+def _errors(weights, bias: float, columns, targets) -> list[float]:
+    """Each row's prediction minus its target, one column at a time, adding
+    up in the order the module docstring fixes."""
     preds = [0.0] * len(targets)
     for w, column in zip(weights[:-1], columns):
         preds = [acc + w * v for acc, v in zip(preds, column)]
     w = weights[-1]  # the last feature's term, the bias and the target end each error
-    errs = [acc + w * v + bias - target for acc, v, target in zip(preds, columns[-1], targets)]
+    return [acc + w * v + bias - target for acc, v, target in zip(preds, columns[-1], targets)]
+
+
+def _gradient(weights, bias: float, columns, targets) -> tuple[list[float], float]:
+    """The loop of :func:`mse_gradient`, in the row order the module docstring fixes."""
+    errs = _errors(weights, bias, columns, targets)
     grad_b = 0.0
     for err in errs:
         grad_b += err
@@ -298,8 +295,7 @@ def evaluate(m: LinearModel, d: TabularDataset) -> dict[str, float]:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     abs_sum = 0.0
     sq_sum = 0.0
-    for features, target in d.rows:
-        err = m.predict(features) - target
+    for err in _errors(m.weights, m.bias, *_columns(d)):
         abs_sum += abs(err)
         sq_sum += err * err
     n = d.n_rows

@@ -343,7 +343,7 @@ class IslNode:
 
     def _verified_blob(self, record: Record) -> tuple[str, bytes]:
         """The address in ``record``'s URI and the stored bytes, which must hash to it."""
-        addr = _addr_of(record.model_uri if isinstance(record, ModelRecord) else record.local_uri)
+        addr = _addr_of(record.local_uri)
         data = self.store.get(addr)
         if content_address(data) != addr:
             raise IntegrityFailure(f"stored bytes of {record.iri} do not hash to {addr}")
@@ -391,7 +391,7 @@ class IslNode:
             iri=kgstore.model_iri(self.name, local_id),
             task=task,
             dataset=ds_iri,
-            model_uri=self.store.relative_uri(addr),
+            local_uri=self.store.relative_uri(addr),
             base_model=base_iri,
             input_features=model.input_features,
             mae=measures["MAE"],
@@ -425,7 +425,7 @@ class IslNode:
             raise AlreadyShared(f"{iri} is already shared")
         if descriptor.owner_node != self.name:
             raise IncompleteChain(f"{iri} belongs to {descriptor.owner_node}")
-        return self._share([("dataset", descriptor)])  # type: ignore[return-value]
+        return self._share([descriptor])  # type: ignore[return-value]
 
     def share_model(self, ref: str) -> ModelRecord:
         """Publish a model and, first, any of its own unshared ancestry.
@@ -439,7 +439,7 @@ class IslNode:
             raise AlreadyShared(f"{iri} is already shared")
         return self._share(self._share_plan(iri))  # type: ignore[return-value]
 
-    def _share_plan(self, target_iri: str) -> list[tuple[str, Record]]:
+    def _share_plan(self, target_iri: str) -> list[Record]:
         """The unshared records of the chain to share, root first, each once.
 
         Only this node's own records are read. The walk goes tip first
@@ -448,7 +448,7 @@ class IslNode:
         whole ancestry is already on chain.
         """
         kg = self.graph
-        tip_first: list[tuple[str, Record]] = []
+        tip_first: list[Record] = []
         for model_iri, ds_iri in reversed(self.depgraph.trace(target_iri).steps):
             model = kg.model(model_iri) if kg.has_model(model_iri) else None
             if model is not None and model.shared:
@@ -461,23 +461,24 @@ class IslNode:
                     raise IncompleteChain(
                         f"{kind} {step_iri} in the dependency chain is not shared"
                     )
-                tip_first.append((kind, local))
+                tip_first.append(local)
         return list(dict.fromkeys(reversed(tip_first)))
 
-    def _share(self, plan: list[tuple[str, Record]]) -> Record:
+    def _share(self, plan: list[Record]) -> Record:
         """Share the planned records in order; the last one comes back shared.
 
         Before the first transaction every step's blob must still hash to
         the address in its record's URI, so a tampered store shares
         nothing, and the address each step submits is its record's own.
         """
-        addrs = [self._verified_blob(record)[0] for _, record in plan]
-        for (kind, record), addr in zip(plan, addrs):
-            shared = self._share_tx(kind, record, addr)
+        addrs = [self._verified_blob(record)[0] for record in plan]
+        for record, addr in zip(plan, addrs):
+            shared = self._share_tx(record, addr)
         return shared
 
-    def _share_tx(self, kind: str, record: Record, addr: str) -> Record:
+    def _share_tx(self, record: Record, addr: str) -> Record:
         """Register one record whose dataset and base this node already records as shared."""
+        kind = "model" if isinstance(record, ModelRecord) else "dataset"
         oracle = self.network.oracle
         entry = oracle.model_entry if kind == "model" else oracle.dataset_entry
         row = entry(addr)
@@ -552,14 +553,12 @@ class IslNode:
             return remote
 
         self.store.put(data)
-        if isinstance(remote, DatasetDescriptor):
-            cached_ds = remote._replace(local_uri=self.store.relative_uri(addr))
-            self.graph.cache_remote_dataset(cached_ds)
-            return cached_ds
-
-        cached = remote._replace(model_uri=self.store.relative_uri(addr))
-        self.graph.cache_remote_model(cached)
-        self._import_provenance(addr)
+        cached = remote._replace(local_uri=self.store.relative_uri(addr))
+        if isinstance(cached, DatasetDescriptor):
+            self.graph.cache_remote_dataset(cached)
+        else:
+            self.graph.cache_remote_model(cached)
+            self._import_provenance(addr)
         return cached
 
     def _import_provenance(self, addr: str) -> None:

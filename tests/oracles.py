@@ -115,7 +115,7 @@ RECORD_FIELDS = {
     "Model": {
         "task": ("task", True, str),
         "dataset": ("trainedOn", True, str),
-        "model_uri": ("localUri", True, str),
+        "local_uri": ("localUri", True, str),
         "base_model": ("baseModel", False, str),
         "input_features": ("inputFeatures", True, _split),
         "mae": ("mae", True, float),
@@ -223,6 +223,12 @@ def ref_mse_gradient(weights, bias, rows) -> tuple[tuple[float, ...], float]:
         for j, x in enumerate(features):
             grad_w[j] += err * x
     return tuple(2.0 / n * g for g in grad_w), 2.0 / n * grad_b
+
+
+def ref_metrics(weights, bias, rows) -> dict[str, float]:
+    errs = [ref_predict(weights, bias, features) - target for features, target in rows]
+    n = len(rows)
+    return {"MAE": _sum(map(abs, errs)) / n, "MSE": _sum(e * e for e in errs) / n}
 
 
 def ref_fine_tune(weights, bias, rows, steps: int, learning_rate: float):

@@ -320,6 +320,27 @@ class TestScenarioParsing:
         assert run(["replay", str(ws)]) == 0
         assert capsys.readouterr().out.strip() == "MATCH"
 
+    def test_a_fine_tune_to_an_infinite_mse_is_refused(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        path = scenario_file(
+            tmp_path,
+            "create-network 1000\n"
+            "add-node a 100\n"
+            "register-node a\n"
+            "gen-data a d1 11 2.0 1.0 0.05 40\n"
+            "train a m1 d1 occupancy_detection\n"
+            "fine-tune a m2 m1 d1 1 1e300\n"
+            "share a m2\n",
+        )
+        assert run(["run", path, "--workspace", str(ws)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("MalformedDescriptor: MSE must be a finite non-negative number")
+        assert "isl://a/model/m2" not in out
+        assert "/m2" not in (ws / "nodes" / "a" / "kg.nt").read_text()
+        assert len([p for p in (ws / "nodes" / "a" / "blobs").rglob("*") if p.is_file()]) == 2  # d1, m1
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out.strip() == "MATCH"
+
     def test_negative_price_reverts_as_malformed_args(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         path = scenario_file(

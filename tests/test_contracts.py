@@ -160,13 +160,6 @@ class TestSharing:
                          f"model {ADDR_M2}: base model {ADDR_M} is not shared", id="missing-base"),
             pytest.param(lambda s: s["shared_models"][ADDR_M].update(base_model_addr=ADDR_M2),
                          f"model {ADDR_M}: cycle through {ADDR_M}", id="base-cycle"),
-            pytest.param(lambda s: s["task_index"][TASK].update({"4" * 64: True}),
-                         f"task index entry {TASK} -> {'4' * 64} is inconsistent", id="index-unknown-model"),
-            pytest.param(lambda s: s["task_index"].update({"isl://vocab/task/other": {ADDR_M: True}}),
-                         f"task index entry isl://vocab/task/other -> {ADDR_M} is inconsistent",
-                         id="index-other-task"),
-            pytest.param(lambda s: s["task_index"][TASK].pop(ADDR_M2),
-                         f"model {ADDR_M2} is not listed under {TASK}", id="model-unindexed"),
             pytest.param(lambda s: s["shared_datasets"].update({ADDR_M: s["shared_datasets"][ADDR_D]}),
                          f"addresses registered in both roles: {[ADDR_M]}", id="both-tables"),
         ],
@@ -179,6 +172,26 @@ class TestSharing:
         assert oracle.check_closure() is None
         edit(oracle.state)
         assert oracle.check_closure() == reason
+
+    def test_task_index_lists_the_ok_shares_in_share_order(self, net):
+        ledger, oracle, _, alice, bob = net
+        other = "isl://vocab/task/energy_prediction"
+        a2, a3, a4, a5, a6 = "2" * 64, "3" * 64, "4" * 64, "5" * 64, "6" * 64
+
+        def share(sender, local, addr, task, base=None):
+            args = (f"isl://x/model/{local}", addr, task, ADDR_D, base)
+            return ledger.submit(sender, "oracle", "share_model", args)
+
+        ok(ledger.submit(alice, "oracle", "share_dataset", ("isl://alice/dataset/d", ADDR_D)))
+        ok(share(alice, "m5", a5, TASK))
+        reverted(share(bob, "m6", a6, TASK, base="9" * 64), "IncompleteChain")
+        ok(share(bob, "m4", a4, other, base=a5))
+        reverted(share(bob, "again", a5, other), "AlreadyShared")
+        ok(share(alice, "m2", a2, TASK))
+        reverted(share(alice, "m6", a6, other, base="9" * 64), "IncompleteChain")
+        ok(share(bob, "m3", a3, other))
+        assert ledger.state_dict()["oracle"]["task_index"] == {other: [a4, a3], TASK: [a5, a2]}
+        assert oracle.check_closure() is None
 
     def test_role_separation(self, net):
         ledger, _, _, alice, _ = net
@@ -257,11 +270,27 @@ class TestPricing:
         assert not isl.validate_token(token, ADDR_D, bob)
         assert not isl.validate_token("deadbeef", ADDR_M, bob)
 
+    def test_tokens_list_only_the_ok_acquires(self, shared):
+        ledger, _, _, alice, bob = shared
+        token = ok(ledger.submit(bob, "isl", "acquire", (ADDR_M,))).return_value["token"]
+        ok(ledger.submit(alice, "isl", "set_price", (ADDR_M, 40)))
+        reverted(ledger.submit(bob, "isl", "acquire", (ADDR_M,), value=39), "WrongPayment")
+        assert ledger.state_dict()["isl"]["tokens"] == {token: True}
+        assert list(ledger.contract("isl").state["acquisitions"]) == [token]
+
     def test_dataset_acquire_also_works(self, shared):
         ledger, _, _, alice, bob = shared
         ok(ledger.submit(alice, "isl", "set_price", (ADDR_D, 3)))
         receipt = ok(ledger.submit(bob, "isl", "acquire", (ADDR_D,), value=3))
         assert receipt.return_value["resource_location"] == ADDR_D
+
+
+def test_contract_state_holds_no_derived_table(net):
+    ledger, oracle, _, _, _ = net
+    assert "task_index" not in oracle.state
+    assert "tokens" not in ledger.contract("isl").state
+    state = ledger.state_dict()  # chainstate.json still carries both
+    assert state["oracle"]["task_index"] == {} and state["isl"]["tokens"] == {}
 
 
 def test_every_revert_reason_names_a_typed_error():

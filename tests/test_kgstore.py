@@ -1,6 +1,7 @@
 """Knowledge graph behaviour: registration rules, queries, serialization."""
 
 import gc
+import math
 import re
 import tracemalloc
 
@@ -47,7 +48,7 @@ def model(node="alice", local="m1", **over):
         iri=kgstore.model_iri(node, local),
         task=TASK,
         dataset=kgstore.dataset_iri(node, "d1"),
-        model_uri=f"blobs/{ADDR[:2]}/{ADDR}",
+        local_uri=f"blobs/{ADDR[:2]}/{ADDR}",
         base_model=None,
         input_features=("co2",),
         mae=0.1,
@@ -128,8 +129,15 @@ class TestRegistration:
 
     def test_bad_measures(self, kg):
         kg.register_dataset(dataset())
-        with pytest.raises(MalformedDescriptor):
-            kg.register_model(model(mse=-1.0))
+        before = kg.export_bytes()
+        # 10**400 passes ``< math.inf`` but overflows float(); a bool is not a number here
+        for bad in ({"mse": -1.0}, {"mse": math.inf}, {"mse": math.nan}, {"mae": True},
+                    {"mae": 10**400}, {"mae": "0.1"}):
+            with pytest.raises(MalformedDescriptor):
+                kg.register_model(model(**bad))
+            assert not kg.has_model(model().iri)
+            assert kg.export_bytes() == before
+        kg.register_model(model(mae=0, mse=1.7976931348623157e308))  # the largest float is finite
 
     def test_int_measures_read_back_as_floats(self, kg):
         kg.register_dataset(dataset())
@@ -309,7 +317,7 @@ def test_a_shared_record_retains_under_1200_bytes():
     try:
         start = tracemalloc.get_traced_memory()[0]
         for i in range(n):
-            kg.register_model(model(local=f"m{i}", model_uri=f"blobs/{i:064x}", mae=0.5 + i))
+            kg.register_model(model(local=f"m{i}", local_uri=f"blobs/{i:064x}", mae=0.5 + i))
             kg.mark_shared(model(local=f"m{i}").iri, f"{n + i:064x}", f"tx-{i}")
         gc.collect()
         retained = (tracemalloc.get_traced_memory()[0] - start) / n

@@ -111,6 +111,18 @@ class TestLocalWorkflow:
             alice.train_model(local_id, "d2", task)
         assert oracles.stored_addresses(alice.root) == before
 
+    def test_a_fine_tune_to_an_infinite_mse_leaves_no_trace(self, net):
+        alice = net.node("alice")
+        alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40)
+        alice.train_model("m1", "d1", "occupancy_detection")
+        graph_before = alice.graph.export_bytes()
+        blobs_before = oracles.stored_addresses(alice.root)
+        with pytest.raises(MalformedDescriptor, match="MSE must be a finite"):
+            alice.fine_tune_model("m2", "m1", "d1", steps=1, learning_rate=1e300)
+        assert alice.graph.export_bytes() == graph_before
+        assert oracles.stored_addresses(alice.root) == blobs_before
+        assert kgstore.model_iri("alice", "m2") not in alice.depgraph
+
     def test_failed_put_drops_the_record(self, net, monkeypatch):
         alice = net.node("alice")
         alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
@@ -134,7 +146,7 @@ class TestLocalWorkflow:
         alice.create_local_dataset("d2", seed=8, profile=PROFILE, n_rows=30)
         record = alice.train_model("m1", "d2", "occupancy_detection")
         assert alice.load_model("m1") is not None
-        assert alice.store.contains(record.model_uri.rsplit("/", 1)[-1])
+        assert alice.store.contains(record.local_uri.rsplit("/", 1)[-1])
 
     def test_loaded_dataset_round_trips(self, net):
         alice = net.node("alice")
@@ -269,7 +281,7 @@ class TestSharing:
         alice = net.node("alice")
         descriptor = alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40)
         record = alice.train_model("m1", "d1", "occupancy_detection")
-        uri = descriptor.local_uri if tampered == "dataset" else record.model_uri
+        uri = (descriptor if tampered == "dataset" else record).local_uri
         alice.store.path_for(uri.rsplit("/", 1)[-1]).write_bytes(b"tampered\n")
         log_len = len(net.ledger.log)
         blobs = oracles.stored_addresses(alice.root)
@@ -296,7 +308,7 @@ class TestSharing:
         alice.share_model("m1")
         # the stored blob of d1 (or m1) now holds d2's (or m2's) valid bytes
         victim, donor = (d1.local_uri, d2.local_uri) if tampered == "dataset" else (
-            m1.model_uri, m2.model_uri)
+            m1.local_uri, m2.local_uri)
         alice.store.path_for(victim.rsplit("/", 1)[-1]).write_bytes(
             alice.store.path_for(donor.rsplit("/", 1)[-1]).read_bytes())
         log_len = len(net.ledger.log)
@@ -551,7 +563,7 @@ class TestMarketplace:
         bob.create_local_dataset("d1", seed=12, profile=WARM, n_rows=30)
         own = bob.train_model("m1", "d1", "occupancy_detection")
         ds_addr = bob.share_dataset("d1").content_address
-        addr = own.model_uri.rsplit("/", 1)[-1]
+        addr = own.local_uri.rsplit("/", 1)[-1]
         # bob registers his own model's real address while his graph holds it unshared,
         # under the model's task or another one
         receipt = net.ledger.submit(bob.account, "oracle", "share_model",
@@ -584,7 +596,7 @@ class TestMarketplace:
         own = bob.train_model("m1", "d1", "occupancy_detection")
         other = bob.train_model("m2", "d1", "energy_prediction")
         ds_addr = bob.share_dataset("d1").content_address
-        addr = own.model_uri.rsplit("/", 1)[-1]
+        addr = own.local_uri.rsplit("/", 1)[-1]
         # bob registers m1's bytes under m2's IRI, then shares m1, which adopts that row
         receipt = net.ledger.submit(
             bob.account, "oracle", "share_model", (other.iri, addr, own.task, ds_addr, None))
@@ -630,7 +642,7 @@ class TestMarketplace:
         bob.create_local_dataset("d2", seed=13, profile=WARM, n_rows=30)
         own = bob.train_model("m2", "d2", "occupancy_detection")
         ds_addr = bob.share_dataset("d2").content_address
-        addr = own.model_uri.rsplit("/", 1)[-1]
+        addr = own.local_uri.rsplit("/", 1)[-1]
         receipt = net.ledger.submit(
             bob.account, "oracle", "share_model", (own.iri, addr, own.task, ds_addr, None))
         assert receipt.status == "ok"
@@ -645,7 +657,7 @@ class TestMarketplace:
         alice = net.node("alice")
         lookups.clear()
         assert bob.acquire_model(record.content_address, payment=0) == record._replace(
-            model_uri=bob.store.relative_uri(record.content_address))
+            local_uri=bob.store.relative_uri(record.content_address))
         assert lookups and all(graph is not alice.graph for graph in lookups)
 
     def test_acquire_refuses_a_squatted_entry(self, net):
@@ -654,7 +666,7 @@ class TestMarketplace:
         bob.create_local_dataset("d1", seed=12, profile=WARM, n_rows=30)
         own = bob.train_model("m1", "d1", "occupancy_detection")
         ds_addr = bob.share_dataset("d1").content_address
-        addr = own.model_uri.rsplit("/", 1)[-1]
+        addr = own.local_uri.rsplit("/", 1)[-1]
         # bob's own bytes, registered under alice's model IRI
         squat = net.ledger.submit(
             bob.account, "oracle", "share_model", (record.iri, addr, record.task, ds_addr, None)
@@ -1106,6 +1118,6 @@ class TestReferenceResolution:
         record = shared_model(net)
         alice = net.node("alice")
         tuned = alice.fine_tune_model("m2", "m1", "d1", steps=0, learning_rate=0.05)
-        assert tuned.model_uri == record.model_uri  # no step taken: the same bytes
+        assert tuned.local_uri == record.local_uri  # no step taken: the same bytes
         alice.share_model("m2")  # adopts m1's registration
         assert net.shared_address("alice/m2") == record.content_address

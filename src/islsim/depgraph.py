@@ -8,11 +8,10 @@ the on-chain `contracts.walk_provenance` and the registry audit
 `OracleContract.check_closure` all walk through it. A cycle can only
 appear in a hand-mutated table; `lineage` refuses to loop on one.
 
-A `DependencyGraph` stores a node's chains as a child -> (parent-or-None,
-dataset) map. A second parent for the same child is unrepresentable in
-that map, and `add_model` only accepts a base that is already present.
-Datasets are edge labels, not vertices; reusing one dataset for many
-trainings is fine.
+A `DependencyGraph` stores no links: a trace follows `base_model` through
+the node's own records in its knowledge graph and, past a cached remote
+model, reads that model's on-chain chain through `chain_of`. Datasets are
+edge labels, not vertices; reusing one dataset for many trainings is fine.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .errors import DuplicateModel, IslError, UnknownBase, UnknownModel
+from .errors import IslError, UnknownModel
+from .kgstore import KnowledgeGraph, ModelRecord
 
 
 def lineage(tip: str, base_of: Callable[[str], str | None]) -> list[str]:
@@ -46,22 +46,24 @@ class ProvenanceChain(NamedTuple):
 
 
 class DependencyGraph:
-    def __init__(self) -> None:
-        self._edges: dict[str, tuple[str | None, str]] = {}
-
-    def __contains__(self, model_id: str) -> bool:
-        return model_id in self._edges
-
-    def add_model(self, model_id: str, base: str | None, dataset_id: str) -> None:
-        if model_id in self._edges:
-            raise DuplicateModel(f"{model_id} is already in the graph")
-        if base is not None and base not in self._edges:
-            raise UnknownBase(f"base model {base} is not in the graph")
-        self._edges[model_id] = (base, dataset_id)
+    def __init__(self, graph: KnowledgeGraph,
+                 chain_of: Callable[[str], list[tuple[str, str]]]) -> None:
+        """``chain_of(addr)``: the root-first (model, dataset) steps of a shared model on chain."""
+        self._graph = graph
+        self._chain_of = chain_of
 
     def trace(self, model_id: str) -> ProvenanceChain:
-        edges = self._edges
-        if model_id not in edges:
+        graph = self._graph
+        if not graph.has_model(model_id):
             raise UnknownModel(f"{model_id} is not in the graph")
-        chain = lineage(model_id, lambda m: edges[m][0])
-        return ProvenanceChain(tuple((m, edges[m][1]) for m in chain))
+        own: list[ModelRecord] = []  # the records lineage reads, tip first
+
+        def base_of(iri: str) -> str | None:
+            own.append(record := graph.model(iri))
+            return record.base_model if record.owner_node == graph.node_id else None
+
+        lineage(model_id, base_of)
+        steps: list[tuple[str, str]] = []
+        if own[-1].owner_node != graph.node_id:  # a cached remote model: the chain holds its steps
+            steps = self._chain_of(own.pop().content_address)  # type: ignore[arg-type]
+        return ProvenanceChain((*steps, *((m.iri, m.dataset) for m in reversed(own))))

@@ -26,7 +26,6 @@ from .contracts import IslContract, OracleContract, walk_provenance
 from .depgraph import DependencyGraph
 from .errors import (
     AlreadyShared,
-    IncompleteChain,
     IntegrityFailure,
     IslError,
     NotFound,
@@ -298,7 +297,8 @@ class IslNode:
         self.root = node_dir
         self.store = BlobStore(node_dir)
         self.graph = KnowledgeGraph(name)
-        self.depgraph = DependencyGraph()
+        self.depgraph = DependencyGraph(self.graph, lambda addr: [
+            (s.model_iri, s.dataset_iri) for s in walk_provenance(network.oracle, addr)])
 
     def __repr__(self) -> str:
         return f"IslNode({self.name!r}, account={self.account[:8]}...)"
@@ -400,7 +400,6 @@ class IslNode:
         )
         self.graph.register_model(record)
         self._put_registered(record.iri, blob)
-        self.depgraph.add_model(record.iri, base_iri, ds_iri)
         return record
 
     def _put_registered(self, iri: str, blob: bytes) -> None:
@@ -423,16 +422,13 @@ class IslNode:
         descriptor = self.graph.dataset(iri)
         if descriptor.shared:
             raise AlreadyShared(f"{iri} is already shared")
-        if descriptor.owner_node != self.name:
-            raise IncompleteChain(f"{iri} belongs to {descriptor.owner_node}")
         return self._share([descriptor])  # type: ignore[return-value]
 
     def share_model(self, ref: str) -> ModelRecord:
         """Publish a model and, first, any of its own unshared ancestry.
 
-        The whole dependency chain is checked before the first
-        transaction: an ancestor owned by another node that is not yet
-        on chain aborts the operation with no on-chain effect at all.
+        Every record it shares is this node's own: a cached remote record
+        is always shared, so the ancestry of an acquired model is on chain.
         """
         iri = self._iri(ref, "model")
         if self.graph.model(iri).shared:
@@ -442,26 +438,20 @@ class IslNode:
     def _share_plan(self, target_iri: str) -> list[Record]:
         """The unshared records of the chain to share, root first, each once.
 
-        Only this node's own records are read. The walk goes tip first
-        and stops at the first model recorded as shared: the oracle's
-        chain rule admitted it only after its dataset and base, so its
-        whole ancestry is already on chain.
+        The walk goes tip first and stops at the first model recorded as
+        shared: the oracle's chain rule admitted it only after its dataset
+        and base, so its whole ancestry is already on chain. Every step
+        before it is a record of this node's own graph (a trace leaves the
+        graph only past a cached remote model, which is shared), and an
+        unshared one is this node's own.
         """
         kg = self.graph
         tip_first: list[Record] = []
         for model_iri, ds_iri in reversed(self.depgraph.trace(target_iri).steps):
-            model = kg.model(model_iri) if kg.has_model(model_iri) else None
-            if model is not None and model.shared:
+            model = kg.model(model_iri)
+            if model.shared:
                 break
-            ds = kg.dataset(ds_iri) if kg.has_dataset(ds_iri) else None
-            for kind, step_iri, local in (("model", model_iri, model), ("dataset", ds_iri, ds)):
-                if local is not None and local.shared:
-                    continue
-                if local is None or local.owner_node != self.name:
-                    raise IncompleteChain(
-                        f"{kind} {step_iri} in the dependency chain is not shared"
-                    )
-                tip_first.append(local)
+            tip_first += [r for r in (model, kg.dataset(ds_iri)) if not r.shared]
         return list(dict.fromkeys(reversed(tip_first)))
 
     def _share(self, plan: list[Record]) -> Record:
@@ -558,15 +548,7 @@ class IslNode:
             self.graph.cache_remote_dataset(cached)
         else:
             self.graph.cache_remote_model(cached)
-            self._import_provenance(addr)
         return cached
-
-    def _import_provenance(self, addr: str) -> None:
-        prev: str | None = None
-        for step in walk_provenance(self.network.oracle, addr):
-            if step.model_iri not in self.depgraph:
-                self.depgraph.add_model(step.model_iri, prev, step.dataset_iri)
-            prev = step.model_iri
 
     def serve_blob(self, addr: str, token: str, caller: str) -> bytes:
         """Hand out stored bytes against a valid acquisition token."""

@@ -22,7 +22,6 @@ from islsim.cas import content_address
 from islsim.errors import (
     AlreadyShared,
     DuplicateId,
-    IncompleteChain,
     IntegrityFailure,
     IslError,
     MalformedArgs,
@@ -31,6 +30,7 @@ from islsim.errors import (
     ParseError,
     TokenRejected,
     Unauthorized,
+    UnknownModel,
     UnknownResource,
     WrongPayment,
 )
@@ -53,6 +53,25 @@ def two_node_network(root):
 @pytest.fixture
 def net(tmp_path):
     return two_node_network(tmp_path / "net")
+
+
+def squat_bob_ancestry(net):
+    """mal registers its own d0 and m0 bytes under bob's IRIs ``dx`` and ``m9``, adopts both
+    rows by sharing m0, then shares m1, fine-tuned from m0: m1's chain runs through bob's IRIs."""
+    mal = net.add_node("mal", balance=100)
+    net.register_node("mal")
+    d0 = mal.create_local_dataset("d0", seed=5, profile=PROFILE, n_rows=30)
+    m0 = mal.train_model("m0", "d0", "occupancy_detection")
+    d0_addr, m0_addr = (r.local_uri.rsplit("/", 1)[-1] for r in (d0, m0))
+    for method, args in (
+        ("share_dataset", (kgstore.dataset_iri("bob", "dx"), d0_addr)),
+        ("share_model", (kgstore.model_iri("bob", "m9"), m0_addr, m0.task, d0_addr, None)),
+    ):
+        assert net.ledger.submit(mal.account, "oracle", method, args).status == "ok"
+    mal.share_model("m0")
+    mal.create_local_dataset("d1", seed=6, profile=WARM, n_rows=20)
+    mal.fine_tune_model("m1", "m0", "d1", steps=10, learning_rate=0.05)
+    return mal.share_model("m1")
 
 
 def shared_model(net, node_name="alice", local="m1", seed=11, n_rows=40):
@@ -121,7 +140,8 @@ class TestLocalWorkflow:
             alice.fine_tune_model("m2", "m1", "d1", steps=1, learning_rate=1e300)
         assert alice.graph.export_bytes() == graph_before
         assert oracles.stored_addresses(alice.root) == blobs_before
-        assert kgstore.model_iri("alice", "m2") not in alice.depgraph
+        with pytest.raises(UnknownModel):
+            alice.depgraph.trace(kgstore.model_iri("alice", "m2"))
 
     def test_failed_put_drops_the_record(self, net, monkeypatch):
         alice = net.node("alice")
@@ -201,25 +221,23 @@ class TestSharing:
         ]
         assert net.oracle.check_closure() is None
 
-    def test_foreign_unshared_ancestor_aborts_cleanly(self, net):
-        bob = net.node("bob")
-        bob.create_local_dataset("d1", seed=31, profile=PROFILE, n_rows=20)
-        bob.train_model("m1", "d1", "occupancy_detection")
-        # claim a parent bob never had: a model alice never shared either
-        ghost = kgstore.model_iri("alice", "never-shared")
-        bob.depgraph._edges[kgstore.model_iri("bob", "m1")] = (
-            ghost,
-            kgstore.dataset_iri("bob", "d1"),
-        )
-        bob.depgraph._edges[ghost] = (None, kgstore.dataset_iri("bob", "d1"))
+    def test_a_byte_identical_fine_tune_shares_under_its_base_registration(self, net):
+        # an allowed case: from a least-squares base, gradient steps on the base's own
+        # dataset leave the bytes unchanged, so the share adopts the base's row
+        base = shared_model(net)
+        alice = net.node("alice")
+        tuned = alice.fine_tune_model("m2", "m1", "d1", steps=10, learning_rate=0.05)
+        log_len = len(net.ledger.log)
 
-        before = net.ledger.canonical_state()
-        with pytest.raises(IncompleteChain):
-            bob.share_model("m1")
-        # aborted before any transaction: nothing on chain moved at all
-        assert net.ledger.canonical_state() == before
-        assert not bob.graph.model(kgstore.model_iri("bob", "m1")).shared
-        assert not bob.graph.dataset(kgstore.dataset_iri("bob", "d1")).shared
+        shared = alice.share_model("m2")
+
+        assert len(net.ledger.log) == log_len
+        assert (shared.content_address, shared.tx_id) == (base.content_address, base.tx_id)
+        assert tuned.iri not in {e["iri"] for e in net.oracle.state["shared_models"].values()}
+        walk = walk_provenance(net.oracle, shared.content_address)
+        assert [(s.model_iri, s.dataset_iri) for s in walk] == [(base.iri, base.dataset)]
+        assert alice.depgraph.trace(tuned.iri).steps == ((base.iri, base.dataset),
+                                                         (tuned.iri, base.dataset))
 
     def test_share_foreign_dataset_rejected(self, net):
         shared_model(net)
@@ -733,6 +751,34 @@ class TestMarketplace:
         bob.create_local_dataset("mine", seed=14, profile=WARM, n_rows=10)
         local = bob.fine_tune_model("refit", tuned.iri, "mine", steps=5, learning_rate=0.05)
         assert local.base_model == tuned.iri
+
+    def test_an_acquired_chain_through_squatted_iris_leaves_them_free(self, net):
+        tip = squat_bob_ancestry(net)
+        bob = net.node("bob")
+        bob.acquire_model(tip.content_address, payment=0)
+        bob.create_local_dataset("dx", seed=41, profile=WARM, n_rows=25)
+
+        record = bob.train_model("m9", "dx", "occupancy_detection")
+        shared = bob.share_model("m9")
+
+        assert shared == bob.graph.model(record.iri) and shared.shared
+        assert shared.content_address == record.local_uri.rsplit("/", 1)[-1]
+        entry = net.oracle.model_entry(shared.content_address)
+        assert (entry["owner"], entry["iri"]) == (bob.account, record.iri)
+        assert net.oracle.check_closure() is None
+
+    def test_an_acquired_trace_follows_the_chain_not_a_held_iri(self, net):
+        tip = squat_bob_ancestry(net)
+        bob = net.node("bob")
+        bob.create_local_dataset("real", seed=41, profile=WARM, n_rows=25)
+        bob.train_model("m9", "real", "occupancy_detection")  # before the acquire
+
+        bob.acquire_model(tip.content_address, payment=0)
+
+        walk = walk_provenance(net.oracle, tip.content_address)
+        assert bob.depgraph.trace(tip.iri).steps == tuple((s.model_iri, s.dataset_iri) for s in walk)
+        assert bob.depgraph.trace(tip.iri).steps[0] == (
+            kgstore.model_iri("bob", "m9"), kgstore.dataset_iri("bob", "dx"))
 
     def test_acquire_own_resource_is_a_noop(self, net):
         record = shared_model(net)

@@ -19,12 +19,12 @@ line, ``#`` starting a comment::
     acquire NAME REF PRICE
     trace REF
 
-A number outside what the chain or the models take (a negative
-balance or payment, an amount beyond 2**256 - 1, fewer than one row,
-negative STEPS, an LR that is not positive, a SLOPE, INTERCEPT, NOISE
-or LR that is not finite) is malformed input, as is a ``--workspace``
-that is not a directory or is a directory that is not empty: a
-workspace holds the output of one run.
+Numbers are parsed for syntax only. Each bound is checked once, by the
+layer that owns the value: the ledger (amounts), ``mlsim`` (ROWS, STEPS,
+LR, SLOPE, INTERCEPT, NOISE) or the contract (a negative PRICE reverts).
+Every ``raise ValueError`` in the package is such a check, made before
+any write, so the runner reports it as malformed input (exit 2). A
+``--workspace`` that is not a directory or not empty is malformed too.
 
 A resource reference (DSID, BASEREF, RESID, REF) has one grammar, read
 by ``Network.resolve``: a 64-hex content address is taken as given (in
@@ -41,8 +41,11 @@ The workspace is written once, by ``Network.persist`` (temp file plus
 rename per file, ``chainstate.json`` last), when the scenario ends or
 stops at its first failing command, so on failure it holds the state up
 to and including that command. ``replay`` re-executes ``ledger.log`` and prints MATCH only if
-the result serializes to the very bytes of ``chainstate.json``; a log
-line or file ending the writer would not write is ``CorruptLog``.
+the result serializes to the very bytes of ``chainstate.json`` and that
+file's ``meta`` names the replayed owner and maps node names to distinct
+non-owner accounts the log created, each the one in its node's
+``account.txt``; a log line or file ending the writer would not write
+is ``CorruptLog``.
 
 ``inspect registry|balances|provenance`` prints only the replayed state
 and refuses (``UnknownWorkspace``) a workspace ``replay`` would not call
@@ -53,16 +56,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .cas import is_address
 from .contracts import ChainStep, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
-from .ledger import WORD, Ledger, parse_log_line, replay
+from .ledger import Ledger, parse_log_line, replay
 from .mlsim import RoomProfile
-from .node import CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes, is_node_name
+from .node import (
+    ACCOUNT_FILE, CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes, is_node_name,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,27 +136,18 @@ def _parse_scenario(text: str) -> list[list[str]]:
     return commands
 
 
-def _int(token: str, what: str, lo: int | None = None, hi: int | None = None) -> int:
-    """``token`` as an int in [lo, hi]; a bound that is None is open."""
+def _int(token: str, what: str) -> int:
     try:
-        value = int(token)
+        return int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}") from None
-    if lo is not None and value < lo:
-        raise ParseError(f"{what} must be at least {lo}, got {token!r}")
-    if hi is not None and value > hi:
-        raise ParseError(f"{what} must be at most {hi}, got {token!r}")
-    return value
 
 
 def _float(token: str, what: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"{what} must be a finite number, got {token!r}")
-    return value
+        raise ParseError(f"{what} must be a number, got {token!r}") from None
 
 
 class ScenarioRunner:
@@ -201,11 +196,14 @@ class ScenarioRunner:
                 raise ParseError(f"line {lineno}: create-network given twice")
         elif self.network is None:
             raise ParseError(f"line {lineno}: create-network must come first")
-        getattr(self, handler)(*args)
+        try:
+            getattr(self, handler)(*args)
+        except ValueError as exc:  # an owner's bound check; each runs before any write
+            raise ParseError(f"line {lineno}: {exc}") from None
 
     def _persist(self) -> None:
         # an empty scenario still leaves a well-formed genesis workspace
-        net = self.network or Network(self.workspace, replay((), Network.contract_factory), None)
+        net = self.network or Network(self.workspace, replay((), Network.contract_factory))
         net.persist()
 
     def _net(self) -> Network:
@@ -218,12 +216,12 @@ class ScenarioRunner:
     # ---------------------------------------------------------------- commands
 
     def _do_create_network(self, balance: str) -> None:
-        self.network = Network.create(self.workspace, _int(balance, "OWNER_BALANCE", 0, WORD))
+        self.network = Network.create(self.workspace, _int(balance, "OWNER_BALANCE"))
         net = self.network
         print(f"network owner={net.owner_account} balance={net.ledger.balance_of(net.owner_account)}")
 
     def _do_add_node(self, name: str, balance: str) -> None:
-        node = self._net().add_node(name, _int(balance, "BALANCE", 0, WORD))
+        node = self._net().add_node(name, _int(balance, "BALANCE"))
         print(f"node {name} account={node.account} balance={node.balance}")
 
     def _do_register_node(self, name: str) -> None:
@@ -237,7 +235,7 @@ class ScenarioRunner:
             _float(slope, "SLOPE"), _float(intercept, "INTERCEPT"), _float(noise, "NOISE")
         )
         descriptor = self._node(name).create_local_dataset(
-            dsid, _int(seed, "SEED"), profile, _int(rows, "ROWS", 1)
+            dsid, _int(seed, "SEED"), profile, _int(rows, "ROWS")
         )
         print(f"dataset {descriptor.iri} rows={_int(rows, 'ROWS')} uri={descriptor.local_uri}")
 
@@ -249,11 +247,7 @@ class ScenarioRunner:
         self, name: str, model_id: str, base: str, dsid: str, steps: str, lr: str
     ) -> None:
         node = self._node(name)
-        n_steps = _int(steps, "STEPS", 0)
-        learning_rate = _float(lr, "LR")
-        if not learning_rate > 0:
-            raise ParseError(f"LR must be positive, got {lr!r}")
-        record = node.fine_tune_model(model_id, base, dsid, n_steps, learning_rate)
+        record = node.fine_tune_model(model_id, base, dsid, _int(steps, "STEPS"), _float(lr, "LR"))
         print(f"model {record.iri} mse={record.mse!r} mae={record.mae!r}")
 
     def _do_share(self, name: str, resid: str) -> None:
@@ -265,9 +259,7 @@ class ScenarioRunner:
         print(f"shared {shared.iri} addr={shared.content_address} tx={shared.tx_id}")
 
     def _do_set_price(self, name: str, resid: str, price: str) -> None:
-        node = self._node(name)
-        # a negative price is left to the contract, which reverts MalformedArgs
-        addr = node.set_price(resid, _int(price, "PRICE", -WORD, WORD))
+        addr = self._node(name).set_price(resid, _int(price, "PRICE"))
         print(f"price addr={addr} value={_int(price, 'PRICE')}")
 
     def _do_query(self, name: str, task: str, *sensors: str) -> None:
@@ -281,7 +273,7 @@ class ScenarioRunner:
     def _do_acquire(self, name: str, ref: str, price: str) -> None:
         node = self._node(name)
         addr = self._net().shared_address(ref, name)
-        record = node.acquire_model(addr, _int(price, "PRICE", 0, WORD))
+        record = node.acquire_model(addr, _int(price, "PRICE"))
         print(f"acquired {addr} price={_int(price, 'PRICE')} from={record.owner_node}")
 
     def _do_trace(self, ref: str) -> None:
@@ -395,11 +387,35 @@ def _replayed(workspace: Path) -> Ledger | None:
     meta = stored.get("meta")
     del stored  # the replica rebuilds the state; only a mismatch parses the file again
     replica = _replay_log(log_path)
-    if chainstate_bytes(replica, meta) == data:
+    state = replica.state_dict()
+    if _meta_holds(meta, state, workspace) and chainstate_bytes(state, meta) == data:
         return replica
     # a file equal to the replayed state is well formed; only a mismatch is checked
     _check_registry(json.loads(data))
     return None
+
+
+def _meta_holds(meta: object, state: dict, workspace: Path) -> bool:
+    """Whether ``meta`` is what ``Network.persist`` writes beside the replayed ``state``: its
+    oracle's owner, and node names mapped to distinct non-owner accounts that the log created.
+    The log holds no names, so each account must be the one in its node's ``account.txt``;
+    a renaming of the node directories as well still holds."""
+    owner = state["oracle"]["owner"]
+    if not (isinstance(meta, dict) and meta.keys() == {"owner", "nodes"} and meta["owner"] == owner
+            and isinstance(meta["nodes"], dict) and all(map(is_node_name, meta["nodes"]))):
+        return False
+    nodes = workspace / "nodes"
+    accounts = [a for name, a in meta["nodes"].items()
+                if isinstance(a, str) and a != owner and a in state["balances"]
+                and _holds(nodes / name / ACCOUNT_FILE, f"{a}\n".encode())]
+    return len(accounts) == len(meta["nodes"]) == len(set(accounts))
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    try:
+        return path.read_bytes() == data
+    except OSError:
+        return False
 
 
 def _replay_log(log_path: Path) -> Ledger:

@@ -54,9 +54,6 @@ class Contract:
             raise Revert(f"MalformedArgs: {self.name}.{method} does not take {args!r}")
         return getattr(self, "op_" + method)(ctx, *args)
 
-    def state_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class OracleContract(Contract):
     name = "oracle"

@@ -75,19 +75,25 @@ FEATURE_UNITS = {
 }
 
 
+def _require_str(value: str, what: str) -> str:
+    if isinstance(value, str):  # an int id or task would read back as a str one
+        return value
+    raise TypeError(f"{what} must be a str, not {type(value).__name__}")
+
+
 def task_iri(name: str) -> str:
-    return f"{VOCAB}task/{name}"
+    return f"{VOCAB}task/{_require_str(name, 'task')}"
 
 
 TASK_IRIS = tuple(task_iri(t) for t in TASKS)
 
 
 def dataset_iri(node_id: str, local_id: str) -> str:
-    return f"isl://{node_id}/dataset/{local_id}"
+    return f"isl://{node_id}/dataset/{_require_str(local_id, 'local id')}"
 
 
 def model_iri(node_id: str, local_id: str) -> str:
-    return f"isl://{node_id}/model/{local_id}"
+    return f"isl://{node_id}/model/{_require_str(local_id, 'local id')}"
 
 
 class Literal(NamedTuple):

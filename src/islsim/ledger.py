@@ -21,7 +21,7 @@ argument, a ``value``, a starting balance) must fit one EVM word,
 
 Determinism matters more than anything else here: token and id
 generation derive from the transaction sequence number, account
-addresses derive from a creation counter, and the whole history can be
+addresses derive from the number of accounts, and the whole history can be
 re-executed from the log to reach a bit-identical state.
 
 The persisted log has one entry per line, tab separated. Transaction
@@ -139,7 +139,6 @@ class Ledger:
         self._balances: dict[str, int] = {}
         self._contract_balances: dict[str, int] = {}
         self._contracts: dict[str, ContractLike] = {}
-        self._account_counter = 0
         self._next_seq = 1
         self.log: list[AccountCreation | Transaction] = []
         # (table, key, previous value) per write of the running transaction
@@ -149,13 +148,13 @@ class Ledger:
 
     def create_account(self, initial_balance: int, owner: bool = False) -> Account:
         _require_amount(initial_balance, "initial balance")
-        address = hashlib.sha256(str(self._account_counter + 1).encode()).hexdigest()[:40]
+        # only this method adds an account, so the count numbers the new one
+        address = hashlib.sha256(str(len(self._balances) + 1).encode()).hexdigest()[:40]
         if owner:
             for contract in self._contracts.values():
                 hook = getattr(contract, "on_owner_account", None)
                 if hook is not None:
                     hook(address)
-        self._account_counter += 1
         self._balances[address] = initial_balance
         self.log.append(AccountCreation(address, initial_balance, owner))
         return Account(address)

@@ -267,17 +267,22 @@ def _gradient(weights, bias: float, columns, targets) -> tuple[list[float], floa
     return [scale * g for g in grad_w], scale * grad_b
 
 
+def require_schedule(steps: int, rate: float) -> None:
+    """Refuse a schedule of ``steps`` and learning ``rate`` that ``fine_tune`` does not run."""
+    if type(steps) is not int or isinstance(rate, bool):  # a bool is no count or rate
+        raise TypeError(f"steps must be an int and the rate a number, got {steps!r}, {rate!r}")
+    if steps < 0 or not 0 < rate < math.inf:  # a NaN fails both comparisons
+        raise ValueError(f"steps must be >= 0 and the rate finite and > 0, got {steps}, {rate!r}")
+
+
 def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: float) -> LinearModel:
     """Warm-started full-batch gradient descent on MSE.
 
     steps=0 is the identity; the returned model always keeps the base's
     feature order.
     """
+    require_schedule(steps, learning_rate)
     _check_features(base, d)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if not 0 < learning_rate < math.inf:  # a NaN fails both comparisons
-        raise ValueError("learning rate must be positive and finite")
     if steps == 0:
         return base
     columns, targets = _columns(d)
@@ -338,8 +343,10 @@ def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> Tabular
     module docstring (they do not depend on the seed); the seed drives
     only the target noise, so equal seeds give byte-identical datasets.
     """
-    if n_rows < 1:
-        raise ValueError("n_rows must be at least 1")
+    if type(seed) is not int or type(n_rows) is not int:  # a bool is no seed or count
+        raise TypeError(f"seed and n_rows must be ints, got {seed!r}, {n_rows!r}")
+    if n_rows < 1 or not all(map(math.isfinite, profile)):
+        raise ValueError(f"n_rows must be at least 1 and the profile finite, got {n_rows}, {profile}")
     state = seed & _LCG_MASK
     rows = []
     for x in _grid(n_rows):

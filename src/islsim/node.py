@@ -40,6 +40,7 @@ from .ledger import Ledger, Receipt, canonical_json, log_lines
 IRI_PREFIX = "isl://"
 LEDGER_FILE = "ledger.log"
 CHAINSTATE_FILE = "chainstate.json"
+ACCOUNT_FILE = "account.txt"  # in each node's directory
 _IRI_OF = {"model": kgstore.model_iri, "dataset": kgstore.dataset_iri}
 
 Record = DatasetDescriptor | ModelRecord
@@ -73,9 +74,10 @@ class RankedModel(NamedTuple):
 _RANK = itemgetter(3, 0)  # a RankedModel's (mse, address)
 
 
-def chainstate_bytes(ledger: Ledger, meta: object) -> bytes:
-    """The bytes of ``chainstate.json``: the state replay must reproduce, plus ``meta``."""
-    return canonical_json({**ledger.state_dict(), "meta": meta}) + b"\n"
+def chainstate_bytes(state: dict, meta: object) -> bytes:
+    """The bytes of ``chainstate.json``: a ledger's ``state_dict()``, which replay must
+    reproduce, plus ``meta``."""
+    return canonical_json({**state, "meta": meta}) + b"\n"
 
 
 def is_node_name(name: str) -> bool:
@@ -93,10 +95,9 @@ def _addr_of(local_uri: str) -> str:
 class Network:
     """A complete simulated deployment rooted at one directory."""
 
-    def __init__(self, root: Path, ledger: Ledger, owner_account: str | None) -> None:
+    def __init__(self, root: Path, ledger: Ledger) -> None:
         self.root = Path(root)
         self.ledger = ledger
-        self.owner_account = owner_account
         self._nodes: dict[str, IslNode] = {}
         self._valid: dict[str, tuple[IslNode, Record]] = {}  # addr -> (registrant, its record)
         self._listed: dict[str, dict[tuple, list[RankedModel]]] = {}  # task -> features -> rows
@@ -109,8 +110,8 @@ class Network:
         ledger = Ledger()
         for contract in cls.contract_factory():
             ledger.register_contract(contract)
-        owner = ledger.create_account(owner_balance, owner=True)
-        net = cls(Path(root), ledger, owner.address)
+        ledger.create_account(owner_balance, owner=True)
+        net = cls(Path(root), ledger)
         try:
             net.root.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
@@ -131,6 +132,10 @@ class Network:
     @property
     def isl(self) -> IslContract:
         return self.ledger.contract("isl")  # type: ignore[return-value]
+
+    @property
+    def owner_account(self) -> str | None:
+        return self.oracle.state["owner"]
 
     # ------------------------------------------------------------------ nodes
 
@@ -284,7 +289,7 @@ class Network:
         write_atomic(self.root / LEDGER_FILE, log.encode("ascii"))
         meta = {"owner": self.owner_account,
                 "nodes": {name: self._nodes[name].account for name in self.node_names()}}
-        write_atomic(self.root / CHAINSTATE_FILE, chainstate_bytes(self.ledger, meta))
+        write_atomic(self.root / CHAINSTATE_FILE, chainstate_bytes(self.ledger.state_dict(), meta))
 
 
 class IslNode:
@@ -299,9 +304,6 @@ class IslNode:
         self.graph = KnowledgeGraph(name)
         self.depgraph = DependencyGraph(self.graph, lambda addr: [
             (s.model_iri, s.dataset_iri) for s in walk_provenance(network.oracle, addr)])
-
-    def __repr__(self) -> str:
-        return f"IslNode({self.name!r}, account={self.account[:8]}...)"
 
     @property
     def balance(self) -> int:
@@ -366,6 +368,7 @@ class IslNode:
         learning_rate: float,
     ) -> ModelRecord:
         """Adapt a locally available model (own or acquired) to a local dataset."""
+        mlsim.require_schedule(steps, learning_rate)
         base_iri = self._iri(base_ref, "model")
         base = self.load_model(base_iri)
         ds_iri = self._iri(dataset_ref, "dataset")
@@ -563,13 +566,11 @@ class IslNode:
 
     @staticmethod
     def _task_ref(ref: str) -> str:
-        if not isinstance(ref, str):
-            raise TypeError(f"task must be a str, not {type(ref).__name__}")
-        return ref if ref.startswith(kgstore.VOCAB) else kgstore.task_iri(ref)
+        return ref if isinstance(ref, str) and ref.startswith(kgstore.VOCAB) else kgstore.task_iri(ref)
 
     # -------------------------------------------------------------- filesystem
 
     def persist(self) -> None:
         """Write the node's knowledge graph and account marker to disk."""
         write_atomic(self.root / "kg.nt", self.graph.export_bytes())
-        write_atomic(self.root / "account.txt", (self.account + "\n").encode("ascii"))
+        write_atomic(self.root / ACCOUNT_FILE, (self.account + "\n").encode("ascii"))

@@ -10,6 +10,7 @@ import pytest
 
 from islsim import cli, errors, kgstore
 from islsim.contracts import OracleContract
+from islsim.ledger import canonical_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # `islsim run` output of each bundled scenario: stdout, exit code, and one
@@ -38,11 +39,12 @@ MODEL_ENTRY = {
 
 
 def edit_chainstate(ws: Path, edit) -> None:
-    """Rewrite ``ws``'s chainstate.json with ``edit`` applied to its parsed state."""
+    """Rewrite ``ws``'s chainstate.json with ``edit`` applied to its parsed state, in the
+    bytes the writer would write, so only the edit can make replay say MISMATCH."""
     path = ws / cli.CHAINSTATE_FILE
-    state = json.loads(path.read_text(encoding="utf-8"))
+    state = json.loads(path.read_bytes())
     edit(state)
-    path.write_text(json.dumps(state), encoding="utf-8")
+    path.write_bytes(canonical_json(state) + b"\n")
 
 
 def forge_model_owners(state: dict) -> None:
@@ -155,7 +157,7 @@ class TestScenarioParsing:
             ("add-node a 5\n", "create-network must come first"),
             ("create-network abc\n", "OWNER_BALANCE must be an integer"),
             ("create-network 100\nadd-node a lots\n", "BALANCE must be an integer"),
-            ("create-network 100\ngen-data a d 1 x 1.0 0.05 10\n", "SLOPE must be a finite number"),
+            ("create-network 100\ngen-data a d 1 x 1.0 0.05 10\n", "SLOPE must be a number"),
             ("create-network 100\nadd-node a 5\nquery a occupancy_detection\n",
              "query takes at least 3 arguments, got 2"),
         ],
@@ -355,6 +357,33 @@ class TestScenarioParsing:
         )
         assert run(["run", path, "--workspace", str(ws)]) == 1
         assert capsys.readouterr().err.startswith("MalformedArgs: ")
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out.strip() == "MATCH"
+
+    @pytest.mark.parametrize(
+        "line, code, error",
+        [
+            ("fine-tune a m2 nosuch d1 -1 0.05", 2, "ParseError"),
+            (f"set-price a nosuch {2**256}", 1, "NotFound"),
+            ("add-node a -5", 1, "IslError"),
+        ],
+        ids=["steps-before-the-base", "reference-before-the-price", "name-before-the-balance"],
+    )
+    def test_a_bound_is_checked_when_its_owner_reaches_it(self, tmp_path, capsys, line, code, error):
+        # mlsim checks the schedule before the base is read; the chain checks a
+        # price or balance only after the reference resolves or the name is free
+        ws = tmp_path / "ws"
+        path = scenario_file(
+            tmp_path,
+            "create-network 1000\n"
+            "add-node a 100\n"
+            "register-node a\n"
+            "gen-data a d1 1 2.0 1.0 0.05 20\n"
+            "train a m1 d1 occupancy_detection\n"
+            "share a m1\n" + line + "\n",
+        )
+        assert run(["run", path, "--workspace", str(ws)]) == code
+        assert capsys.readouterr().err.startswith(f"{error}: ")
         assert run(["replay", str(ws)]) == 0
         assert capsys.readouterr().out.strip() == "MATCH"
 
@@ -799,6 +828,46 @@ class TestReplay:
 
         assert run(["replay", str(ws)]) == 1
         assert capsys.readouterr().out.strip() == "MISMATCH"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta, nodes: nodes.update(alice=nodes["bob"], bob=nodes["alice"]),
+            lambda meta, nodes: nodes.update(zed=nodes["alice"]),
+            lambda meta, nodes: meta.update(owner=nodes["bob"]),
+            lambda meta, nodes: nodes.update(alice=meta["owner"]),
+            lambda meta, nodes: nodes.update({"a b": nodes.pop("alice")}),
+            lambda meta, nodes: nodes.update(alice=[nodes["alice"]]),
+            lambda meta, nodes: nodes.update(carol="c" * 40),
+            lambda meta, nodes: meta.update(extra=1),
+            lambda meta, nodes: meta.clear(),
+        ],
+        ids=["swap-accounts", "name-twice", "owner-is-a-node", "node-is-the-owner", "bad-name",
+             "account-list", "account-not-created", "extra-key", "empty"],
+    )
+    def test_replay_vouches_for_meta(self, tmp_path, capsys, edit):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+        edit_chainstate(ws, lambda state: edit(state["meta"], state["meta"]["nodes"]))
+
+        assert run(["replay", str(ws)]) == 1
+        assert capsys.readouterr().out.strip() == "MISMATCH"
+
+    def test_a_renaming_of_meta_and_the_node_directories_still_matches(self, tmp_path, capsys):
+        # the log holds no names: swapping two nodes everywhere is another honest run
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+        edit_chainstate(ws, lambda state: state["meta"]["nodes"].update(
+            alice=state["meta"]["nodes"]["bob"], bob=state["meta"]["nodes"]["alice"]))
+        nodes = ws / "nodes"
+        (nodes / "alice").rename(nodes / "tmp")
+        (nodes / "bob").rename(nodes / "alice")
+        (nodes / "tmp").rename(nodes / "bob")
+
+        assert run(["replay", str(ws)]) == 0
+        assert capsys.readouterr().out.strip() == "MATCH"
 
     def test_replay_rejects_non_ascii_log(self, tmp_path, capsys):
         ws = tmp_path / "ws"

@@ -175,6 +175,9 @@ class TestFineTune:
                 fine_tune(m, FOUR_POINTS, 0, learning_rate)
         with pytest.raises(FeatureMismatch):
             fine_tune(m, TabularDataset(("power",), (((1.0,), 1.0),)), 1, 0.1)
+        for steps, learning_rate in ((True, 0.1), (1.0, 0.1), (1, True)):
+            with pytest.raises(TypeError):
+                fine_tune(m, FOUR_POINTS, steps, learning_rate)
 
 
 class TestSerialization:
@@ -281,6 +284,22 @@ class TestGenerator:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             make_synthetic_room(1, RoomProfile(1.0, 0.0, 0.1), 0)
+
+    @pytest.mark.parametrize(
+        "seed, profile, n_rows, error",
+        [
+            (1.5, RoomProfile(1.0, 0.0, 0.1), 10, TypeError),
+            (True, RoomProfile(1.0, 0.0, 0.1), 10, TypeError),
+            (1, RoomProfile(1.0, 0.0, 0.1), True, TypeError),
+            (1, RoomProfile(math.nan, 0.0, 0.1), 10, ValueError),
+            (1, RoomProfile(1.0, math.inf, 0.1), 10, ValueError),
+            (1, RoomProfile(1.0, 0.0, -math.inf), 10, ValueError),
+        ],
+        ids=["seed-float", "seed-bool", "rows-bool", "slope-nan", "intercept-inf", "noise-minus-inf"],
+    )
+    def test_rejects_what_it_cannot_generate(self, seed, profile, n_rows, error):
+        with pytest.raises(error):
+            make_synthetic_room(seed, profile, n_rows)
 
     def test_a_repeated_size_equals_the_reference(self):
         # the grid of a size seen before comes from the cache, also after

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -34,6 +35,7 @@ from islsim.errors import (
     UnknownResource,
     WrongPayment,
 )
+from islsim.ledger import log_lines
 from islsim.mlsim import RoomProfile, TabularDataset
 from islsim.node import IRI_PREFIX, Network, Ref, walk_provenance
 
@@ -182,6 +184,56 @@ class TestLocalWorkflow:
             net.add_node("alice", balance=10)  # duplicate
         with pytest.raises(NotFound):
             net.node("carol")
+
+
+def observables(net):
+    """What a refused call must leave as it was: chain state, log, every graph and blob set."""
+    nodes = [net.node(name) for name in net.node_names()]
+    return (net.ledger.state_dict(), log_lines(net.ledger),
+            {n.name: n.graph.triples for n in nodes},
+            {n.name: oracles.stored_addresses(n.root) for n in nodes})
+
+
+# (call(net, alice) after alice shared m1 trained on d1, error, message): each bound
+# is checked by the layer that owns the value (ledger, mlsim, kgstore) before any write
+API_REFUSALS = {
+    "rows-bool": (lambda net, a: a.create_local_dataset("d2", 1, PROFILE, True),
+                  TypeError, "seed and n_rows must be ints, got 1, True"),
+    "rows-zero": (lambda net, a: a.create_local_dataset("d2", 1, PROFILE, 0),
+                  ValueError, "n_rows must be at least 1 .*got 0,"),
+    "seed-float": (lambda net, a: a.create_local_dataset("d2", 1.5, PROFILE, 10),
+                   TypeError, "seed and n_rows must be ints, got 1.5, 10"),
+    "profile-nan": (lambda net, a: a.create_local_dataset("d2", 1, RoomProfile(math.nan, 1.0, 0.1), 10),
+                    ValueError, r"profile finite, got 10, RoomProfile\(slope=nan"),
+    "dataset-id-int": (lambda net, a: a.create_local_dataset(5, 1, PROFILE, 10),
+                       TypeError, "local id must be a str"),
+    "model-id-int": (lambda net, a: a.train_model(5, "d1", "occupancy_detection"),
+                     TypeError, "local id must be a str"),
+    "steps-bool": (lambda net, a: a.fine_tune_model("m2", "m1", "d1", True, 0.05),
+                   TypeError, "steps must be an int .*got True, 0.05"),
+    "steps-negative": (lambda net, a: a.fine_tune_model("m2", "m1", "d1", -1, 0.05),
+                       ValueError, "steps must be >= 0 .*got -1, 0.05"),
+    "lr-bool": (lambda net, a: a.fine_tune_model("m2", "m1", "d1", 1, True),
+                TypeError, "the rate a number, got 1, True"),
+    "lr-zero": (lambda net, a: a.fine_tune_model("m2", "m1", "d1", 1, 0.0),
+                ValueError, "the rate finite and > 0, got 1, 0.0"),
+    "lr-inf": (lambda net, a: a.fine_tune_model("m2", "m1", "d1", 1, math.inf),
+               ValueError, "the rate finite and > 0, got 1, inf"),
+    "balance-negative": (lambda net, a: net.add_node("carol", -1), ValueError, "non-negative int"),
+    "balance-bool": (lambda net, a: net.add_node("carol", True), ValueError, "non-negative int"),
+    "payment-negative": (lambda net, a: net.node("bob").acquire_model(
+        net.shared_address("alice/m1"), -1), ValueError, "non-negative int"),
+    "price-beyond-word": (lambda net, a: a.set_price("m1", 2**256), ValueError, r"2\*\*256"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", API_REFUSALS.values(), ids=API_REFUSALS)
+def test_an_api_argument_out_of_bounds_is_refused_before_any_write(net, call, error, message):
+    shared_model(net)
+    before = observables(net)
+    with pytest.raises(error, match=message):
+        call(net, net.node("alice"))
+    assert observables(net) == before
 
 
 class TestSharing:

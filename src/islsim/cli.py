@@ -42,14 +42,19 @@ rename per file, ``chainstate.json`` last), when the scenario ends or
 stops at its first failing command, so on failure it holds the state up
 to and including that command. ``replay`` re-executes ``ledger.log`` and prints MATCH only if
 the result serializes to the very bytes of ``chainstate.json`` and that
-file's ``meta`` names the replayed owner and maps node names to distinct
-non-owner accounts the log created, each the one in its node's
+file's ``meta`` names the replayed owner and maps node names one to one
+onto the non-owner accounts the log created, each the one in its node's
 ``account.txt``; a log line or file ending the writer would not write
-is ``CorruptLog``.
+is ``CorruptLog``. A missing file, or a ``chainstate.json`` that is not
+a JSON object, is ``UnknownWorkspace``; any other is MISMATCH, and stderr
+gets a reason line: the first key path, in sorted key order, where the
+file differs from the replayed state plus its own ``meta`` (``meta`` if
+only it is wrong), or that the bytes are not the writer's.
 
 ``inspect registry|balances|provenance`` prints only the replayed state
-and refuses (``UnknownWorkspace``) a workspace ``replay`` would not call
-MATCH; ``inspect graph`` prints a node's ``kg.nt`` as found.
+and refuses (``UnknownWorkspace``, with that reason) a workspace
+``replay`` would not call MATCH; ``inspect graph`` prints a node's
+``kg.nt`` byte for byte.
 """
 
 from __future__ import annotations
@@ -57,12 +62,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .cas import is_address
 from .contracts import ChainStep, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
-from .ledger import Ledger, parse_log_line, replay
+from .ledger import Ledger, canonical_json, parse_log_line, replay
 from .mlsim import RoomProfile
 from .node import (
     ACCOUNT_FILE, CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes, is_node_name,
@@ -303,14 +309,15 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
         kg_path = workspace / "nodes" / ns.arg / "kg.nt"
         if not kg_path.is_file():
             raise UnknownWorkspace(f"no persisted graph for node {ns.arg!r}")
-        sys.stdout.write(kg_path.read_text(encoding="utf-8"))
+        sys.stdout.flush()
+        sys.stdout.buffer.write(kg_path.read_bytes())
         return 0
     if ns.what == "provenance" and not (ns.arg and is_address(ns.arg)):
         raise ParseError("inspect provenance needs a content address")
 
-    replica = _replayed(workspace)
-    if replica is None:
-        raise UnknownWorkspace(f"{workspace} does not replay to its {CHAINSTATE_FILE}")
+    replica, reason = _replayed(workspace)
+    if reason:
+        raise UnknownWorkspace(f"{workspace} does not replay: its {CHAINSTATE_FILE} {reason}")
     if ns.what == "provenance":
         for line in _format_chain(walk_provenance(replica.contract("oracle"), ns.arg)):
             print(line)
@@ -335,35 +342,8 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ replay
 
-# the registry entry fields a chainstate.json must hold for replay to call it MISMATCH
-_ENTRY_KEYS = {
-    "shared_datasets": ("iri", "owner", "tx_id"),
-    "shared_models": ("iri", "owner", "tx_id", "task", "dataset_addr", "base_model_addr"),
-}
-
-
-def _check_registry(state: dict) -> None:
-    """Refuse registry tables and entries that are not what the ledger writes."""
-    for table, keys in _ENTRY_KEYS.items():
-        entries = state["oracle"].get(table)
-        if not isinstance(entries, dict):
-            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no oracle {table!r} object")
-        for addr, entry in entries.items():
-            if not _is_entry(entry, keys):
-                raise UnknownWorkspace(f"{CHAINSTATE_FILE} has a malformed {table} entry {addr}")
-
-
-def _is_entry(entry: object, keys: tuple[str, ...]) -> bool:
-    """An object with every key; each value is a string, but a model's base may be null."""
-    if not isinstance(entry, dict) or not all(k in entry for k in keys):
-        return False
-    return all(
-        isinstance(entry[k], str) or (k == "base_model_addr" and entry[k] is None) for k in keys
-    )
-
-
-def _replayed(workspace: Path) -> Ledger | None:
-    """The replayed ledger if it serializes to the bytes of ``chainstate.json``, else None.
+def _replayed(workspace: Path) -> tuple[Ledger, str]:
+    """The replayed ledger, and why ``chainstate.json`` is not what the writer writes ("" if it is).
 
     Each log line is parsed as replay takes it, so ``CorruptLog`` names the
     first bad line in log order.
@@ -377,38 +357,48 @@ def _replayed(workspace: Path) -> Ledger | None:
     data = state_path.read_bytes()
     try:
         stored = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # bad JSON or not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise UnknownWorkspace(f"unreadable {CHAINSTATE_FILE}: {exc}") from None
     if not isinstance(stored, dict):
         raise UnknownWorkspace(f"{CHAINSTATE_FILE} is not a JSON object")
-    for key in ("balances", "contract_balances", "oracle", "isl"):
-        if not isinstance(stored.get(key), dict):
-            raise UnknownWorkspace(f"{CHAINSTATE_FILE} has no {key!r} object")
     meta = stored.get("meta")
     del stored  # the replica rebuilds the state; only a mismatch parses the file again
     replica = _replay_log(log_path)
     state = replica.state_dict()
-    if _meta_holds(meta, state, workspace) and chainstate_bytes(state, meta) == data:
-        return replica
-    # a file equal to the replayed state is well formed; only a mismatch is checked
-    _check_registry(json.loads(data))
-    return None
+    if (holds := _meta_holds(meta, state, workspace)) and chainstate_bytes(state, meta) == data:
+        return replica, ""
+    path = next(_differences(json.loads(data), {**state, "meta": meta}), None if holds else ("meta",))
+    if path is None:
+        return replica, "holds the replayed state, but not in the bytes the writer writes"
+    # escaped, so a planted key cannot break the reason's one line
+    return replica, f"differs from the replay at {'.'.join(path).encode('unicode_escape').decode()}"
+
+
+def _differences(found: object, want: object, path: tuple = ()) -> Iterator[tuple]:
+    """Each key path, in sorted key order, where ``found`` differs from ``want``."""
+    if isinstance(found, dict) and isinstance(want, dict):
+        for key in sorted(found.keys() | want.keys()):
+            if key in found and key in want:
+                yield from _differences(found[key], want[key], path + (key,))
+            else:
+                yield path + (key,)
+    # == first: it stops where the two stop being alike, so only shallow values are encoded
+    elif not (found == want and canonical_json(found) == canonical_json(want)):
+        yield path
 
 
 def _meta_holds(meta: object, state: dict, workspace: Path) -> bool:
     """Whether ``meta`` is what ``Network.persist`` writes beside the replayed ``state``: its
-    oracle's owner, and node names mapped to distinct non-owner accounts that the log created.
-    The log holds no names, so each account must be the one in its node's ``account.txt``;
-    a renaming of the node directories as well still holds."""
+    oracle's owner, and node names mapped one to one onto the non-owner accounts the log
+    created. The log holds no names, so each account must be the one in its node's
+    ``account.txt``; a renaming of the node directories as well still holds."""
     owner = state["oracle"]["owner"]
     if not (isinstance(meta, dict) and meta.keys() == {"owner", "nodes"} and meta["owner"] == owner
             and isinstance(meta["nodes"], dict) and all(map(is_node_name, meta["nodes"]))):
         return False
-    nodes = workspace / "nodes"
-    accounts = [a for name, a in meta["nodes"].items()
-                if isinstance(a, str) and a != owner and a in state["balances"]
-                and _holds(nodes / name / ACCOUNT_FILE, f"{a}\n".encode())]
-    return len(accounts) == len(meta["nodes"]) == len(set(accounts))
+    nodes, accounts = workspace / "nodes", meta["nodes"]
+    return sorted(accounts.values(), key=str) == sorted(state["balances"].keys() - {owner}) and all(
+        _holds(nodes / name / ACCOUNT_FILE, f"{a}\n".encode()) for name, a in accounts.items())
 
 
 def _holds(path: Path, data: bytes) -> bool:
@@ -433,9 +423,11 @@ def _replay_log(log_path: Path) -> Ledger:
 
 
 def _cmd_replay(ns: argparse.Namespace) -> int:
-    matched = _replayed(Path(ns.workspace)) is not None
-    print("MATCH" if matched else "MISMATCH")
-    return 0 if matched else 1
+    _, reason = _replayed(Path(ns.workspace))
+    print("MISMATCH" if reason else "MATCH")
+    if reason:
+        print(f"MISMATCH: {CHAINSTATE_FILE} {reason}", file=sys.stderr)
+    return 1 if reason else 0
 
 
 if __name__ == "__main__":

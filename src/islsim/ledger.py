@@ -128,7 +128,9 @@ def canonical_json(obj: object) -> bytes:
 
 def _require_amount(amount: object, what: str) -> None:
     # bool is an int subclass, but "True" in a log line does not parse back
-    if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
+    if not isinstance(amount, int) or isinstance(amount, bool):
+        raise TypeError(f"{what} must be an int, got {amount!r}")
+    if amount < 0:
         raise ValueError(f"{what} must be a non-negative int, got {amount!r}")
     if amount > WORD:
         raise ValueError(f"{what} must be at most 2**256 - 1")

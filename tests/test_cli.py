@@ -1,12 +1,17 @@
 """Scenario runner, inspector, and replayer behavior through the public CLI."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islsim import cli, errors, kgstore
 from islsim.contracts import OracleContract
@@ -692,6 +697,15 @@ class TestInspection:
         assert out == (ws / "nodes" / "alice" / "kg.nt").read_text(encoding="utf-8")
         assert "isl://alice/model/m1" in out
 
+    def test_graph_dump_of_a_non_utf8_graph_is_its_bytes(self, tmp_path, capsysbinary):
+        ws = tmp_path / "ws"
+        assert run(["run", str(TWO_NODE), "--workspace", str(ws)]) == 0
+        capsysbinary.readouterr()
+        kg_path = ws / "nodes" / "alice" / "kg.nt"
+        kg_path.write_bytes(kg_path.read_bytes() + b"\xff\xfe")
+        assert run(["inspect", str(ws), "graph", "alice"]) == 0
+        assert capsysbinary.readouterr() == (kg_path.read_bytes(), b"")
+
     def test_graph_unknown_node(self, workspace, capsys):
         ws, _ = workspace
         assert run(["inspect", str(ws), "graph", "carol"]) == 1
@@ -727,7 +741,8 @@ class TestReplay:
         state_path.write_text(json.dumps(state))
 
         assert run(["replay", str(ws)]) == 1
-        assert capsys.readouterr().out.strip() == "MISMATCH"
+        assert capsys.readouterr() == (
+            "MISMATCH\n", f"MISMATCH: chainstate.json differs from the replay at balances.{victim}\n")
 
     def test_replay_rejects_corrupt_log(self, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -805,17 +820,27 @@ class TestReplay:
             assert "unparseable log line" in err and "seq=nine" in err
 
     @pytest.mark.parametrize("entry", [1, {**MODEL_ENTRY, "base_model_addr": []}], ids=["int", "base-list"])
-    def test_malformed_entry_in_a_mismatching_chainstate_is_unknown_workspace(
-            self, tmp_path, capsys, entry):
+    def test_a_planted_entry_is_named_as_the_first_difference(self, tmp_path, capsys, entry):
         ws = tmp_path / "ws"
         run(["run", str(TWO_NODE), "--workspace", str(ws)])
         capsys.readouterr()
         edit_chainstate(ws, lambda state: state["oracle"]["shared_models"].update({"f" * 64: entry}))
 
         assert run(["replay", str(ws)]) == 1
+        planted = f"oracle.shared_models.{'f' * 64}"
+        assert capsys.readouterr() == (
+            "MISMATCH\n", f"MISMATCH: chainstate.json differs from the replay at {planted}\n")
+
+    def test_a_chainstate_nested_too_deep_to_parse_is_unknown_workspace(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+        depth = 4 * sys.getrecursionlimit()
+        (ws / cli.CHAINSTATE_FILE).write_text("{\"balances\":" + "[" * depth + "]" * depth + "}")
+
+        assert run(["replay", str(ws)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("UnknownWorkspace: ") and f"entry {'f' * 64}" in captured.err
+        assert captured.out == "" and captured.err.startswith("UnknownWorkspace: ")
 
     def test_replay_compares_chainstate_bytes(self, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -827,7 +852,8 @@ class TestReplay:
         state_path.write_text(json.dumps(json.loads(state_path.read_text()), indent=2) + "\n")
 
         assert run(["replay", str(ws)]) == 1
-        assert capsys.readouterr().out.strip() == "MISMATCH"
+        assert capsys.readouterr() == ("MISMATCH\n", "MISMATCH: chainstate.json holds the replayed state, "
+                                       "but not in the bytes the writer writes\n")
 
     @pytest.mark.parametrize(
         "edit",
@@ -841,9 +867,10 @@ class TestReplay:
             lambda meta, nodes: nodes.update(carol="c" * 40),
             lambda meta, nodes: meta.update(extra=1),
             lambda meta, nodes: meta.clear(),
+            lambda meta, nodes: nodes.pop("bob"),
         ],
         ids=["swap-accounts", "name-twice", "owner-is-a-node", "node-is-the-owner", "bad-name",
-             "account-list", "account-not-created", "extra-key", "empty"],
+             "account-list", "account-not-created", "extra-key", "empty", "node-dropped"],
     )
     def test_replay_vouches_for_meta(self, tmp_path, capsys, edit):
         ws = tmp_path / "ws"
@@ -852,7 +879,8 @@ class TestReplay:
         edit_chainstate(ws, lambda state: edit(state["meta"], state["meta"]["nodes"]))
 
         assert run(["replay", str(ws)]) == 1
-        assert capsys.readouterr().out.strip() == "MISMATCH"
+        assert capsys.readouterr() == (
+            "MISMATCH\n", "MISMATCH: chainstate.json differs from the replay at meta\n")
 
     def test_a_renaming_of_meta_and_the_node_directories_still_matches(self, tmp_path, capsys):
         # the log holds no names: swapping two nodes everywhere is another honest run
@@ -916,7 +944,14 @@ class TestReplay:
         if command == "provenance":
             args.append("f" * 64)
         assert run(args) == 1
-        assert capsys.readouterr().err.startswith("UnknownWorkspace: ")
+        captured = capsys.readouterr()
+        # a JSON object the writer would not write is a MISMATCH; anything else is unknown
+        if command == "replay" and isinstance(text, str) and text.startswith("{"):
+            assert captured.out == "MISMATCH\n"
+            assert captured.err.startswith("MISMATCH: chainstate.json differs from the replay at ")
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("UnknownWorkspace: ")
 
     def test_replay_rejects_logged_list_argument(self, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -949,3 +984,79 @@ class TestReplay:
         assert run(["replay", str(ws)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("CorruptLog: ") or "MISMATCH" in err
+
+
+def key_paths(obj: object, path: tuple = ()) -> list[tuple[tuple, object]]:
+    """Every (key path, value) in a parsed chainstate.json, the root included."""
+    found = [(path, obj)]
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            found += key_paths(value, path + (key,))
+    return found
+
+
+@pytest.fixture(scope="module")
+def transfer_workspace(tmp_path_factory) -> Path:
+    ws = tmp_path_factory.mktemp("transfer") / "ws"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["run", str(TRANSFER), "--workspace", str(ws)]) == 0
+    return ws
+
+
+def run_quietly(args: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_edit_to_chainstate_is_a_mismatch_named_by_its_path(transfer_workspace, data):
+    """Change a leaf, add a key or drop a key anywhere in chainstate.json, rewritten in the
+    writer's bytes: replay names the edited path or, for an edit under meta, meta."""
+    ws = transfer_workspace
+    state_path = ws / cli.CHAINSTATE_FILE
+    original = state_path.read_bytes()
+    assert run_quietly(["replay", str(ws)]) == (0, "MATCH\n", "")
+    state = json.loads(original)
+    paths = key_paths(state)
+    kind = data.draw(st.sampled_from(["change", "add", "drop"]))
+    if kind == "add":
+        path, parent = data.draw(st.sampled_from([(p, v) for p, v in paths if isinstance(v, dict)]))
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in parent))
+        parent[key] = data.draw(SCALARS)
+        path += (key,)
+    else:
+        leaves = [p for p, v in paths[1:] if kind == "drop" or not isinstance(v, dict)]
+        path = data.draw(st.sampled_from(leaves))
+        parent = state
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            old = canonical_json(parent[path[-1]])
+            parent[path[-1]] = data.draw(SCALARS.filter(lambda v: canonical_json(v) != old))
+    state_path.write_bytes(canonical_json(state) + b"\n")
+    try:
+        code, out, err = run_quietly(["replay", str(ws)])
+        inspected = run_quietly(["inspect", str(ws), "balances"])
+    finally:
+        state_path.write_bytes(original)
+
+    assert (code, out) == (1, "MISMATCH\n")
+    assert err.startswith("MISMATCH: chainstate.json ") and err.count("\n") == 1 and err.endswith("\n")
+    reason = err.removeprefix("MISMATCH: chainstate.json ").rstrip("\n")
+    assert reason.startswith("differs from the replay at ")
+    reported = reason.removeprefix("differs from the replay at ")
+    edited = ".".join(path).encode("unicode_escape").decode()
+    if path[0] == "meta":  # the replay vouches for meta as a whole
+        assert reported == "meta"
+    else:
+        assert edited == reported or edited.startswith(reported + ".")
+    assert inspected[:2] == (1, "")
+    assert inspected[2] == f"UnknownWorkspace: {ws} does not replay: its chainstate.json {reason}\n"

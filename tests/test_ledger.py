@@ -154,7 +154,7 @@ def test_conservation_across_mixed_session(ledger):
 def test_non_int_value_rejected_before_logging(ledger, value):
     acct = ledger.create_account(5)
     log_len = len(ledger.log)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="value must be an int"):
         ledger.submit(acct.address, "counter", "bump", value=value)
     assert len(ledger.log) == log_len
 
@@ -193,7 +193,7 @@ def test_method_that_is_not_an_ascii_identifier_rejected_before_logging(ledger, 
 
 
 def test_non_int_initial_balance_rejected(ledger):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="initial balance must be an int"):
         ledger.create_account(1.5)
     assert ledger.log == []
     assert ledger.create_account(1).address == hashlib.sha256(b"1").hexdigest()[:40]

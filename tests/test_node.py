@@ -220,9 +220,11 @@ API_REFUSALS = {
     "lr-inf": (lambda net, a: a.fine_tune_model("m2", "m1", "d1", 1, math.inf),
                ValueError, "the rate finite and > 0, got 1, inf"),
     "balance-negative": (lambda net, a: net.add_node("carol", -1), ValueError, "non-negative int"),
-    "balance-bool": (lambda net, a: net.add_node("carol", True), ValueError, "non-negative int"),
+    "balance-bool": (lambda net, a: net.add_node("carol", True), TypeError, "must be an int, got True"),
     "payment-negative": (lambda net, a: net.node("bob").acquire_model(
         net.shared_address("alice/m1"), -1), ValueError, "non-negative int"),
+    "payment-bool": (lambda net, a: net.node("bob").acquire_model(
+        net.shared_address("alice/m1"), True), TypeError, "must be an int, got True"),
     "price-beyond-word": (lambda net, a: a.set_price("m1", 2**256), ValueError, r"2\*\*256"),
 }
 

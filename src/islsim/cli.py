@@ -240,10 +240,10 @@ class ScenarioRunner:
         profile = RoomProfile(
             _float(slope, "SLOPE"), _float(intercept, "INTERCEPT"), _float(noise, "NOISE")
         )
-        descriptor = self._node(name).create_local_dataset(
-            dsid, _int(seed, "SEED"), profile, _int(rows, "ROWS")
-        )
-        print(f"dataset {descriptor.iri} rows={_int(rows, 'ROWS')} uri={descriptor.local_uri}")
+        node = self._node(name)
+        seed_n, n_rows = _int(seed, "SEED"), _int(rows, "ROWS")
+        descriptor = node.create_local_dataset(dsid, seed_n, profile, n_rows)
+        print(f"dataset {descriptor.iri} rows={n_rows} uri={descriptor.local_uri}")
 
     def _do_train(self, name: str, model_id: str, dsid: str, task: str) -> None:
         record = self._node(name).train_model(model_id, dsid, task)
@@ -265,8 +265,10 @@ class ScenarioRunner:
         print(f"shared {shared.iri} addr={shared.content_address} tx={shared.tx_id}")
 
     def _do_set_price(self, name: str, resid: str, price: str) -> None:
-        addr = self._node(name).set_price(resid, _int(price, "PRICE"))
-        print(f"price addr={addr} value={_int(price, 'PRICE')}")
+        node = self._node(name)
+        value = _int(price, "PRICE")
+        addr = node.set_price(resid, value)
+        print(f"price addr={addr} value={value}")
 
     def _do_query(self, name: str, task: str, *sensors: str) -> None:
         matches = self._node(name).query_models(task, set(sensors))
@@ -279,8 +281,9 @@ class ScenarioRunner:
     def _do_acquire(self, name: str, ref: str, price: str) -> None:
         node = self._node(name)
         addr = self._net().shared_address(ref, name)
-        record = node.acquire_model(addr, _int(price, "PRICE"))
-        print(f"acquired {addr} price={_int(price, 'PRICE')} from={record.owner_node}")
+        payment = _int(price, "PRICE")
+        record = node.acquire_model(addr, payment)
+        print(f"acquired {addr} price={payment} from={record.owner_node}")
 
     def _do_trace(self, ref: str) -> None:
         net = self._net()

@@ -13,8 +13,10 @@ buyers pay exactly the posted price, and each successful acquisition
 mints a token that authorizes that one buyer to fetch that one asset.
 
 Only ``ledger.submit`` may invoke the ``op_*`` methods, and they write
-state only through ``ctx.put`` so a failed transaction is undone. The
-plain read-only methods are free to call from anywhere.
+state only through ``ctx.put`` so a failed transaction is undone. An op
+refuses a transaction by raising its :mod:`~islsim.errors` class, e.g.
+``raise Unauthorized(...)``; the ledger reverts it and keeps that error on
+the receipt. The plain read-only methods are free to call from anywhere.
 
 Each on-chain fact is held once. The two tables of ``chainstate.json``
 that repeat others are derived by ``state_dict`` when the state is written:
@@ -33,8 +35,11 @@ from typing import NamedTuple
 
 from .cas import is_address
 from .depgraph import lineage
-from .errors import IncompleteChain, IslError, UnknownResource
-from .ledger import CallContext, Revert
+from .errors import (
+    AlreadyRegistered, AlreadyShared, IncompleteChain, IslError, MalformedArgs, Unauthorized,
+    UnknownMethod, UnknownResource, WrongPayment,
+)
+from .ledger import CallContext
 
 STR, INT, STR_OR_NONE = frozenset({str}), frozenset({int}), frozenset({str, type(None)})
 
@@ -49,9 +54,9 @@ class Contract:
     def call(self, ctx: CallContext, method: str, args: tuple) -> object:
         kinds = self.ARGS.get(method)
         if kinds is None:
-            raise Revert(f"UnknownMethod: {self.name} has no method {method!r}")
+            raise UnknownMethod(f"{self.name} has no method {method!r}")
         if len(args) != len(kinds) or not all(map(frozenset.__contains__, kinds, map(type, args))):
-            raise Revert(f"MalformedArgs: {self.name}.{method} does not take {args!r}")
+            raise MalformedArgs(f"{self.name}.{method} does not take {args!r}")
         return getattr(self, "op_" + method)(ctx, *args)
 
 
@@ -82,9 +87,9 @@ class OracleContract(Contract):
 
     def op_register_node(self, ctx: CallContext, node_addr: str) -> None:
         if ctx.sender != self.state["owner"]:
-            raise Revert("Unauthorized: only the network owner may register nodes")
+            raise Unauthorized("only the network owner may register nodes")
         if node_addr in self.state["trusted"]:
-            raise Revert(f"AlreadyRegistered: {node_addr} is already trusted")
+            raise AlreadyRegistered(f"{node_addr} is already trusted")
         ctx.put(self.state["trusted"], node_addr, True)
 
     def op_share_dataset(self, ctx: CallContext, iri: str, addr: str) -> str:
@@ -109,9 +114,9 @@ class OracleContract(Contract):
         self.require_trusted(ctx.sender)
         self._require_fresh(addr)
         if dataset_addr not in self.state["shared_datasets"]:
-            raise Revert(f"IncompleteChain: training dataset {dataset_addr} is not shared")
+            raise IncompleteChain(f"training dataset {dataset_addr} is not shared")
         if base_model_addr is not None and base_model_addr not in self.state["shared_models"]:
-            raise Revert(f"IncompleteChain: base model {base_model_addr} is not shared")
+            raise IncompleteChain(f"base model {base_model_addr} is not shared")
         ctx.put(self.state["shared_models"], addr, {
             "owner": ctx.sender,
             "iri": iri,
@@ -124,13 +129,13 @@ class OracleContract(Contract):
 
     def require_trusted(self, sender: str) -> None:
         if sender not in self.state["trusted"]:
-            raise Revert("Unauthorized: caller is not a registered node")
+            raise Unauthorized("caller is not a registered node")
 
     def _require_fresh(self, addr: str) -> None:
         if not is_address(addr):
-            raise Revert(f"MalformedArgs: {addr!r} is not a content address")
+            raise MalformedArgs(f"{addr!r} is not a content address")
         if addr in self.state["shared_datasets"] or addr in self.state["shared_models"]:
-            raise Revert(f"AlreadyShared: {addr} is already registered")
+            raise AlreadyShared(f"{addr} is already registered")
 
     # ------------------------------------------------------------- read-only
 
@@ -251,22 +256,22 @@ class IslContract(Contract):
 
     def op_set_price(self, ctx: CallContext, addr: str, price: int) -> None:
         if price < 0:
-            raise Revert(f"MalformedArgs: price must be a non-negative integer, got {price!r}")
+            raise MalformedArgs(f"price must be a non-negative integer, got {price!r}")
         owner = self.oracle.owner_of_resource(addr)
         if owner is None:
-            raise Revert(f"UnknownResource: {addr} is not registered")
+            raise UnknownResource(f"{addr} is not registered")
         if owner != ctx.sender:
-            raise Revert("Unauthorized: only the resource owner may set its price")
+            raise Unauthorized("only the resource owner may set its price")
         ctx.put(self.state["prices"], addr, price)
 
     def op_acquire(self, ctx: CallContext, addr: str) -> dict:
         self.oracle.require_trusted(ctx.sender)
         owner = self.oracle.owner_of_resource(addr)
         if owner is None:
-            raise Revert(f"UnknownResource: {addr} is not registered")
+            raise UnknownResource(f"{addr} is not registered")
         price = self.state["prices"].get(addr, 0)
         if ctx.value != price:
-            raise Revert(f"WrongPayment: posted price is {price}, payment was {ctx.value}")
+            raise WrongPayment(f"posted price is {price}, payment was {ctx.value}")
         ctx.pay_out(owner, ctx.value)
         token = hashlib.sha256(f"{ctx.seq}:{addr}:{ctx.sender}".encode()).hexdigest()
         ctx.put(self.state["acquisitions"], token, {

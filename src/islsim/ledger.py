@@ -7,10 +7,11 @@ contract method. Each write goes through :meth:`CallContext.put`, which
 journals the old value first, so undoing costs what the transaction
 wrote, not the size of the state. If the method raises *any* exception
 the journal is unwound, newest first; it is the ledger's one rollback.
-The log takes only settled entries: an ``ok`` transaction, a
-:class:`Revert` (a ``reverted`` receipt), and an account every owner
-hook accepted. Any other exception is a crash; it re-raises having
-touched only the journal, so it never enters the log.
+An :class:`~islsim.errors.IslError` is a refusal: the transaction reverts,
+and its :class:`Receipt` keeps that error, traceback dropped. Any other
+exception is a crash; it re-raises having touched only the journal. The
+log takes only settled entries: ``ok`` and reverted transactions, and
+accounts every owner hook accepted.
 
 ``submit`` refuses, before logging, a method name that is not an ASCII
 identifier, a bad ``value`` and any argument that is not a JSON scalar
@@ -39,15 +40,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Protocol
 
-from .errors import CorruptLog, InsufficientFunds, UnknownSender
-
-
-class Revert(Exception):
-    """Raised inside a contract method to abort the transaction.
-
-    The message becomes the receipt's revert_reason and follows the
-    ``"<ErrorName>: <detail>"`` convention.
-    """
+from .errors import CorruptLog, InsufficientFunds, IslError, PayoutFailed, UnknownSender
 
 
 class Account(NamedTuple):
@@ -71,9 +64,17 @@ class AccountCreation(NamedTuple):
 
 class Receipt(NamedTuple):
     tx_id: str
-    status: str  # "ok" | "reverted"
-    revert_reason: str | None
+    error: IslError | None  # the refusal, without its traceback; None if the tx ran
     return_value: object
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.error is None else "reverted"
+
+    @property
+    def revert_reason(self) -> str | None:
+        """``"<ErrorName>: <detail>"``, as the CLI prints a refusal; None if the tx ran."""
+        return None if self.error is None else f"{type(self.error).__name__}: {self.error}"
 
 
 _MISSING = object()  # journaled "previous value" of a key that did not exist
@@ -106,11 +107,11 @@ class CallContext:
         balances = self._ledger._balances
         held = self._ledger._contract_balances
         if amount < 0:
-            raise Revert(f"PayoutFailed: negative amount {amount}")
+            raise PayoutFailed(f"negative amount {amount}")
         if to not in balances:
-            raise Revert(f"PayoutFailed: no account {to}")
+            raise PayoutFailed(f"no account {to}")
         if held[self.contract] < amount:
-            raise Revert(f"PayoutFailed: contract holds {held[self.contract]}")
+            raise PayoutFailed(f"contract holds {held[self.contract]}")
         self.put(held, self.contract, held[self.contract] - amount)
         self.put(balances, to, balances[to] + amount)
 
@@ -219,12 +220,12 @@ class Ledger:
                     del table[key]
                 else:
                     table[key] = previous
-            if not isinstance(exc, Revert):
+            if not isinstance(exc, IslError):
                 raise
-            receipt = Receipt(ctx.tx_id, "reverted", str(exc), None)
+            receipt = Receipt(ctx.tx_id, exc.with_traceback(None), None)
         else:
             self._journal.clear()
-            receipt = Receipt(ctx.tx_id, "ok", None, ret)
+            receipt = Receipt(ctx.tx_id, None, ret)
         self.log.append(Transaction(ctx.seq, sender, contract, method, args, value))
         self._next_seq += 1
         return receipt

@@ -32,7 +32,6 @@ from .errors import (
     ParseError,
     TokenRejected,
     UnknownResource,
-    from_reason,
 )
 from .kgstore import DatasetDescriptor, KnowledgeGraph, ModelRecord
 from .ledger import Ledger, Receipt, canonical_json, log_lines
@@ -270,10 +269,13 @@ class Network:
         args: tuple = (),
         value: int = 0,
     ) -> Receipt:
-        """Run one transaction; a revert surfaces as its typed error."""
+        """Run one transaction; a revert raises the error the contract refused it with."""
         receipt = self.ledger.submit(sender, contract, method, args=args, value=value)
-        if receipt.status != "ok":
-            raise from_reason(receipt.revert_reason or "IslError: reverted")
+        if receipt.error is not None:
+            try:
+                raise receipt.error
+            finally:
+                del receipt  # the error's traceback holds this frame; no cycle back to it
         return receipt
 
     def persist(self) -> None:

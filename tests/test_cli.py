@@ -465,10 +465,11 @@ class TestReferences:
             "D1": graph.dataset(kgstore.dataset_iri("alice", "d1")).content_address,
         }
         commands = cli._parse_scenario(line.format(**addrs))
-        if expected in errors.BY_NAME:
+        error = getattr(errors, expected, None)
+        if error is not None:
             with pytest.raises(errors.IslError) as raised:
                 runner.run(commands)
-            assert type(raised.value).__name__ == expected
+            assert type(raised.value) is error
         else:
             runner.run(commands)
             assert capsys.readouterr().out.startswith(expected.format(**addrs))

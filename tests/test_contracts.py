@@ -1,7 +1,8 @@
 """Governance and marketplace contract rules, exercised through the ledger."""
 
+import gc
 import hashlib
-import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from islsim import errors
 from islsim.contracts import IslContract, OracleContract
 from islsim.ledger import Ledger
-
-SRC = Path(__file__).resolve().parent.parent / "src" / "islsim"
+from islsim.node import Network
+from test_ledger import Counter
 
 ADDR_D = "1" * 64
 ADDR_M = "2" * 64
@@ -293,13 +294,88 @@ def test_contract_state_holds_no_derived_table(net):
     assert state["oracle"]["task_index"] == {} and state["isl"]["tokens"] == {}
 
 
-def test_every_revert_reason_names_a_typed_error():
-    names = {
-        name
-        for path in SRC.glob("*.py")
-        for name in re.findall(r'Revert\(f?"(\w+): ', path.read_text(encoding="utf-8"))
-    }
-    assert "MalformedArgs" in names
-    assert names <= set(errors.BY_NAME)
-    for name in names:
-        assert type(errors.from_reason(f"{name}: detail")) is errors.BY_NAME[name]
+# One row per refusal an op or ``CallContext.pay_out`` raises: (sender, contract,
+# method, args, value, error class, revert_reason). "{name}" in an argument or a
+# reason stands for that account of the ``refusals`` fixture.
+MODEL = "isl://alice/model/m"
+REFUSALS = {
+    "unknown-method": ("alice", "oracle", "mint_money", (), 0, errors.UnknownMethod,
+                       "UnknownMethod: oracle has no method 'mint_money'"),
+    "arity": ("alice", "oracle", "share_dataset", ("only-one-arg",), 0, errors.MalformedArgs,
+              "MalformedArgs: oracle.share_dataset does not take ('only-one-arg',)"),
+    "type": ("alice", "isl", "set_price", (ADDR_D, True), 0, errors.MalformedArgs,
+             f"MalformedArgs: isl.set_price does not take ('{ADDR_D}', True)"),
+    "non-address": ("alice", "oracle", "share_dataset", ("isl://alice/dataset/x", "AB" * 32), 0,
+                    errors.MalformedArgs, f"MalformedArgs: '{'AB' * 32}' is not a content address"),
+    "negative-price": ("alice", "isl", "set_price", (ADDR_D, -5), 0, errors.MalformedArgs,
+                       "MalformedArgs: price must be a non-negative integer, got -5"),
+    "register-by-node": ("alice", "oracle", "register_node", ("{carol}",), 0, errors.Unauthorized,
+                         "Unauthorized: only the network owner may register nodes"),
+    "share-by-stranger": ("carol", "oracle", "share_dataset", ("isl://carol/dataset/x", ADDR_M2), 0,
+                          errors.Unauthorized, "Unauthorized: caller is not a registered node"),
+    "price-by-other": ("bob", "isl", "set_price", (ADDR_D, 5), 0, errors.Unauthorized,
+                       "Unauthorized: only the resource owner may set its price"),
+    "register-twice": ("owner", "oracle", "register_node", ("{alice}",), 0,
+                       errors.AlreadyRegistered, "AlreadyRegistered: {alice} is already trusted"),
+    "unshared-dataset": ("alice", "oracle", "share_model", (MODEL, ADDR_M, TASK, ADDR_M2, None), 0,
+                         errors.IncompleteChain,
+                         f"IncompleteChain: training dataset {ADDR_M2} is not shared"),
+    "unshared-base": ("alice", "oracle", "share_model", (MODEL, ADDR_M, TASK, ADDR_D, ADDR_M2), 0,
+                      errors.IncompleteChain, f"IncompleteChain: base model {ADDR_M2} is not shared"),
+    "share-twice": ("bob", "oracle", "share_dataset", ("isl://bob/dataset/d", ADDR_D), 0,
+                    errors.AlreadyShared, f"AlreadyShared: {ADDR_D} is already registered"),
+    "price-unknown": ("alice", "isl", "set_price", (ADDR_M2, 5), 0, errors.UnknownResource,
+                      f"UnknownResource: {ADDR_M2} is not registered"),
+    "acquire-unknown": ("bob", "isl", "acquire", (ADDR_M2,), 0, errors.UnknownResource,
+                        f"UnknownResource: {ADDR_M2} is not registered"),
+    "wrong-payment": ("bob", "isl", "acquire", (ADDR_D,), 2, errors.WrongPayment,
+                      "WrongPayment: posted price is 3, payment was 2"),
+    "payout": ("alice", "counter", "pay", ("{bob}", 60), 10, errors.PayoutFailed,
+               "PayoutFailed: contract holds 10"),
+}
+
+
+@pytest.fixture
+def refusals(net):
+    """A network over ``net`` with alice's dataset at price 3, unregistered carol and a Counter."""
+    ledger, _, owner, alice, bob = net
+    ok(ledger.submit(alice, "oracle", "share_dataset", ("isl://alice/dataset/d", ADDR_D)))
+    ok(ledger.submit(alice, "isl", "set_price", (ADDR_D, 3)))
+    ledger.register_contract(Counter())
+    carol = ledger.create_account(100).address
+    accounts = {"owner": owner, "alice": alice, "bob": bob, "carol": carol}
+    return Network(Path("unused"), ledger), accounts
+
+
+@pytest.mark.parametrize("row", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_is_one_typed_error_from_raise_to_caller(refusals, row):
+    network, accounts = refusals
+    sender, contract, method, args, value, error, reason = row
+    ledger, receipts = network.ledger, []
+    submit = ledger.submit
+    ledger.submit = lambda *a, **kw: receipts.append(submit(*a, **kw)) or receipts[-1]
+    before = ledger.canonical_state()
+    args = tuple(a.format(**accounts) if isinstance(a, str) else a for a in args)
+    with pytest.raises(errors.IslError) as raised:
+        network.submit(accounts[sender], contract, method, args, value)
+    (receipt,) = receipts
+    assert type(receipt.error) is error
+    assert receipt.revert_reason == reason.format(**accounts)
+    assert raised.value is receipt.error
+    assert ledger.canonical_state() == before
+
+
+def test_a_raised_refusal_needs_no_cycle_collector(refusals):
+    network, accounts = refusals
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            network.submit(accounts["carol"], "oracle", "share_dataset",
+                           ("isl://carol/dataset/x", ADDR_M2))
+        except errors.Unauthorized as exc:
+            freed = weakref.ref(exc)
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from islsim.errors import CorruptLog, InsufficientFunds, UnknownSender
+from islsim.errors import (
+    CorruptLog, InsufficientFunds, PayoutFailed, UnknownMethod, UnknownResource, UnknownSender,
+)
 from islsim.ledger import (
     WORD,
     AccountCreation,
     Ledger,
-    Revert,
     Transaction,
     format_log_entry,
     log_lines,
@@ -41,8 +42,8 @@ class Counter:
             return None
         if method == "boom":
             ctx.put(self.state, "count", self.state["count"] + 100)  # must be rolled back
-            raise Revert("UnknownResource: deliberate failure")
-        raise Revert(f"UnknownMethod: {method}")
+            raise UnknownResource("deliberate failure")
+        raise UnknownMethod(method)
 
     def state_dict(self):
         return dict(self.state)
@@ -66,6 +67,9 @@ class CrashingCounter(Counter):
         if method == "crash":
             ctx.put(self.state, "count", self.state["count"] + 1000)
             raise RuntimeError("contract bug")
+        if method == "named_crash":  # reads like a refusal, but is no IslError
+            ctx.put(self.state, "count", self.state["count"] + 1000)
+            raise ValueError("Unauthorized: x")
         return super().call(ctx, method, args)
 
 
@@ -95,13 +99,36 @@ def test_submit_executes_and_logs(ledger):
 def test_revert_restores_contract_and_balances(ledger):
     acct = ledger.create_account(100)
     before = ledger.canonical_state()
-    receipt = ledger.submit(acct.address, "counter", "boom", value=30)
+    receipt = ledger.submit(acct.address, "counter", "boom", value=30)  # raised after a ctx.put
     assert receipt.status == "reverted"
     assert receipt.revert_reason == "UnknownResource: deliberate failure"
+    # the receipt keeps the raised error itself, pinning no frames
+    assert type(receipt.error) is UnknownResource and receipt.error.__traceback__ is None
     assert ledger.canonical_state() == before
     # the attempt itself is still part of history
     assert isinstance(ledger.log[-1], Transaction)
     assert ledger.log[-1].method == "boom"
+
+
+def test_any_other_exception_is_a_crash_whatever_its_text():
+    led = Ledger()
+    led.register_contract(CrashingCounter())
+    acct = led.create_account(100)
+    before = led.canonical_state(), list(led.log)
+    with pytest.raises(ValueError, match="^Unauthorized: x$"):
+        led.submit(acct.address, "counter", "named_crash", value=30)
+    assert (led.canonical_state(), led.log) == before
+
+
+@pytest.mark.parametrize("args, value, reason", [
+    (("{payee}", -5), 0, "negative amount -5"),
+    (("f" * 40, 5), 5, f"no account {'f' * 40}"),
+])
+def test_a_payout_to_nobody_or_of_a_negative_amount_is_payout_failed(ledger, args, value, reason):
+    payer, payee = ledger.create_account(100), ledger.create_account(0)
+    args = tuple(a.format(payee=payee.address) if isinstance(a, str) else a for a in args)
+    receipt = ledger.submit(payer.address, "counter", "pay", args, value=value)
+    assert type(receipt.error) is PayoutFailed and str(receipt.error) == reason
 
 
 def test_value_moves_to_contract_then_out(ledger):
@@ -120,7 +147,8 @@ def test_payout_cannot_overdraw(ledger):
     # contract tries to pay out more than the tx carried
     receipt = ledger.submit(payer.address, "counter", "pay", (payee.address, 60), value=10)
     assert receipt.status == "reverted"
-    assert receipt.revert_reason.startswith("PayoutFailed")
+    assert type(receipt.error) is PayoutFailed
+    assert receipt.revert_reason == "PayoutFailed: contract holds 10"
     assert ledger.balance_of(payer.address) == 100
     assert ledger.balance_of(payee.address) == 0
 

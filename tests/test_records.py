@@ -5,6 +5,7 @@ import pytest
 
 from islsim.contracts import ChainStep
 from islsim.depgraph import ProvenanceChain
+from islsim.errors import Unauthorized
 from islsim.kgstore import DatasetDescriptor, Literal, ModelRecord, Triple, task_iri
 from islsim.ledger import Account, AccountCreation, Receipt, Transaction
 from islsim.mlsim import RoomProfile
@@ -15,7 +16,7 @@ RECORDS = [
     Account(A),
     Transaction(3, A, "oracle", "register_node", (B,), 0),
     AccountCreation(A, 10, True),
-    Receipt("tx-3", "reverted", "Unauthorized: caller is not a registered node", None),
+    Receipt("tx-3", Unauthorized("caller is not a registered node"), None),
     Literal("0.5", "decimal"),
     Triple("isl://alice/model/m1", "isl://vocab/mae", Literal("0.5", "decimal")),
     DatasetDescriptor("isl://alice/dataset/d1", "alice", ("co2:ppm",), "blobs/" + ADDR, ADDR, "tx-4"),

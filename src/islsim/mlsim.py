@@ -9,13 +9,18 @@ are identical on every platform. Serialized assets format floats with 9
 significant digits; 9-digit decimals round-trip exactly through IEEE
 doubles, which makes content addresses of serialized assets stable.
 
-The errors that ``evaluate`` and each fine-tuning step's gradient sum
-up run over feature columns, split from the rows once per ``evaluate``
-or ``fine_tune`` call, but add up in the order a row-by-row loop would:
-each prediction starts at 0.0 and adds ``w * x`` feature by feature,
-then the bias, and each sum starts at 0.0 and adds the rows in order.
-No sum goes through the builtin ``sum()``, whose float algorithm
-changed in CPython 3.12.
+One helper, ``_gradient``, computes the errors that ``evaluate``,
+``mse_gradient`` and every ``fine_tune`` step use, with the gradient's
+sums over them, for any number of features. It reads feature columns,
+split from the rows once per call of those three (once for all of a
+``fine_tune``'s steps), but adds up in the order a row-by-row loop
+would: each prediction starts at 0.0 and adds ``w * x`` feature by
+feature, then the bias, then minus the target; each sum starts at 0.0
+and adds the rows in order. No sum goes through the builtin ``sum()``
+(its float algorithm changed in CPython 3.12), ``math.fsum`` (exactly
+rounded, so other bits) or ``math.sumprod`` (not in 3.10).
+``to_csv_bytes`` renders each row with one ``%.9g`` template, the very
+text ``format_float`` gives for each value.
 
 Synthetic room data
 -------------------
@@ -91,10 +96,10 @@ class TabularDataset:
         return len(self.rows)
 
     def to_csv_bytes(self) -> bytes:
-        lines = [",".join(self.feature_names + (TARGET_COLUMN,))]
-        for features, target in self.rows:
-            lines.append(",".join(format_float(v) for v in (*features, target)))
-        return ("\n".join(lines) + "\n").encode("ascii")
+        columns = self.feature_names + (TARGET_COLUMN,)
+        row = ",".join(["%.9g"] * len(columns)) + "\n"  # format_float's rendering, one row at a time
+        lines = [row % (*features, target) for features, target in self.rows]
+        return (",".join(columns) + "\n" + "".join(lines)).encode("ascii")
 
     @classmethod
     def from_csv_bytes(cls, data: bytes) -> "TabularDataset":
@@ -230,41 +235,44 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
 def mse_gradient(m: LinearModel, d: TabularDataset) -> tuple[tuple[float, ...], float]:
     """Analytic gradient of mean squared error w.r.t. (weights, bias)."""
     _check_features(m, d)
-    grad_w, grad_b = _gradient(m.weights, m.bias, *_columns(d))
+    _, grad_w, grad_b = _gradient(m.weights, m.bias, *_columns(d))
     return tuple(grad_w), grad_b
 
 
-def _columns(d: TabularDataset) -> tuple[tuple[tuple[float, ...], ...], list[float]]:
-    """The feature columns and the targets of ``d``, each in row order."""
+def _columns(d: TabularDataset) -> tuple[list, tuple, list[float]]:
+    """What :func:`_gradient` reads of ``d``: the feature columns but the last, the
+    last one zipped with the targets, and a 0.0 per row, each in row order."""
     if not d.rows:
         raise EmptyDataset("gradient of an empty dataset is undefined")
-    return tuple(zip(*[features for features, _ in d.rows])), [target for _, target in d.rows]
+    *head, last = zip(*[features for features, _ in d.rows])
+    return head, tuple(zip(last, [target for _, target in d.rows])), [0.0] * d.n_rows
 
 
-def _errors(weights, bias: float, columns, targets) -> list[float]:
-    """Each row's prediction minus its target, one column at a time, adding
-    up in the order the module docstring fixes."""
-    preds = [0.0] * len(targets)
-    for w, column in zip(weights[:-1], columns):
+def _gradient(weights, bias: float, head, last, zeros) -> tuple[list[float], list[float], float]:
+    """Each row's error (prediction minus target), and the gradient of MSE
+    w.r.t. each weight and the bias, all adding up in the order the module
+    docstring fixes."""
+    preds = zeros
+    for w, column in zip(weights, head):
         preds = [acc + w * v for acc, v in zip(preds, column)]
     w = weights[-1]  # the last feature's term, the bias and the target end each error
-    return [acc + w * v + bias - target for acc, v, target in zip(preds, columns[-1], targets)]
-
-
-def _gradient(weights, bias: float, columns, targets) -> tuple[list[float], float]:
-    """The loop of :func:`mse_gradient`, in the row order the module docstring fixes."""
-    errs = _errors(weights, bias, columns, targets)
-    grad_b = 0.0
-    for err in errs:
+    errs = []
+    append = errs.append
+    grad_b = grad_last = 0.0
+    for acc, (x, target) in zip(preds, last):
+        err = acc + w * x + bias - target
+        append(err)
         grad_b += err
+        grad_last += err * x
+    scale = 2.0 / len(errs)
     grad_w = []
-    for column in columns:
+    for column in head:
         g = 0.0
         for err, x in zip(errs, column):
             g += err * x
-        grad_w.append(g)
-    scale = 2.0 / len(targets)
-    return [scale * g for g in grad_w], scale * grad_b
+        grad_w.append(scale * g)
+    grad_w.append(scale * grad_last)
+    return errs, grad_w, scale * grad_b
 
 
 def require_schedule(steps: int, rate: float) -> None:
@@ -285,10 +293,10 @@ def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: f
     _check_features(base, d)
     if steps == 0:
         return base
-    columns, targets = _columns(d)
+    columns = _columns(d)
     weights, bias = base.weights, base.bias
     for _ in range(steps):
-        grad_w, grad_b = _gradient(weights, bias, columns, targets)
+        _, grad_w, grad_b = _gradient(weights, bias, *columns)
         weights = [w - learning_rate * g for w, g in zip(weights, grad_w)]
         bias -= learning_rate * grad_b
     return LinearModel(tuple(weights), bias, base.input_features)
@@ -300,7 +308,7 @@ def evaluate(m: LinearModel, d: TabularDataset) -> dict[str, float]:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     abs_sum = 0.0
     sq_sum = 0.0
-    for err in _errors(m.weights, m.bias, *_columns(d)):
+    for err in _gradient(m.weights, m.bias, *_columns(d))[0]:
         abs_sum += abs(err)
         sq_sum += err * err
     n = d.n_rows
@@ -347,13 +355,15 @@ def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> Tabular
         raise TypeError(f"seed and n_rows must be ints, got {seed!r}, {n_rows!r}")
     if n_rows < 1 or not all(map(math.isfinite, profile)):
         raise ValueError(f"n_rows must be at least 1 and the profile finite, got {n_rows}, {profile}")
-    state = seed & _LCG_MASK
+    mult, inc, mask, span = _LCG_MULT, _LCG_INC, _LCG_MASK, _LCG_SPAN
+    slope, intercept, noise_scale = profile
+    state = seed & mask
     rows = []
     for x in _grid(n_rows):
         noise = 0.0  # 12 uniform draws in [0, 1), 53 bits of the 64-bit state each
         for _ in range(12):
-            state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
-            noise += (state >> 11) / _LCG_SPAN
-        y = quantize(profile.slope * x + profile.intercept + profile.noise_scale * (noise - 6.0))
-        rows.append(((x,), y))
+            state = (mult * state + inc) & mask
+            noise += (state >> 11) / span
+        y = slope * x + intercept + noise_scale * (noise - 6.0)
+        rows.append(((x,), float("%.9g" % y)))  # quantize(y), without its two calls
     return TabularDataset(("co2",), tuple(rows))

@@ -1,8 +1,12 @@
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from islsim import cas
 from islsim.cas import BlobStore, content_address, is_address, write_atomic
+from islsim.mlsim import RoomProfile, make_synthetic_room
 from oracles import stored_addresses
 from islsim.errors import NotFound
 
@@ -87,6 +91,7 @@ def test_get_of_a_non_address_opens_nothing(tmp_path, monkeypatch, addr):
         raise AssertionError(f"opened {args[0]!r}")
 
     monkeypatch.setattr("builtins.open", no_open)
+    monkeypatch.setattr("os.open", no_open)
     with pytest.raises(NotFound):
         store.get(addr)
 
@@ -137,3 +142,75 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
         write_atomic(tmp_path / "state.json", "not bytes")  # type: ignore[arg-type]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_blobs_sharing_a_fanout_directory_and_a_store_without_a_root(tmp_path):
+    first = b"0"
+    second = next(
+        data for data in (b"%d" % i for i in range(1, 10_000))
+        if content_address(data)[:2] == content_address(first)[:2]
+    )
+    store = BlobStore(tmp_path / "not" / "yet")
+    addrs = [store.put(first), store.put(second)]
+    assert stored_addresses(tmp_path / "not" / "yet") == sorted(addrs)
+    assert [store.get(addr) for addr in addrs] == [first, second]
+
+
+def test_get_returns_a_blob_larger_than_one_read_chunk_and_closes_it(tmp_path, monkeypatch):
+    # the size of the base datasets the ml_fit benchmark workload stores and reads
+    data = make_synthetic_room(3, RoomProfile(2.0, 1.0, 0.05), 12_000).to_csv_bytes()
+    assert len(data) > 2 * cas._READ_CHUNK
+    store = BlobStore(tmp_path)
+    addr = store.put(data)
+    real_open = os.open
+    fds = []
+
+    def recording_open(*args, **kwargs):
+        fds.append(real_open(*args, **kwargs))
+        return fds[-1]
+
+    monkeypatch.setattr("os.open", recording_open)
+    assert store.get(addr) == data
+    monkeypatch.undo()
+    assert len(fds) == 1
+    with pytest.raises(OSError):
+        os.fstat(fds[0])
+
+
+def test_short_writes_still_store_every_byte(tmp_path, monkeypatch):
+    real_write = os.write
+    calls = []
+
+    def one_byte(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:1]))
+
+    monkeypatch.setattr("os.write", one_byte)
+    payload = bytes(range(256)) * 3
+    write_atomic(tmp_path / "state.json", payload)
+    monkeypatch.undo()
+    assert (tmp_path / "state.json").read_bytes() == payload
+    assert calls == list(range(len(payload), 0, -1))
+    assert list(tmp_path.iterdir()) == [tmp_path / "state.json"]
+
+
+def test_a_write_that_fails_part_way_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "state.json"
+    target.write_bytes(b"old bytes\n")
+    real_write = os.write
+    fds = []
+
+    def fail_on_the_second_write(fd, data):
+        fds.append(fd)
+        if len(fds) > 1:
+            raise OSError("disk full")
+        return real_write(fd, bytes(data[:4]))
+
+    monkeypatch.setattr("os.write", fail_on_the_second_write)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(target, b"new bytes, longer than one write\n")
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"old bytes\n"
+    with pytest.raises(OSError):  # the temp file's descriptor was closed
+        os.fstat(fds[0])

@@ -2,16 +2,17 @@
 
 The graph is a set of subject/predicate/object triples, held as one
 record per subject. One field table, ``RECORDS``, defines how each
-record type maps to triples: per field its predicate, its object kind
-(literal, IRI, decimal or comma-joined list) and whether it is required.
-``_store`` is the only writer. It runs each field through its object
-kind, which refuses a value the export could not write as an N-Triples
-term (``MalformedTriple``), so a bad record stores nothing. It keeps, as
-the record's view, the record those objects decode to, so an ``int``
-MAE comes back as a ``float``. A lookup is one dict read of that view.
-``mark_shared`` runs only the two sharing fields and keeps the view with
-them set, and ``discard`` drops the view. The triples are derived from
-the views on demand (``triples``, ``export_bytes``); no triple is kept.
+record class maps to triples: its type IRI, and per field its predicate,
+its object kind (literal, IRI, decimal or comma-joined list) and whether
+it is required. ``_store`` writes a new record: it runs each field through
+its object kind, which refuses a value the export could not write as an
+N-Triples term (``MalformedTriple``), so a bad record stores nothing, and
+keeps as its view the record those objects decode to (an ``int`` MAE
+comes back as a ``float``). ``mark_shared`` runs the two sharing fields
+through the literal kind and keeps the view with them set; ``discard``
+drops a view. A lookup is one dict read of a view. The triples are
+derived from the views on demand (``triples``, ``export_bytes``); no
+triple is kept.
 
 Everything a node knows about its own assets and any remote shared
 assets it has cached lives here, so the N-Triples export of the graph
@@ -144,8 +145,8 @@ class ModelRecord(NamedTuple):
         return self.content_address is not None and self.tx_id is not None
 
 
-# ``isl://`` and at least one character an N-Triples IRIREF may hold unescaped
-_IRI = re.compile(r'isl://[^\x00-\x20<>"{}|^`\\]+')
+# ``isl://`` and at least one character an N-Triples IRIREF may hold unescaped and UTF-8 encodes
+_IRI = re.compile(r'isl://[^\x00-\x20<>"{}|^`\\\ud800-\udfff]+')
 
 
 def _is_iri(value: object) -> bool:
@@ -156,14 +157,14 @@ def _split(text: str) -> tuple[str, ...]:
     return tuple(text.split(",")) if text else ()
 
 
-_CONTROL = re.compile(r"[\n\r\t]")
+_UNWRITABLE = re.compile(r"[\n\r\t\ud800-\udfff]")  # a line break or tab, or a lone surrogate
 
 
 def _literal(value: object) -> Literal:
     if not isinstance(value, str):
         raise MalformedTriple(f"literal is not a string: {value!r}")
-    if _CONTROL.search(value):
-        raise MalformedTriple("literal contains control characters")
+    if _UNWRITABLE.search(value):
+        raise MalformedTriple("literal contains a control character or a lone surrogate")
     return Literal(value)
 
 
@@ -208,7 +209,7 @@ def _check_model(m: ModelRecord) -> None:
 
 
 class _RecordType(NamedTuple):
-    cls: type
+    type_iri: str
     noun: str
     check: Callable[[Any], None]  # raises MalformedDescriptor for values it may not store
     fields: tuple[tuple[str, str, tuple, bool], ...]  # (field, predicate, kind, required)
@@ -216,15 +217,15 @@ class _RecordType(NamedTuple):
 
 # How each record type maps to triples. ``_encode`` runs the fields in
 # this order, so the first bad field decides the MalformedTriple raised.
-RECORDS: dict[str, _RecordType] = {
-    T_DATASET: _RecordType(DatasetDescriptor, "dataset", _check_dataset, (
+RECORDS: dict[type, _RecordType] = {
+    DatasetDescriptor: _RecordType(T_DATASET, "dataset", _check_dataset, (
         ("feature_schema", P_FEATURE_SCHEMA, LIST, True),
         ("owner_node", P_OWNER, LITERAL, True),
         ("local_uri", P_LOCAL_URI, LITERAL, True),
         ("content_address", P_CONTENT_ADDRESS, LITERAL, False),
         ("tx_id", P_TX_ID, LITERAL, False),
     )),
-    T_MODEL: _RecordType(ModelRecord, "model", _check_model, (
+    ModelRecord: _RecordType(T_MODEL, "model", _check_model, (
         ("input_features", P_INPUT_FEATURES, LIST, True),
         ("task", P_TASK, IRI, True),
         ("dataset", P_TRAINED_ON, IRI, True),
@@ -239,45 +240,40 @@ RECORDS: dict[str, _RecordType] = {
 }
 
 
-def _encode(type_iri: str, record: Any, changes: dict | None = None) -> Any:
-    """The record the objects of ``record``'s fields decode to.
+def _encode(record: Any) -> Any:
+    """The record, of ``record``'s class, that the objects of its fields decode to.
 
-    With ``changes`` (field -> new value), only those fields are encoded,
-    into ``record`` with them set. An optional field that is None has no
-    object. A required field is encoded as given, so a bad value raises
-    ``MalformedTriple``.
+    An optional field that is None has no object. A required field is
+    encoded as given, so a bad value raises ``MalformedTriple``.
     """
-    record_type = RECORDS[type_iri]
     values: dict[str, Any] = {}
-    for field, _, (encode, decode, _write), required in record_type.fields:
-        if changes is None:
-            value = getattr(record, field)
-        elif field in changes:
-            value = changes[field]
-        else:
-            continue
+    for field, _, (encode, decode, _write), required in RECORDS[type(record)].fields:
+        value = getattr(record, field)
         values[field] = decode(encode(value)) if required or value is not None else None
-    if changes is not None:
-        return record._replace(**values)
-    return record_type.cls(iri=record.iri, **values)
+    return type(record)(iri=record.iri, **values)
 
 
-_TYPE_OF = {record_type.cls: type_iri for type_iri, record_type in RECORDS.items()}
+def _record_type(cls: type, record: object) -> _RecordType:
+    """The record type of ``cls``; a ``record`` of another class is refused with TypeError."""
+    if type(record) is not cls:
+        raise TypeError(f"expected a {cls.__name__}, got a {type(record).__name__}")
+    return RECORDS[cls]
+
 
 # Per record class: (predicate, field, kind) of each triple in the order of
 # "<predicate>", the type triple's field being None. The export takes subjects
 # in the order of "<iri>"; as an IRI holds no ">" or space, its lines then
 # come out sorted.
 _TRIPLES = {
-    rt.cls: sorted([(P_TYPE, None, IRI)] + [(p, f, k) for f, p, k, _ in rt.fields],
-                   key=lambda e: e[0] + ">")
-    for rt in RECORDS.values()
+    cls: sorted([(P_TYPE, None, IRI)] + [(p, f, k) for f, p, k, _ in rt.fields],
+                key=lambda e: e[0] + ">")
+    for cls, rt in RECORDS.items()
 }
 
 
 def _values(view: Any) -> Iterator[tuple[str, tuple, Any]]:
     """(predicate, kind, value) of each triple of ``view``, in the order of ``_TRIPLES``."""
-    type_iri = _TYPE_OF[type(view)]
+    type_iri = RECORDS[type(view)].type_iri
     for pred, field, kind in _TRIPLES[type(view)]:
         value = type_iri if field is None else getattr(view, field)
         if value is not None:
@@ -295,28 +291,27 @@ class KnowledgeGraph:
         return {Triple(iri, p, kind[0](value))
                 for iri, view in self._views.items() for p, kind, value in _values(view)}
 
-    def _store(self, type_iri: str, record: Any, changes: dict | None = None) -> Any:
-        """Keep the record ``record``'s objects decode to as its view (see ``_encode``)."""
-        view = _encode(type_iri, record, changes)
+    def _store(self, record: Any) -> None:
+        """Keep, as the view of a new record, the record its objects decode to (see ``_encode``)."""
+        view = _encode(record)
         self._views[view.iri] = view
-        return view
 
     # ------------------------------------------------------------ registration
 
     def register_dataset(self, d: DatasetDescriptor) -> str:
-        self._check_local(T_DATASET, d)
-        self._store(T_DATASET, d)
+        self._check_local(DatasetDescriptor, d)
+        self._store(d)
         return d.iri
 
     def register_model(self, m: ModelRecord) -> str:
-        self._check_local(T_MODEL, m)
+        self._check_local(ModelRecord, m)
         if not self.has_dataset(m.dataset):
             raise UnresolvedDependency(f"dataset {m.dataset} is not known to this graph")
         if m.base_model is not None and not self.has_model(m.base_model):
             raise UnresolvedDependency(
                 f"base model {m.base_model} is not known to this graph"
             )
-        self._store(T_MODEL, m)
+        self._store(m)
         return m.iri
 
     def discard(self, iri: str) -> None:
@@ -329,7 +324,7 @@ class KnowledgeGraph:
 
     def cache_remote_dataset(self, d: DatasetDescriptor) -> str:
         """Cache a shared dataset owned by another node, keeping its own IRI."""
-        return self._cache_remote(T_DATASET, d)
+        return self._cache_remote(DatasetDescriptor, d)
 
     def cache_remote_model(self, m: ModelRecord) -> str:
         """Cache a shared model owned by another node.
@@ -338,10 +333,11 @@ class KnowledgeGraph:
         validated them at registration, and an acquirer may know the
         model without knowing its ancestors' metadata.
         """
-        return self._cache_remote(T_MODEL, m)
+        return self._cache_remote(ModelRecord, m)
 
-    def _check_local(self, type_iri: str, res: DatasetDescriptor | ModelRecord) -> None:
+    def _check_local(self, cls: type, res: DatasetDescriptor | ModelRecord) -> None:
         """Refuse a record this node may not register as its own, new and unshared."""
+        record_type = _record_type(cls, res)
         self._check_fresh(res.iri)
         if res.content_address is not None or res.tx_id is not None:
             if not res.shared:
@@ -352,7 +348,6 @@ class KnowledgeGraph:
                 f"{res.iri}: registration requires an unshared descriptor; "
                 f"sharing happens through the node workflow"
             )
-        record_type = RECORDS[type_iri]
         if res.owner_node != self.node_id:
             raise MalformedDescriptor(
                 f"{record_type.noun} {res.iri} is owned by {res.owner_node!r}; "
@@ -360,20 +355,20 @@ class KnowledgeGraph:
             )
         record_type.check(res)
 
-    def _cache_remote(self, type_iri: str, res: DatasetDescriptor | ModelRecord) -> str:
-        record_type = RECORDS[type_iri]
+    def _cache_remote(self, cls: type, res: DatasetDescriptor | ModelRecord) -> str:
+        record_type = _record_type(cls, res)
         if not res.shared:
             raise MalformedDescriptor(f"remote {record_type.noun} {res.iri} must be shared")
         if res.owner_node == self.node_id:
             raise MalformedDescriptor(f"{res.iri} is local; register it instead")
-        existing = self._view(type_iri, res.iri)
+        existing = self._view(cls, res.iri)
         if existing is not None:
             if existing != res:
                 raise DuplicateId(f"{res.iri} already cached with different metadata")
             return res.iri
         self._check_fresh(res.iri)
         record_type.check(res)
-        self._store(type_iri, res)
+        self._store(res)
         return res.iri
 
     def _check_fresh(self, iri: str) -> None:
@@ -390,10 +385,10 @@ class KnowledgeGraph:
             raise NotFound(f"no resource {iri} in this graph")
         if existing.shared:
             raise AlreadyShared(f"{iri} was already shared as {existing.content_address}")
-        if addr is None or tx_id is None:
-            raise MalformedTriple(f"{iri}: sharing needs both a content address and a tx id")
-        return self._store(_TYPE_OF[type(existing)], existing,
-                           {"content_address": addr, "tx_id": tx_id})
+        view = existing._replace(content_address=_literal(addr).lexical,
+                                 tx_id=_literal(tx_id).lexical)
+        self._views[iri] = view
+        return view
 
     # ----------------------------------------------------------------- queries
 
@@ -404,27 +399,27 @@ class KnowledgeGraph:
         return [v for _, v in sorted(self._views.items()) if isinstance(v, ModelRecord)]
 
     def dataset(self, iri: str) -> DatasetDescriptor:
-        d = self._view(T_DATASET, iri)
+        d = self._view(DatasetDescriptor, iri)
         if d is None:
             raise NotFound(f"no dataset {iri} in this graph")
         return d
 
     def model(self, iri: str) -> ModelRecord:
-        m = self._view(T_MODEL, iri)
+        m = self._view(ModelRecord, iri)
         if m is None:
             raise NotFound(f"no model {iri} in this graph")
         return m
 
     def has_dataset(self, iri: str) -> bool:
-        return self._view(T_DATASET, iri) is not None
+        return self._view(DatasetDescriptor, iri) is not None
 
     def has_model(self, iri: str) -> bool:
-        return self._view(T_MODEL, iri) is not None
+        return self._view(ModelRecord, iri) is not None
 
-    def _view(self, type_iri: str, iri: str) -> Any:
-        """The record of ``iri`` as a ``type_iri``; None if it has no record of that type."""
+    def _view(self, cls: type, iri: str) -> Any:
+        """The record of ``iri`` if it is a ``cls``; None if it has no record of that class."""
         view = self._views.get(iri)
-        return view if isinstance(view, RECORDS[type_iri].cls) else None
+        return view if isinstance(view, cls) else None
 
     # ------------------------------------------------------------ serialization
 

@@ -43,10 +43,6 @@ from typing import Callable, Iterable, NamedTuple, Protocol
 from .errors import CorruptLog, InsufficientFunds, IslError, PayoutFailed, UnknownSender
 
 
-class Account(NamedTuple):
-    address: str  # 40 lowercase hex chars
-
-
 class Transaction(NamedTuple):
     seq: int
     sender: str
@@ -57,7 +53,7 @@ class Transaction(NamedTuple):
 
 
 class AccountCreation(NamedTuple):
-    address: str
+    address: str  # 40 lowercase hex chars
     balance: int
     owner: bool
 
@@ -149,7 +145,7 @@ class Ledger:
 
     # ---------------------------------------------------------------- accounts
 
-    def create_account(self, initial_balance: int, owner: bool = False) -> Account:
+    def create_account(self, initial_balance: int, owner: bool = False) -> AccountCreation:
         _require_amount(initial_balance, "initial balance")
         # only this method adds an account, so the count numbers the new one
         address = hashlib.sha256(str(len(self._balances) + 1).encode()).hexdigest()[:40]
@@ -159,8 +155,9 @@ class Ledger:
                 if hook is not None:
                     hook(address)
         self._balances[address] = initial_balance
-        self.log.append(AccountCreation(address, initial_balance, owner))
-        return Account(address)
+        entry = AccountCreation(address, initial_balance, owner)
+        self.log.append(entry)
+        return entry
 
     def balance_of(self, address: str) -> int:
         if address not in self._balances:
@@ -288,7 +285,7 @@ def parse_log_line(line: str) -> AccountCreation | Transaction:
             entry = Transaction(int(seq), sender, contract, method, args, int(value))
         else:
             raise CorruptLog(f"unknown log entry kind {kind!r}")
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, RecursionError):  # RecursionError: args nested too deep
         raise CorruptLog(f"unparseable log line: {line!r}") from None
     if format_log_entry(entry) != line:
         raise CorruptLog(f"log line is not as the ledger writes it: {line!r}")

@@ -843,6 +843,22 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("UnknownWorkspace: ")
 
+    @pytest.mark.parametrize("command", [["replay"], ["inspect", "registry"]], ids=["replay", "inspect"])
+    def test_log_args_nested_too_deep_to_parse_are_a_corrupt_log(self, tmp_path, capsys, command):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+        log_path = ws / cli.LEDGER_FILE
+        lines = log_path.read_text().split("\n")[:-1]
+        last = max(i for i, line in enumerate(lines) if line.startswith("tx\t"))
+        depth = 4 * sys.getrecursionlimit()
+        lines[last] = lines[last].partition("\targs=")[0] + "\targs=" + "[" * depth + "]" * depth
+        log_path.write_text("\n".join(lines) + "\n")
+
+        assert run([command[0], str(ws), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("CorruptLog: ")
+
     def test_replay_compares_chainstate_bytes(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         run(["run", str(TWO_NODE), "--workspace", str(ws)])

@@ -361,24 +361,49 @@ def test_records_the_export_could_not_write_store_nothing(kg):
         # a control character in a literal
         (kg.register_dataset, dataset(local="d3", local_uri="blobs/a\nb")),
         (kg.cache_remote_dataset, dataset(node="bob", content_address=ADDR, tx_id="tx\t9")),
+        # a lone surrogate in a literal: UTF-8 could not encode the export
+        (kg.register_dataset, dataset(local="d4", local_uri="blobs/\udcff")),
         # an IRI object the N-Triples writer could not write as a term
         (kg.cache_remote_model,
          model(node="bob", base_model="isl://a b", content_address=ADDR, tx_id="tx-9")),
         (kg.cache_remote_model,
          model(node="bob", dataset="isl://a>b", content_address=ADDR, tx_id="tx-9")),
+        (kg.cache_remote_model,
+         model(node="bob", dataset="isl://d\ud800", content_address=ADDR, tx_id="tx-9")),
     ]
     for write, record in refused:
         with pytest.raises(MalformedTriple):
             write(record)
-    for addr, tx_id in ((ADDR, "tx\r1"), (None, "tx-1"), (ADDR, None)):
+    for addr, tx_id in ((ADDR, "tx\r1"), (None, "tx-1"), (ADDR, None), ("\ud800" * 64, "tx-1")):
         with pytest.raises(MalformedTriple):
             kg.mark_shared(dataset().iri, addr, tx_id)
     assert kg.triples == before
     assert kg.datasets() == [dataset()] and kg.models() == []
+    kg.export_bytes()
     # an identifier that is not a writable IRI term is refused before any object
-    with pytest.raises(MalformedDescriptor):
-        kg.register_dataset(dataset(local="a>b"))
+    for local in ("a>b", "d\ud800"):
+        with pytest.raises(MalformedDescriptor):
+            kg.register_dataset(dataset(local=local))
     assert kg.triples == before
+
+
+OTHER_CLASS = {  # each writer, and a record of the other class
+    "register_dataset": model(),
+    "register_model": dataset(),
+    "cache_remote_dataset": model(node="bob", content_address=ADDR, tx_id="tx-9"),
+    "cache_remote_model": dataset(node="bob", content_address=ADDR, tx_id="tx-9"),
+}
+
+
+@pytest.mark.parametrize("write", OTHER_CLASS)
+def test_a_record_of_the_other_class_is_refused_before_any_check(kg, write):
+    kg.register_dataset(dataset())
+    before = kg.export_bytes()
+    record = OTHER_CLASS[write]
+    wanted = DatasetDescriptor if isinstance(record, ModelRecord) else ModelRecord
+    with pytest.raises(TypeError, match=f"^expected a {wanted.__name__}, got a {type(record).__name__}$"):
+        getattr(kg, write)(record)
+    assert kg.export_bytes() == before
 
 
 # ------------------------------------------- views vs brute-force triple scan

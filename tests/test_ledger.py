@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -325,7 +326,11 @@ def test_parse_log_line_rejects_garbage(line):
         parse_log_line(line)
 
 
-@pytest.mark.parametrize("args", ["[1.5]", '["a",["b"]]', '[{"k":1}]'])
+@pytest.mark.parametrize("args", [
+    "[1.5]", '["a",["b"]]', '[{"k":1}]',
+    pytest.param("[" * 4 * sys.getrecursionlimit() + "]" * 4 * sys.getrecursionlimit(),
+                 id="nested-too-deep-to-parse"),
+])
 def test_parse_log_line_refuses_non_scalar_args(args):
     line = f"tx\tseq=1\tsender=aa\tcontract=c\tmethod=m\tvalue=0\targs={args}"
     with pytest.raises(CorruptLog, match="^unparseable log line"):

@@ -105,7 +105,8 @@ class TestLocalWorkflow:
         assert measures["MAE"] == pytest.approx(record.mae, rel=1e-8)
         assert measures["MSE"] == pytest.approx(record.mse, rel=1e-8)
 
-    @pytest.mark.parametrize("local_id, error", [("d>1", MalformedDescriptor), ("d1", DuplicateId)])
+    @pytest.mark.parametrize("local_id, error", [
+        ("d>1", MalformedDescriptor), ("d\ud800", MalformedDescriptor), ("d1", DuplicateId)])
     def test_refused_dataset_leaves_no_blob(self, net, local_id, error):
         alice = net.node("alice")
         alice.create_local_dataset("d1", seed=7, profile=PROFILE, n_rows=30)
@@ -113,6 +114,7 @@ class TestLocalWorkflow:
         with pytest.raises(error):
             alice.create_local_dataset(local_id, seed=8, profile=PROFILE, n_rows=30)
         assert oracles.stored_addresses(alice.root) == before
+        net.persist()  # the graph holds nothing its export cannot write
 
     @pytest.mark.parametrize(
         "local_id, task, error",

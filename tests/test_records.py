@@ -7,13 +7,12 @@ from islsim.contracts import ChainStep
 from islsim.depgraph import ProvenanceChain
 from islsim.errors import Unauthorized
 from islsim.kgstore import DatasetDescriptor, Literal, ModelRecord, Triple, task_iri
-from islsim.ledger import Account, AccountCreation, Receipt, Transaction
+from islsim.ledger import AccountCreation, Receipt, Transaction
 from islsim.mlsim import RoomProfile
 
 A, B, ADDR = "a" * 40, "b" * 40, "c" * 64
 
 RECORDS = [
-    Account(A),
     Transaction(3, A, "oracle", "register_node", (B,), 0),
     AccountCreation(A, 10, True),
     Receipt("tx-3", Unauthorized("caller is not a registered node"), None),

@@ -68,6 +68,7 @@ from pathlib import Path
 from .cas import is_address
 from .contracts import ChainStep, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
+from .kgstore import ModelRecord
 from .ledger import Ledger, canonical_json, parse_log_line, replay
 from .mlsim import RoomProfile
 from .node import (
@@ -258,7 +259,7 @@ class ScenarioRunner:
         ref = self._net().resolve(resid, name)
         if ref.kind is None:
             raise ParseError(f"share takes a resource id or IRI, not the address {resid!r}")
-        shared = node.share_model(ref.iri) if ref.kind == "model" else node.share_dataset(ref.iri)
+        shared = node.share_model(ref.iri) if ref.kind is ModelRecord else node.share_dataset(ref.iri)
         print(f"shared {shared.iri} addr={shared.content_address} tx={shared.tx_id}")
 
     def _do_set_price(self, name: str, resid: str, price: str) -> None:

@@ -10,9 +10,9 @@ N-Triples term (``MalformedTriple``), so a bad record stores nothing, and
 keeps as its view the record those objects decode to (an ``int`` MAE
 comes back as a ``float``). ``mark_shared`` runs the two sharing fields
 through the literal kind and keeps the view with them set; ``discard``
-drops a view. A lookup is one dict read of a view. The triples are
-derived from the views on demand (``triples``, ``export_bytes``); no
-triple is kept.
+drops a view. The one record reader, ``get(cls, iri)``, is one dict read
+of a view. The triples are derived from the views on demand
+(``triples``, ``export_bytes``); no triple is kept.
 
 Everything a node knows about its own assets and any remote shared
 assets it has cached lives here, so the N-Triples export of the graph
@@ -20,9 +20,9 @@ assets it has cached lives here, so the N-Triples export of the graph
 node's metadata. The export is written, never read back.
 
 Identifier discipline: all entity identifiers are IRIs under the
-``isl://`` scheme, ``isl://<node>/<kind>/<local-id>``. Controlled
-vocabulary terms (tasks, feature names, units) live under
-``isl://vocab/``.
+``isl://`` scheme. ``record_iri`` forms ``isl://<node>/<noun>/<local-id>``
+from a record class and its ``RECORDS`` noun. Controlled vocabulary
+terms (tasks, feature names, units) live under ``isl://vocab/``.
 
 A note on ordering: feature lists are meaningful in order (they define
 the column layout of datasets and the weight layout of models), but a
@@ -32,6 +32,7 @@ comma-joined literal instead of one triple per element.
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from typing import Any, Callable, Iterator, NamedTuple
@@ -87,14 +88,6 @@ def task_iri(name: str) -> str:
 
 
 TASK_IRIS = tuple(task_iri(t) for t in TASKS)
-
-
-def dataset_iri(node_id: str, local_id: str) -> str:
-    return f"isl://{node_id}/dataset/{_require_str(local_id, 'local id')}"
-
-
-def model_iri(node_id: str, local_id: str) -> str:
-    return f"isl://{node_id}/model/{_require_str(local_id, 'local id')}"
 
 
 class Literal(NamedTuple):
@@ -240,6 +233,15 @@ RECORDS: dict[type, _RecordType] = {
 }
 
 
+def record_iri(cls: type, node_id: str, local_id: str) -> str:
+    """The IRI ``isl://<node>/<noun>/<local-id>`` of a ``cls`` record, with its ``RECORDS`` noun."""
+    return f"isl://{node_id}/{RECORDS[cls].noun}/{_require_str(local_id, 'local id')}"
+
+
+dataset_iri = functools.partial(record_iri, DatasetDescriptor)
+model_iri = functools.partial(record_iri, ModelRecord)
+
+
 def _encode(record: Any) -> Any:
     """The record, of ``record``'s class, that the objects of its fields decode to.
 
@@ -361,7 +363,7 @@ class KnowledgeGraph:
             raise MalformedDescriptor(f"remote {record_type.noun} {res.iri} must be shared")
         if res.owner_node == self.node_id:
             raise MalformedDescriptor(f"{res.iri} is local; register it instead")
-        existing = self._view(cls, res.iri)
+        existing = self.get(cls, res.iri)
         if existing is not None:
             if existing != res:
                 raise DuplicateId(f"{res.iri} already cached with different metadata")
@@ -399,24 +401,24 @@ class KnowledgeGraph:
         return [v for _, v in sorted(self._views.items()) if isinstance(v, ModelRecord)]
 
     def dataset(self, iri: str) -> DatasetDescriptor:
-        d = self._view(DatasetDescriptor, iri)
+        d = self.get(DatasetDescriptor, iri)
         if d is None:
             raise NotFound(f"no dataset {iri} in this graph")
         return d
 
     def model(self, iri: str) -> ModelRecord:
-        m = self._view(ModelRecord, iri)
+        m = self.get(ModelRecord, iri)
         if m is None:
             raise NotFound(f"no model {iri} in this graph")
         return m
 
     def has_dataset(self, iri: str) -> bool:
-        return self._view(DatasetDescriptor, iri) is not None
+        return self.get(DatasetDescriptor, iri) is not None
 
     def has_model(self, iri: str) -> bool:
-        return self._view(ModelRecord, iri) is not None
+        return self.get(ModelRecord, iri) is not None
 
-    def _view(self, cls: type, iri: str) -> Any:
+    def get(self, cls: type, iri: str) -> Any:
         """The record of ``iri`` if it is a ``cls``; None if it has no record of that class."""
         view = self._views.get(iri)
         return view if isinstance(view, cls) else None

@@ -38,9 +38,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import CorruptLog, InsufficientFunds, IslError, PayoutFailed, UnknownSender
+
+if TYPE_CHECKING:
+    from .contracts import Contract
 
 
 class Transaction(NamedTuple):
@@ -112,13 +115,6 @@ class CallContext:
         self.put(balances, to, balances[to] + amount)
 
 
-class ContractLike(Protocol):
-    name: str
-
-    def call(self, ctx: CallContext, method: str, args: tuple) -> object: ...
-    def state_dict(self) -> dict: ...
-
-
 def canonical_json(obj: object) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -137,7 +133,7 @@ class Ledger:
     def __init__(self) -> None:
         self._balances: dict[str, int] = {}
         self._contract_balances: dict[str, int] = {}
-        self._contracts: dict[str, ContractLike] = {}
+        self._contracts: dict[str, Contract] = {}
         self._next_seq = 1
         self.log: list[AccountCreation | Transaction] = []
         # (table, key, previous value) per write of the running transaction
@@ -169,13 +165,13 @@ class Ledger:
 
     # --------------------------------------------------------------- contracts
 
-    def register_contract(self, contract: ContractLike) -> None:
+    def register_contract(self, contract: Contract) -> None:
         if contract.name in self._contracts:
             raise ValueError(f"contract {contract.name!r} already registered")
         self._contracts[contract.name] = contract
         self._contract_balances[contract.name] = 0
 
-    def contract(self, name: str) -> ContractLike:
+    def contract(self, name: str) -> Contract:
         return self._contracts[name]
 
     # --------------------------------------------------------------- execution
@@ -269,6 +265,11 @@ def format_log_entry(entry: AccountCreation | Transaction) -> str:
     )
 
 
+def _quote(line: str) -> str:
+    """``line`` as a ``CorruptLog`` quotes it: one over 80 characters is cut to its first 80."""
+    return repr(line) if len(line) <= 80 else f"{line[:80]!r}… ({len(line)} chars)"
+
+
 def parse_log_line(line: str) -> AccountCreation | Transaction:
     """The entry ``line`` holds; only a line :func:`format_log_entry` writes back is taken."""
     kind, *parts = line.split("\t")
@@ -284,11 +285,11 @@ def parse_log_line(line: str) -> AccountCreation | Transaction:
                 raise ValueError("a logged argument is not a scalar")
             entry = Transaction(int(seq), sender, contract, method, args, int(value))
         else:
-            raise CorruptLog(f"unknown log entry kind {kind!r}")
+            raise CorruptLog(f"unknown log entry kind {_quote(kind)}")
     except (ValueError, TypeError, RecursionError):  # RecursionError: args nested too deep
-        raise CorruptLog(f"unparseable log line: {line!r}") from None
+        raise CorruptLog(f"unparseable log line: {_quote(line)}") from None
     if format_log_entry(entry) != line:
-        raise CorruptLog(f"log line is not as the ledger writes it: {line!r}")
+        raise CorruptLog(f"log line is not as the ledger writes it: {_quote(line)}")
     return entry
 
 
@@ -298,7 +299,7 @@ def log_lines(ledger: Ledger) -> list[str]:
 
 def replay(
     entries: Iterable[AccountCreation | Transaction],
-    contract_factory: Callable[[], list[ContractLike]],
+    contract_factory: Callable[[], list[Contract]],
 ) -> Ledger:
     """Re-execute a log from genesis and return the resulting ledger.
 
@@ -317,8 +318,8 @@ def replay(
             else:
                 replica.submit(entry.sender, entry.contract, entry.method, entry.args, entry.value)
         except (UnknownSender, InsufficientFunds, ValueError) as exc:
-            raise CorruptLog(f"{format_log_entry(entry)!r} rejected on replay: {exc}") from None
+            raise CorruptLog(f"{_quote(format_log_entry(entry))} rejected on replay: {exc}") from None
         if replica.log[-1] != entry:
             line, logged = format_log_entry(entry), format_log_entry(replica.log[-1])
-            raise CorruptLog(f"log has {line!r}, replay logs {logged!r}")
+            raise CorruptLog(f"log has {_quote(line)}, replay logs {_quote(logged)}")
     return replica

@@ -33,14 +33,13 @@ from .errors import (
     TokenRejected,
     UnknownResource,
 )
-from .kgstore import DatasetDescriptor, KnowledgeGraph, ModelRecord
+from .kgstore import RECORDS, DatasetDescriptor, KnowledgeGraph, ModelRecord, record_iri
 from .ledger import Ledger, Receipt, canonical_json, log_lines
 
 IRI_PREFIX = "isl://"
 LEDGER_FILE = "ledger.log"
 CHAINSTATE_FILE = "chainstate.json"
 ACCOUNT_FILE = "account.txt"  # in each node's directory
-_IRI_OF = {"model": kgstore.model_iri, "dataset": kgstore.dataset_iri}
 
 Record = DatasetDescriptor | ModelRecord
 
@@ -48,12 +47,12 @@ Record = DatasetDescriptor | ModelRecord
 class Ref(NamedTuple):
     """A resolved resource reference.
 
-    ``kind`` is "model" or "dataset"; both it and ``iri`` are None for a
-    bare content address. ``addr`` is None while the record is unshared,
-    and whenever the caller named the kind (then no graph is read).
+    ``kind`` is the record class, ``ModelRecord`` or ``DatasetDescriptor``; it and
+    ``iri`` are None for a bare content address. ``addr`` is None while the record
+    is unshared, and whenever the caller named the kind (then no graph is read).
     """
 
-    kind: str | None
+    kind: type | None
     iri: str | None
     addr: str | None
 
@@ -206,7 +205,7 @@ class Network:
 
     # ------------------------------------------------------------- references
 
-    def resolve(self, ref: str, actor: str | None = None, kind: str | None = None) -> Ref:
+    def resolve(self, ref: str, actor: str | None = None, kind: type | None = None) -> Ref:
         """Read a resource reference; the one parser of its four forms.
 
         - a 64-hex content address is taken as given;
@@ -214,43 +213,41 @@ class Network:
         - ``node/id`` splits at the first ``/``;
         - a bare id names a resource of ``actor``.
 
-        With ``kind`` given, only the IRI is formed and no graph is read.
-        Otherwise the kind and the shared address come from the graph of
-        the node the reference names, never from the registry, where any
-        registered node may claim any IRI.
+        With ``kind`` (a record class, as ``Ref.kind``) given, only the IRI is
+        formed. Otherwise the kind and the shared address come from one
+        ``KnowledgeGraph.get`` per candidate class in the named node's graph,
+        never from the registry, where any registered node may claim any IRI.
         """
+        noun = "model or dataset" if kind is None else RECORDS[kind].noun
         if is_address(ref):
             if kind is not None:
-                raise ParseError(f"{ref!r} is a content address; name the {kind} by id or IRI")
+                raise ParseError(f"{ref!r} is a content address; name the {noun} by id or IRI")
             return Ref(None, None, ref)
         if ref.startswith(IRI_PREFIX):
             owner, _, rest = ref[len(IRI_PREFIX):].partition("/")
             named, sep, local = rest.partition("/")
-            if not sep or named not in _IRI_OF or kind not in (None, named):
-                raise ParseError(f"{ref!r} is not a {kind or 'model or dataset'} IRI")
-            kinds = [named]
+            kinds = [cls for cls, rt in RECORDS.items() if sep and rt.noun == named]
+            if not kinds or kind not in (None, *kinds):
+                raise ParseError(f"{ref!r} is not a {noun} IRI")
         else:
             owner, sep, local = ref.partition("/")
             if not sep:
                 if actor is None:
                     raise ParseError(f"{ref!r} names no node; use node/id")
                 owner, local = actor, ref
-            kinds = ["model", "dataset"]
+            kinds = [ModelRecord, DatasetDescriptor]
         if kind is not None:
-            return Ref(kind, _IRI_OF[kind](owner, local), None)
+            return Ref(kind, record_iri(kind, owner, local), None)
         try:
             graph = self.node(owner).graph
         except NotFound:
             raise ParseError(f"{ref!r} names unknown node {owner!r}") from None
-        hits = [k for k in kinds
-                if (graph.has_model if k == "model" else graph.has_dataset)(_IRI_OF[k](owner, local))]
+        hits = [r for r in (graph.get(k, record_iri(k, owner, local)) for k in kinds) if r is not None]
         if len(hits) > 1:
             raise ParseError(f"{ref!r} matches both a model and a dataset; use a full IRI")
         if not hits:
             raise NotFound(f"{owner} has no resource {local!r}")
-        iri = _IRI_OF[hits[0]](owner, local)
-        record = graph.model(iri) if hits[0] == "model" else graph.dataset(iri)
-        return Ref(hits[0], iri, record.content_address)
+        return Ref(type(hits[0]), hits[0].iri, hits[0].content_address)
 
     def shared_address(self, ref: str, actor: str | None = None) -> str:
         """The content address ``ref`` names; an unshared record has none."""
@@ -338,11 +335,11 @@ class IslNode:
         return descriptor
 
     def load_dataset(self, ref: str) -> mlsim.TabularDataset:
-        _, data = self._verified_blob(self.graph.dataset(self._iri(ref, "dataset")))
+        _, data = self._verified_blob(self.graph.dataset(self._iri(ref, DatasetDescriptor)))
         return mlsim.TabularDataset.from_csv_bytes(data)
 
     def load_model(self, ref: str) -> mlsim.LinearModel:
-        _, data = self._verified_blob(self.graph.model(self._iri(ref, "model")))
+        _, data = self._verified_blob(self.graph.model(self._iri(ref, ModelRecord)))
         return mlsim.LinearModel.from_bytes(data)
 
     def _verified_blob(self, record: Record) -> tuple[str, bytes]:
@@ -356,7 +353,7 @@ class IslNode:
     def train_model(self, local_id: str, dataset_ref: str, task: str) -> ModelRecord:
         """Fit a linear model from scratch on a local dataset."""
         task = self._task_ref(task)
-        ds_iri = self._iri(dataset_ref, "dataset")
+        ds_iri = self._iri(dataset_ref, DatasetDescriptor)
         data = self.load_dataset(ds_iri)
         model = mlsim.train(data)
         return self._record_model(local_id, model, data, ds_iri, task, base_iri=None)
@@ -371,9 +368,9 @@ class IslNode:
     ) -> ModelRecord:
         """Adapt a locally available model (own or acquired) to a local dataset."""
         mlsim.require_schedule(steps, learning_rate)
-        base_iri = self._iri(base_ref, "model")
+        base_iri = self._iri(base_ref, ModelRecord)
         base = self.load_model(base_iri)
-        ds_iri = self._iri(dataset_ref, "dataset")
+        ds_iri = self._iri(dataset_ref, DatasetDescriptor)
         data = self.load_dataset(ds_iri)
         tuned = mlsim.fine_tune(base, data, steps, learning_rate)
         return self._record_model(
@@ -423,7 +420,7 @@ class IslNode:
     # ----------------------------------------------------------------- sharing
 
     def share_dataset(self, ref: str) -> DatasetDescriptor:
-        iri = self._iri(ref, "dataset")
+        iri = self._iri(ref, DatasetDescriptor)
         descriptor = self.graph.dataset(iri)
         if descriptor.shared:
             raise AlreadyShared(f"{iri} is already shared")
@@ -435,7 +432,7 @@ class IslNode:
         Every record it shares is this node's own: a cached remote record
         is always shared, so the ancestry of an acquired model is on chain.
         """
-        iri = self._iri(ref, "model")
+        iri = self._iri(ref, ModelRecord)
         if self.graph.model(iri).shared:
             raise AlreadyShared(f"{iri} is already shared")
         return self._share(self._share_plan(iri))  # type: ignore[return-value]
@@ -473,9 +470,8 @@ class IslNode:
 
     def _share_tx(self, record: Record, addr: str) -> Record:
         """Register one record whose dataset and base this node already records as shared."""
-        kind = "model" if isinstance(record, ModelRecord) else "dataset"
         oracle = self.network.oracle
-        entry = oracle.model_entry if kind == "model" else oracle.dataset_entry
+        entry = oracle.model_entry if isinstance(record, ModelRecord) else oracle.dataset_entry
         row = entry(addr)
         if row is None:  # else identical content is already on chain; adopt its registration
             args: tuple = (record.iri, addr)
@@ -483,7 +479,7 @@ class IslNode:
                 base = record.base_model
                 base_addr = None if base is None else self.graph.model(base).content_address
                 args += (record.task, self.graph.dataset(record.dataset).content_address, base_addr)
-            self.network.submit(self.account, "oracle", "share_" + kind, args)
+            self.network.submit(self.account, "oracle", "share_" + RECORDS[type(record)].noun, args)
             row = entry(addr)
         shared = self.graph.mark_shared(record.iri, addr, row["tx_id"])
         if (row["owner"], row["iri"]) == (self.account, shared.iri):
@@ -563,7 +559,7 @@ class IslNode:
 
     # --------------------------------------------------------------- reference
 
-    def _iri(self, ref: str, kind: str) -> str:
+    def _iri(self, ref: str, kind: type) -> str:
         return self.network.resolve(ref, self.name, kind).iri  # type: ignore[return-value]
 
     @staticmethod

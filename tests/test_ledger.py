@@ -462,6 +462,47 @@ def test_replay_detects_unfunded_transaction():
         replay(forged, counter_factory)
 
 
+# A refusal quotes a log line's first 80 characters and its length, so a huge line
+# still gives a short message that names the entry's seq=.
+
+def assert_short_and_names_seq(excinfo):
+    message = str(excinfo.value)
+    assert len(message) < 300 and "seq=" in message
+
+
+HUGE = "x" * 300_000
+
+
+def test_an_args_field_nested_too_deep_is_quoted_in_part():
+    line = f"tx\tseq=1\tsender={'aa' * 20}\tcontract=c\tmethod=m\tvalue=0\targs="
+    with pytest.raises(CorruptLog, match="^unparseable log line") as excinfo:
+        parse_log_line(line + "[" * 100_000 + "]" * 100_000)
+    assert_short_and_names_seq(excinfo)
+
+
+def test_a_huge_line_not_as_the_ledger_writes_it_is_quoted_in_part():
+    line = f'tx\tseq=1\tsender={"aa" * 20}\tcontract=c\tmethod=m\tvalue=0\targs=["{HUGE}", 1]'
+    with pytest.raises(CorruptLog, match="^log line is not as the ledger writes it") as excinfo:
+        parse_log_line(line)
+    assert_short_and_names_seq(excinfo)
+
+
+def test_a_huge_line_rejected_on_replay_is_quoted_in_part():
+    entries = [parse_log_line(line) for line in log_lines(build_session())]
+    entries.append(Transaction(5, "ff" * 20, "counter", "bump", (HUGE,), 0))  # no such sender
+    with pytest.raises(CorruptLog, match="rejected on replay") as excinfo:
+        replay(entries, counter_factory)
+    assert_short_and_names_seq(excinfo)
+
+
+def test_a_huge_line_replay_logs_otherwise_is_quoted_in_part():
+    entries = [parse_log_line(line) for line in log_lines(build_session())]
+    sender = entries[0].address
+    entries.append(Transaction(9, sender, "counter", "bump", (HUGE,), 0))  # the replica logs seq 5
+    with pytest.raises(CorruptLog, match="^log has ") as excinfo:
+        replay(entries, counter_factory)
+    assert_short_and_names_seq(excinfo)
+
 
 @given(
     st.lists(

@@ -35,6 +35,7 @@ from islsim.errors import (
     UnknownResource,
     WrongPayment,
 )
+from islsim.kgstore import DatasetDescriptor, ModelRecord
 from islsim.ledger import log_lines
 from islsim.mlsim import RoomProfile, TabularDataset
 from islsim.node import IRI_PREFIX, Network, Ref, walk_provenance
@@ -684,8 +685,8 @@ class TestMarketplace:
 
     def test_a_query_reads_no_graph_record(self, net, monkeypatch):
         lookups = []  # the graph of each call to the one record reader
-        real = kgstore.KnowledgeGraph._view
-        monkeypatch.setattr(kgstore.KnowledgeGraph, "_view",
+        real = kgstore.KnowledgeGraph.get
+        monkeypatch.setattr(kgstore.KnowledgeGraph, "get",
                             lambda graph, *args: lookups.append(graph) or real(graph, *args))
         record = shared_model(net)
         bob = net.node("bob")
@@ -1166,28 +1167,48 @@ class TestReferenceResolution:
         assert alice.load_dataset(iri).n_rows == 10
 
     def test_named_kind_forms_the_iri_without_reading_a_graph(self, net, monkeypatch):
-        def no_read(self, iri):
+        def no_read(self, cls, iri):
             raise AssertionError(f"read {iri}")
 
-        monkeypatch.setattr(kgstore.KnowledgeGraph, "has_model", no_read)
-        monkeypatch.setattr(kgstore.KnowledgeGraph, "model", no_read)
+        monkeypatch.setattr(kgstore.KnowledgeGraph, "get", no_read)  # every record read goes through it
         iri = kgstore.model_iri("carol", "m1")
         for ref in ("m1", "carol/m1", iri):
-            assert net.resolve(ref, "carol", "model") == Ref("model", iri, None)
+            assert net.resolve(ref, "carol", ModelRecord) == Ref(ModelRecord, iri, None)
         with pytest.raises(ParseError):
-            net.resolve("f" * 64, "carol", "model")
+            net.resolve("f" * 64, "carol", ModelRecord)
         with pytest.raises(ParseError):
-            net.resolve(kgstore.dataset_iri("carol", "d1"), "carol", "model")
+            net.resolve(kgstore.dataset_iri("carol", "d1"), "carol", ModelRecord)
+
+    @pytest.mark.parametrize("ref, kind, message", [
+        ("isl://alice/thing/x", None, "'isl://alice/thing/x' is not a model or dataset IRI"),
+        ("isl://alice/dataset/d1", ModelRecord, "'isl://alice/dataset/d1' is not a model IRI"),
+        ("isl://alice/model/m1", DatasetDescriptor, "'isl://alice/model/m1' is not a dataset IRI"),
+        ("ab" * 32, ModelRecord,
+         f"'{'ab' * 32}' is a content address; name the model by id or IRI"),
+    ])
+    def test_refusals_name_the_kind_asked_for(self, net, ref, kind, message):
+        with pytest.raises(ParseError) as excinfo:
+            net.resolve(ref, "alice", kind)
+        assert str(excinfo.value) == message
+
+    def test_unnamed_kind_reads_each_candidate_once(self, net, monkeypatch):
+        record = shared_model(net)
+        reads = []  # the class of each call to the one record reader
+        real = kgstore.KnowledgeGraph.get
+        monkeypatch.setattr(kgstore.KnowledgeGraph, "get",
+                            lambda graph, cls, iri: reads.append(cls) or real(graph, cls, iri))
+        assert net.resolve("alice/m1") == Ref(ModelRecord, record.iri, record.content_address)
+        assert reads == [ModelRecord, DatasetDescriptor]
 
     def test_unnamed_kind_reads_the_named_node_graph(self, net):
         record = shared_model(net)
         ds = net.node("alice").graph.dataset(record.dataset)
-        assert net.resolve("alice/m1") == Ref("model", record.iri, record.content_address)
-        assert net.resolve("d1", "alice") == Ref("dataset", ds.iri, ds.content_address)
-        assert net.resolve(record.iri, "bob") == Ref("model", record.iri, record.content_address)
+        assert net.resolve("alice/m1") == Ref(ModelRecord, record.iri, record.content_address)
+        assert net.resolve("d1", "alice") == Ref(DatasetDescriptor, ds.iri, ds.content_address)
+        assert net.resolve(record.iri, "bob") == Ref(ModelRecord, record.iri, record.content_address)
         assert net.resolve("e" * 64) == Ref(None, None, "e" * 64)
         net.node("alice").train_model("m2", "d1", "occupancy_detection")
-        assert net.resolve("alice/m2") == Ref("model", kgstore.model_iri("alice", "m2"), None)
+        assert net.resolve("alice/m2") == Ref(ModelRecord, kgstore.model_iri("alice", "m2"), None)
         with pytest.raises(UnknownResource):
             net.shared_address("alice/m2")
         with pytest.raises(NotFound):

@@ -26,7 +26,6 @@ SRC = Path(cli.__file__).resolve().parent  # the package under test, wherever it
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.isl"))
 
 TRACER = "tracer target: perfbench/tracing.py wraps it by name and fails on a missing name"
-STUB = "Protocol stub: its body never runs"
 UNREACHED = {
     "cas.BlobStore.contains": "criterion 6 checks that a tampered blob is not kept",
     "cas.BlobStore.path_for": "criterion 6 tampers with a stored blob at this path",
@@ -42,12 +41,12 @@ UNREACHED = {
                                       "(test_node.py, test_failed_put_drops_the_record)",
     "kgstore.KnowledgeGraph.models": TRACER,
     "kgstore.KnowledgeGraph.triples": "perfbench reports its size as kgstore.triples",
-    "ledger.ContractLike.call": STUB,
-    "ledger.ContractLike.state_dict": STUB,
     "ledger.Ledger.canonical_state": "criterion 4 compares states by it",
     "ledger.Ledger.total_supply": "criterion 5 checks conservation by it",
     "ledger.Receipt.revert_reason": "criteria 2 and 4 read a refusal's text from it",
     "ledger.Receipt.status": "criteria 1 to 5 read it, and perfbench counts reverts by it",
+    "ledger._quote": "refusal path: bounds the log line a CorruptLog quotes "
+                     "(test_ledger.py, test_a_huge_line_rejected_on_replay_is_quoted_in_part)",
     "mlsim.mse_gradient": "criterion 8 checks it against finite differences",
 }
 

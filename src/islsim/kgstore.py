@@ -5,10 +5,10 @@ record per subject. One field table, ``RECORDS``, defines how each
 record class maps to triples: its type IRI, and per field its predicate,
 its object kind (literal, IRI, decimal or comma-joined list) and whether
 it is required. ``_store`` writes a new record: it runs each field through
-its object kind, which refuses a value the export could not write as an
-N-Triples term (``MalformedTriple``), so a bad record stores nothing, and
-keeps as its view the record those objects decode to (an ``int`` MAE
-comes back as a ``float``). ``mark_shared`` runs the two sharing fields
+its object kind's encoder as a check only, refusing a value the export
+could not write as an N-Triples term (``MalformedTriple``), so a bad
+record stores nothing, and keeps as its view the record itself (a decimal
+as a ``float``, a list as a tuple). ``mark_shared`` runs the two sharing fields
 through the literal kind and keeps the view with them set; ``discard``
 drops a view. The one record reader, ``get(cls, iri)``, is one dict read
 of a view. The triples are derived from the views on demand
@@ -146,10 +146,6 @@ def _is_iri(value: object) -> bool:
     return isinstance(value, str) and _IRI.fullmatch(value) is not None
 
 
-def _split(text: str) -> tuple[str, ...]:
-    return tuple(text.split(",")) if text else ()
-
-
 _UNWRITABLE = re.compile(r"[\n\r\t\ud800-\udfff]")  # a line break or tab, or a lone surrogate
 
 
@@ -171,12 +167,12 @@ def _quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-# Object kinds: (value -> object, refusing what kg.nt could not write; object -> value;
-# stored value -> its N-Triples term).
-LITERAL = (_literal, lambda o: o.lexical, _quoted)
-IRI = (_iri_object, lambda o: o, lambda v: f"<{v}>")
-DECIMAL = (decimal, lambda o: float(o.lexical), lambda v: f'"{v!r}"^^<{DECIMAL_TYPE}>')
-LIST = (lambda v: _literal(",".join(v)), lambda o: _split(o.lexical), lambda v: _quoted(",".join(v)))
+# Object kinds: (value -> object, refusing what kg.nt could not write; value -> the
+# value a view keeps; kept value -> its N-Triples term).
+LITERAL = (_literal, str, _quoted)
+IRI = (_iri_object, str, lambda v: f"<{v}>")
+DECIMAL = (decimal, float, lambda v: f'"{v!r}"^^<{DECIMAL_TYPE}>')
+LIST = (lambda v: _literal(",".join(v)), tuple, lambda v: _quoted(",".join(v)))
 
 
 def _check_dataset(d: DatasetDescriptor) -> None:
@@ -243,16 +239,18 @@ model_iri = functools.partial(record_iri, ModelRecord)
 
 
 def _encode(record: Any) -> Any:
-    """The record, of ``record``'s class, that the objects of its fields decode to.
+    """The view of ``record``: itself, with a decimal as a ``float`` and a list as a tuple.
 
-    An optional field that is None has no object. A required field is
-    encoded as given, so a bad value raises ``MalformedTriple``.
-    """
-    values: dict[str, Any] = {}
-    for field, _, (encode, decode, _write), required in RECORDS[type(record)].fields:
+    A field with an object (an optional one that is None has none) is encoded as a
+    check only, so a value the export could not write raises ``MalformedTriple``."""
+    kept: dict[str, Any] = {}
+    for field, _, (encode, keep, _write), required in RECORDS[type(record)].fields:
         value = getattr(record, field)
-        values[field] = decode(encode(value)) if required or value is not None else None
-    return type(record)(iri=record.iri, **values)
+        if required or value is not None:
+            encode(value)  # the object is dropped
+            if (view := keep(value)) is not value:
+                kept[field] = view
+    return record._replace(**kept) if kept else record
 
 
 def _record_type(cls: type, record: object) -> _RecordType:
@@ -294,7 +292,7 @@ class KnowledgeGraph:
                 for iri, view in self._views.items() for p, kind, value in _values(view)}
 
     def _store(self, record: Any) -> None:
-        """Keep, as the view of a new record, the record its objects decode to (see ``_encode``)."""
+        """Keep the view of a new record (see ``_encode``)."""
         view = _encode(record)
         self._views[view.iri] = view
 

@@ -203,8 +203,9 @@ class Ledger:
 
         ctx = CallContext(sender, self._next_seq, value, contract, self)
         try:
-            ctx.put(self._balances, sender, self._balances[sender] - value)
-            ctx.put(self._contract_balances, contract, self._contract_balances[contract] + value)
+            if value:  # a zero-value transfer would write both balances back unchanged
+                ctx.put(self._balances, sender, self._balances[sender] - value)
+                ctx.put(self._contract_balances, contract, self._contract_balances[contract] + value)
             ret = self._contracts[contract].call(ctx, method, args)
         except BaseException as exc:
             while self._journal:
@@ -265,9 +266,10 @@ def format_log_entry(entry: AccountCreation | Transaction) -> str:
     )
 
 
-def _quote(line: str) -> str:
-    """``line`` as a ``CorruptLog`` quotes it: one over 80 characters is cut to its first 80."""
-    return repr(line) if len(line) <= 80 else f"{line[:80]!r}… ({len(line)} chars)"
+def _quote(text: str, show: Callable[[str], str] = repr) -> str:
+    """``text`` as a ``CorruptLog`` shows it, through ``show``: one over 80 characters
+    is cut to its first 80."""
+    return show(text) if len(text) <= 80 else f"{show(text[:80])}… ({len(text)} chars)"
 
 
 def parse_log_line(line: str) -> AccountCreation | Transaction:
@@ -318,7 +320,8 @@ def replay(
             else:
                 replica.submit(entry.sender, entry.contract, entry.method, entry.args, entry.value)
         except (UnknownSender, InsufficientFunds, ValueError) as exc:
-            raise CorruptLog(f"{_quote(format_log_entry(entry))} rejected on replay: {exc}") from None
+            raise CorruptLog(f"{_quote(format_log_entry(entry))} rejected on replay: "
+                             f"{_quote(str(exc), str)}") from None
         if replica.log[-1] != entry:
             line, logged = format_log_entry(entry), format_log_entry(replica.log[-1])
             raise CorruptLog(f"log has {_quote(line)}, replay logs {_quote(logged)}")

@@ -9,18 +9,17 @@ are identical on every platform. Serialized assets format floats with 9
 significant digits; 9-digit decimals round-trip exactly through IEEE
 doubles, which makes content addresses of serialized assets stable.
 
-One helper, ``_gradient``, computes the errors that ``evaluate``,
-``mse_gradient`` and every ``fine_tune`` step use, with the gradient's
-sums over them, for any number of features. It reads feature columns,
-split from the rows once per call of those three (once for all of a
-``fine_tune``'s steps), but adds up in the order a row-by-row loop
-would: each prediction starts at 0.0 and adds ``w * x`` feature by
-feature, then the bias, then minus the target; each sum starts at 0.0
-and adds the rows in order. No sum goes through the builtin ``sum()``
-(its float algorithm changed in CPython 3.12), ``math.fsum`` (exactly
-rounded, so other bits) or ``math.sumprod`` (not in 3.10).
-``to_csv_bytes`` renders each row with one ``%.9g`` template, the very
-text ``format_float`` gives for each value.
+A ``TabularDataset`` holds a tuple per feature column and one of
+targets, built once (``from_csv_bytes`` passes each cell through one
+``float()``). ``train``, ``evaluate``, ``mse_gradient`` and each
+``fine_tune`` step read those columns in place, but add up in the order
+a row-by-row loop would: each prediction starts at 0.0 and adds
+``w * x`` feature by feature, then the bias, then minus the target; each
+sum starts at 0.0 and adds the rows in order. No sum goes through the
+builtin ``sum()`` (its float algorithm changed in CPython 3.12),
+``math.fsum`` (exactly rounded, so other bits) or ``math.sumprod`` (not
+in 3.10). ``to_csv_bytes`` renders each row with one ``%.9g`` template,
+the very text ``format_float`` gives for each value.
 
 Synthetic room data
 -------------------
@@ -77,28 +76,44 @@ class RoomProfile(NamedTuple):
     noise_scale: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TabularDataset:
     feature_names: tuple[str, ...]
-    rows: tuple[tuple[tuple[float, ...], float], ...]
+    columns: tuple[tuple[float, ...], ...]  # one per feature, each in row order
+    targets: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not self.feature_names:
+    def __init__(self, feature_names: tuple[str, ...], rows) -> None:
+        """The dataset of ``rows``, each a (features, target) pair."""
+        if not feature_names:
             raise DimensionMismatch("dataset needs at least one feature")
-        for features, _ in self.rows:
-            if len(features) != len(self.feature_names):
+        for features, _ in rows:
+            if len(features) != len(feature_names):
                 raise DimensionMismatch(
-                    f"row has {len(features)} features, schema has {len(self.feature_names)}"
+                    f"row has {len(features)} features, schema has {len(feature_names)}"
                 )
+        columns = tuple(zip(*[features for features, _ in rows])) or ((),) * len(feature_names)
+        self.__dict__.update(feature_names=feature_names, columns=columns,  # past frozen __setattr__
+                             targets=tuple(target for _, target in rows))
+
+    @classmethod
+    def _of(cls, feature_names: tuple[str, ...], columns: tuple, targets: tuple) -> "TabularDataset":
+        """The dataset of these columns, kept as given; each must be as long as ``targets``."""
+        d = cls.__new__(cls)
+        d.__dict__.update(feature_names=feature_names, columns=columns, targets=targets)
+        return d
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[float, ...], float], ...]:
+        return tuple(zip(zip(*self.columns), self.targets))
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.targets)
 
     def to_csv_bytes(self) -> bytes:
         columns = self.feature_names + (TARGET_COLUMN,)
         row = ",".join(["%.9g"] * len(columns)) + "\n"  # format_float's rendering, one row at a time
-        lines = [row % (*features, target) for features, target in self.rows]
+        lines = [row % values for values in zip(*self.columns, self.targets)]
         return (",".join(columns) + "\n" + "".join(lines)).encode("ascii")
 
     @classmethod
@@ -111,20 +126,24 @@ class TabularDataset:
         if not lines:
             raise ParseError("dataset file is empty")
         header = lines[0].split(",")
-        if len(header) < 2 or header[-1] != TARGET_COLUMN:
+        width = len(header)
+        if width < 2 or header[-1] != TARGET_COLUMN:
             raise ParseError(f"bad dataset header {lines[0]!r}")
-        names = tuple(header[:-1])
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ParseError(f"line {lineno}: expected {len(header)} columns")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric cell") from None
-            rows.append((tuple(values[:-1]), values[-1]))
-        return cls(names, tuple(rows))
+        body = lines[1:]
+        try:  # every line's column count, then each cell through one float()
+            if {line.count(",") for line in body} - {width - 1}:
+                raise ValueError("a line has another column count")
+            cells = list(map(float, ",".join(body).split(","))) if body else []
+        except ValueError:  # refuse the first bad line, as a row-by-row parse would
+            for lineno, line in enumerate(body, start=2):
+                if line.count(",") != width - 1:
+                    raise ParseError(f"line {lineno}: expected {width} columns") from None
+                try:
+                    list(map(float, line.split(",")))
+                except ValueError:
+                    raise ParseError(f"line {lineno}: non-numeric cell") from None
+        columns = tuple(tuple(cells[j::width]) for j in range(width - 1))
+        return cls._of(tuple(header[:-1]), columns, tuple(cells[width - 1::width]))
 
 
 @dataclass(frozen=True)
@@ -190,20 +209,21 @@ def train(d: TabularDataset) -> LinearModel:
         raise TooFewRows(f"{n} rows cannot determine {p + 1} coefficients")
 
     dim = p + 1  # weights plus bias, bias column is the constant 1
+    aug = (*d.columns, (1.0,) * n)
     ata = [[0.0] * dim for _ in range(dim)]
-    atb = [0.0] * dim
-    for features, target in d.rows:
-        aug = (*features, 1.0)
-        for i in range(dim):
-            atb[i] += aug[i] * target
-            for j in range(i, dim):
-                ata[i][j] += aug[i] * aug[j]
     for i in range(dim):
-        for j in range(i):
-            ata[i][j] = ata[j][i]
-
-    solution = _solve(ata, atb)
+        for j in range(i, dim):
+            ata[i][j] = ata[j][i] = _dot(aug[i], aug[j])
+    solution = _solve(ata, [_dot(column, d.targets) for column in aug])
     return LinearModel(tuple(solution[:p]), solution[p], d.feature_names)
+
+
+def _dot(a, b) -> float:
+    """The sum of ``a[k] * b[k]``, from 0.0 and in the order of ``k``."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
@@ -235,31 +255,29 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
 def mse_gradient(m: LinearModel, d: TabularDataset) -> tuple[tuple[float, ...], float]:
     """Analytic gradient of mean squared error w.r.t. (weights, bias)."""
     _check_features(m, d)
-    _, grad_w, grad_b = _gradient(m.weights, m.bias, *_columns(d))
+    grad_w, grad_b = _gradient(m.weights, m.bias, *_columns(d))
     return tuple(grad_w), grad_b
 
 
-def _columns(d: TabularDataset) -> tuple[list, tuple, list[float]]:
-    """What :func:`_gradient` reads of ``d``: the feature columns but the last, the
-    last one zipped with the targets, and a 0.0 per row, each in row order."""
-    if not d.rows:
+def _columns(d: TabularDataset) -> tuple[list, tuple, tuple, list[float]]:
+    """What :func:`_gradient` and :func:`evaluate` read of ``d``: the feature columns
+    but the last, the last one, the targets, and a 0.0 per row."""
+    if not d.targets:
         raise EmptyDataset("gradient of an empty dataset is undefined")
-    *head, last = zip(*[features for features, _ in d.rows])
-    return head, tuple(zip(last, [target for _, target in d.rows])), [0.0] * d.n_rows
+    *head, last = d.columns
+    return head, last, d.targets, [0.0] * len(last)
 
 
-def _gradient(weights, bias: float, head, last, zeros) -> tuple[list[float], list[float], float]:
-    """Each row's error (prediction minus target), and the gradient of MSE
-    w.r.t. each weight and the bias, all adding up in the order the module
-    docstring fixes."""
-    preds = zeros
+def _gradient(weights, bias: float, head, last, targets, preds) -> tuple[list[float], float]:
+    """The gradient of MSE w.r.t. each weight and the bias, adding up in the
+    order the module docstring fixes; ``preds`` is a 0.0 per row."""
     for w, column in zip(weights, head):
         preds = [acc + w * v for acc, v in zip(preds, column)]
     w = weights[-1]  # the last feature's term, the bias and the target end each error
     errs = []
     append = errs.append
     grad_b = grad_last = 0.0
-    for acc, (x, target) in zip(preds, last):
+    for acc, x, target in zip(preds, last, targets):
         err = acc + w * x + bias - target
         append(err)
         grad_b += err
@@ -267,12 +285,9 @@ def _gradient(weights, bias: float, head, last, zeros) -> tuple[list[float], lis
     scale = 2.0 / len(errs)
     grad_w = []
     for column in head:
-        g = 0.0
-        for err, x in zip(errs, column):
-            g += err * x
-        grad_w.append(scale * g)
+        grad_w.append(scale * _dot(errs, column))
     grad_w.append(scale * grad_last)
-    return errs, grad_w, scale * grad_b
+    return grad_w, scale * grad_b
 
 
 def require_schedule(steps: int, rate: float) -> None:
@@ -293,10 +308,10 @@ def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: f
     _check_features(base, d)
     if steps == 0:
         return base
-    columns = _columns(d)
+    head, last, targets, zeros = _columns(d)
     weights, bias = base.weights, base.bias
     for _ in range(steps):
-        _, grad_w, grad_b = _gradient(weights, bias, *columns)
+        grad_w, grad_b = _gradient(weights, bias, head, last, targets, zeros)
         weights = [w - learning_rate * g for w, g in zip(weights, grad_w)]
         bias -= learning_rate * grad_b
     return LinearModel(tuple(weights), bias, base.input_features)
@@ -306,9 +321,13 @@ def evaluate(m: LinearModel, d: TabularDataset) -> dict[str, float]:
     _check_features(m, d)
     if d.n_rows == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    abs_sum = 0.0
-    sq_sum = 0.0
-    for err in _gradient(m.weights, m.bias, *_columns(d))[0]:
+    head, last, targets, preds = _columns(d)
+    for w, column in zip(m.weights, head):
+        preds = [acc + w * v for acc, v in zip(preds, column)]
+    w, bias = m.weights[-1], m.bias
+    abs_sum = sq_sum = 0.0
+    for acc, x, target in zip(preds, last, targets):
+        err = acc + w * x + bias - target  # as in _gradient, with no gradient sums
         abs_sum += abs(err)
         sq_sum += err * err
     n = d.n_rows
@@ -358,12 +377,13 @@ def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> Tabular
     mult, inc, mask, span = _LCG_MULT, _LCG_INC, _LCG_MASK, _LCG_SPAN
     slope, intercept, noise_scale = profile
     state = seed & mask
-    rows = []
-    for x in _grid(n_rows):
+    grid = _grid(n_rows)
+    targets = []
+    for x in grid:
         noise = 0.0  # 12 uniform draws in [0, 1), 53 bits of the 64-bit state each
         for _ in range(12):
             state = (mult * state + inc) & mask
             noise += (state >> 11) / span
         y = slope * x + intercept + noise_scale * (noise - 6.0)
-        rows.append(((x,), float("%.9g" % y)))  # quantize(y), without its two calls
-    return TabularDataset(("co2",), tuple(rows))
+        targets.append(float("%.9g" % y))  # quantize(y), without its two calls
+    return TabularDataset._of(("co2",), (grid,), tuple(targets))

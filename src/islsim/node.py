@@ -166,6 +166,7 @@ class Network:
         """Record ``row``, the registry row of ``addr``, valid: ``node`` registered it and
         records it shared as ``addr``. A model row is also listed, at price 0 until a
         query reads it, under the row's task and its input features, sorted by ``_RANK``.
+        A second call changes nothing, so a row is never listed twice.
 
         A row ``(addr, owner, iri)`` is valid when the node of account
         ``owner`` records ``iri`` shared as ``addr`` in its own graph.
@@ -179,12 +180,16 @@ class Network:
         ``_cache_remote`` a different record under a held IRI, and
         ``discard`` only runs on a record just registered and still
         unshared). So ``record`` stays the registrant's record of the row.
+        A share cut short after ``mark_shared`` leaves the row not yet
+        valid; the next share of that record calls this (``IslNode._pending``).
         """
-        self._valid[addr] = (node, record)
         if isinstance(record, ModelRecord):
             rows = self._listed.setdefault(row["task"], {}).setdefault(record.input_features, [])
-            bisect.insort(rows, RankedModel(addr, row["task"], record.input_features, record.mse,
-                                            record.mae, node.name, 0), key=_RANK)
+            at = bisect.bisect_left(rows, (record.mse, addr), key=_RANK)
+            if at == len(rows) or rows[at].address != addr:
+                rows.insert(at, RankedModel(addr, row["task"], record.input_features, record.mse,
+                                            record.mae, node.name, 0))
+        self._valid[addr] = (node, record)  # last: a row recorded valid is listed
 
     def valid_row(self, addr: str) -> tuple[IslNode, Record] | None:
         """The registering node and its shared record of ``addr``'s row, if the row is valid."""
@@ -422,7 +427,7 @@ class IslNode:
     def share_dataset(self, ref: str) -> DatasetDescriptor:
         iri = self._iri(ref, DatasetDescriptor)
         descriptor = self.graph.dataset(iri)
-        if descriptor.shared:
+        if not self._pending(descriptor):
             raise AlreadyShared(f"{iri} is already shared")
         return self._share([descriptor])  # type: ignore[return-value]
 
@@ -433,27 +438,43 @@ class IslNode:
         is always shared, so the ancestry of an acquired model is on chain.
         """
         iri = self._iri(ref, ModelRecord)
-        if self.graph.model(iri).shared:
+        if not self._pending(self.graph.model(iri)):
             raise AlreadyShared(f"{iri} is already shared")
         return self._share(self._share_plan(iri))  # type: ignore[return-value]
 
-    def _share_plan(self, target_iri: str) -> list[Record]:
-        """The unshared records of the chain to share, root first, each once.
+    def _pending(self, record: Record) -> bool:
+        """Whether ``record`` is still to share: unshared, or shared under its own
+        registry row that a share cut short has not yet recorded valid."""
+        if not record.shared:
+            return True
+        addr = record.content_address
+        if self.network.valid_row(addr) is not None:
+            return False
+        row = self._row(record, addr)
+        return (row["owner"], row["iri"]) == (self.account, record.iri)
 
-        The walk goes tip first and stops at the first model recorded as
-        shared: the oracle's chain rule admitted it only after its dataset
-        and base, so its whole ancestry is already on chain. Every step
-        before it is a record of this node's own graph (a trace leaves the
-        graph only past a cached remote model, which is shared), and an
-        unshared one is this node's own.
+    def _row(self, record: Record, addr: str) -> dict | None:
+        """The registry row of ``addr`` among the rows of ``record``'s class, if any."""
+        oracle = self.network.oracle
+        return (oracle.model_entry if isinstance(record, ModelRecord) else oracle.dataset_entry)(addr)
+
+    def _share_plan(self, target_iri: str) -> list[Record]:
+        """The pending records of the chain to share, root first, each once.
+
+        The walk goes tip first and stops at the first model shared for
+        good (not ``_pending``): the oracle's chain rule admitted it only
+        after its dataset and base, so its whole ancestry is already on
+        chain. Every step before it is a record of this node's own graph
+        (a trace leaves the graph only past a cached remote model, which
+        is shared under a valid row), and a pending one is this node's own.
         """
         kg = self.graph
         tip_first: list[Record] = []
         for model_iri, ds_iri in reversed(self.depgraph.trace(target_iri).steps):
             model = kg.model(model_iri)
-            if model.shared:
+            if not self._pending(model):
                 break
-            tip_first += [r for r in (model, kg.dataset(ds_iri)) if not r.shared]
+            tip_first += [r for r in (model, kg.dataset(ds_iri)) if self._pending(r)]
         return list(dict.fromkeys(reversed(tip_first)))
 
     def _share(self, plan: list[Record]) -> Record:
@@ -469,10 +490,8 @@ class IslNode:
         return shared
 
     def _share_tx(self, record: Record, addr: str) -> Record:
-        """Register one record whose dataset and base this node already records as shared."""
-        oracle = self.network.oracle
-        entry = oracle.model_entry if isinstance(record, ModelRecord) else oracle.dataset_entry
-        row = entry(addr)
+        """Register one pending record whose dataset and base this node already records as shared."""
+        row = self._row(record, addr)
         if row is None:  # else identical content is already on chain; adopt its registration
             args: tuple = (record.iri, addr)
             if isinstance(record, ModelRecord):
@@ -480,8 +499,8 @@ class IslNode:
                 base_addr = None if base is None else self.graph.model(base).content_address
                 args += (record.task, self.graph.dataset(record.dataset).content_address, base_addr)
             self.network.submit(self.account, "oracle", "share_" + RECORDS[type(record)].noun, args)
-            row = entry(addr)
-        shared = self.graph.mark_shared(record.iri, addr, row["tx_id"])
+            row = self._row(record, addr)
+        shared = record if record.shared else self.graph.mark_shared(record.iri, addr, row["tx_id"])
         if (row["owner"], row["iri"]) == (self.account, shared.iri):
             self.network.mark_valid(self, addr, row, shared)
         return shared

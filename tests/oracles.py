@@ -4,13 +4,14 @@ Everything here deliberately avoids the package's own code paths:
 fitting goes through numpy's least-squares solver, metrics through
 numpy reductions, gradients through central finite differences,
 closure checks through a plain reachability walk over raw state dicts,
-knowledge-graph records through a full scan of the raw triple set,
+knowledge-graph records through a full scan of the raw triple set (and
+a record's stored view through a write to lexical forms and a read back),
 exported graph lines through the N-Triples line grammar and a triple
 writer of their own, and a blob
 store's contents through a scan of its directory. The gradient
 step loop and the synthetic data generator are also kept here in their
 earlier, object-per-step form, as the bit-exact reference for the
-package's loops.
+package's loops, and the dataset CSV parser in its row-by-row form.
 """
 
 from __future__ import annotations
@@ -127,6 +128,20 @@ RECORD_FIELDS = {
 }
 
 
+def ref_view(record, kind: str) -> dict:
+    """Field values of a valid ``kind`` record as the graph once kept them: each written
+    to its triple's lexical form, then read back as :func:`scan_record` reads it."""
+    view = {"iri": record.iri}
+    for field, (_, _, convert) in RECORD_FIELDS[kind].items():
+        value = getattr(record, field)
+        if convert is _split:  # a list is one comma-joined literal
+            value = convert(",".join(value))
+        elif convert is float:  # a decimal literal is the repr of its float
+            value = convert(repr(float(value)))
+        view[field] = value
+    return view
+
+
 def scan_subjects(triples, kind: str) -> list[str]:
     """Sorted subjects typed ``isl://vocab/<kind>``, by scanning every triple."""
     return sorted(
@@ -188,6 +203,32 @@ def format_triple(t) -> str:
 def stored_addresses(root) -> list[str]:
     """Sorted addresses of the blobs a store rooted at ``root`` holds, by a directory scan."""
     return sorted(p.name for p in Path(root, "blobs").glob("??/*") if not p.name.endswith(".tmp"))
+
+
+def ref_parse_dataset(data: bytes):
+    """(feature names, rows) of a dataset CSV as the row-by-row parser read it, or the
+    text of the ParseError it raised; line numbers count non-empty lines."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        return f"dataset is not ASCII CSV: {exc}"
+    lines = [ln for ln in text.split("\n") if ln]
+    if not lines:
+        return "dataset file is empty"
+    header = lines[0].split(",")
+    if len(header) < 2 or header[-1] != "target":
+        return f"bad dataset header {lines[0]!r}"
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return f"line {lineno}: expected {len(header)} columns"
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            return f"line {lineno}: non-numeric cell"
+        rows.append((tuple(values[:-1]), values[-1]))
+    return tuple(header[:-1]), tuple(rows)
 
 
 # ------------------------------------------- bit-exact mlsim references

@@ -513,3 +513,47 @@ def test_index_agrees_with_a_triple_scan(ops):
             assert all(oracles.is_ntriples_line(line) for line in lines)
             assert lines == sorted(oracles.format_triple(t) for t in kg.triples)
         _check_against_scan(kg)
+
+
+# ------------------------------------------------ the view _encode keeps
+
+local_id = st.text(alphabet="abc-_1", min_size=1, max_size=5)
+literal_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\t"),
+                       max_size=20)
+sharing = st.none() | st.tuples(literal_text, literal_text)
+decimal_value = st.integers(0, 10**20) | st.floats(0, 1e300) | st.just(-0.0)
+
+
+def some_of(names):
+    """1-4 of ``names``, as a list or a tuple."""
+    return st.lists(st.sampled_from(names), min_size=1, max_size=4).flatmap(
+        lambda xs: st.sampled_from([xs, tuple(xs)]))
+
+
+@st.composite
+def valid_record(draw):
+    node = draw(st.sampled_from(("alice", "bob")))
+    shared = draw(sharing) or (None, None)
+    common = dict(local_uri=draw(literal_text), owner_node=draw(literal_text),
+                  content_address=shared[0], tx_id=shared[1])
+    if draw(st.booleans()):
+        schema = some_of([f"{name}:{unit}" for name, unit in kgstore.FEATURE_UNITS.items()])
+        return DatasetDescriptor(iri=kgstore.dataset_iri(node, draw(local_id)),
+                                 feature_schema=draw(schema), **common)
+    return ModelRecord(
+        iri=kgstore.model_iri(node, draw(local_id)), task=draw(st.sampled_from(kgstore.TASK_IRIS)),
+        dataset=kgstore.dataset_iri(node, draw(local_id)),
+        base_model=draw(st.none() | local_id.map(lambda local: kgstore.model_iri(node, local))),
+        input_features=draw(some_of(list(kgstore.FEATURE_UNITS))),
+        mae=draw(decimal_value), mse=draw(decimal_value), **common)
+
+
+@given(valid_record())
+def test_the_view_kept_equals_the_record_its_objects_decoded_to(record):
+    kind = "Dataset" if isinstance(record, DatasetDescriptor) else "Model"
+    kgstore.RECORDS[type(record)].check(record)  # valid: the graph would store it
+    view = kgstore._encode(record)
+    assert type(view) is type(record)
+    for field, expected in oracles.ref_view(record, kind).items():
+        kept = getattr(view, field)
+        assert (type(kept), repr(kept)) == (type(expected), repr(expected)), field

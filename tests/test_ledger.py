@@ -495,6 +495,30 @@ def test_a_huge_line_rejected_on_replay_is_quoted_in_part():
     assert_short_and_names_seq(excinfo)
 
 
+def _replay_with_a_last_tx(**fields):
+    """The CorruptLog text of replaying a session plus one bump tx with ``fields`` set."""
+    entries = [parse_log_line(line) for line in log_lines(build_session())]
+    tx = dict(seq=5, sender=entries[0].address, contract="counter", method="bump", args=(), value=0)
+    entries.append(Transaction(**{**tx, **fields}))
+    with pytest.raises(CorruptLog, match="rejected on replay") as excinfo:
+        replay(entries, counter_factory)
+    return excinfo
+
+
+@pytest.mark.parametrize("field", ["sender", "contract"])
+def test_a_huge_value_the_submit_error_echoes_is_cut_on_replay(field):
+    excinfo = _replay_with_a_last_tx(**{field: "f" * 300_000})
+    assert_short_and_names_seq(excinfo)
+    assert str(excinfo.value).endswith("… (300011 chars)" if field == "sender" else "… (300014 chars)")
+
+
+@pytest.mark.parametrize("field, echoed", [("sender", "no account ffff"),
+                                           ("contract", "no contract 'ffff'")])
+def test_a_short_submit_error_is_echoed_whole_on_replay(field, echoed):
+    excinfo = _replay_with_a_last_tx(**{field: "ffff"})
+    assert str(excinfo.value).endswith(" rejected on replay: " + echoed)
+
+
 def test_a_huge_line_replay_logs_otherwise_is_quoted_in_part():
     entries = [parse_log_line(line) for line in log_lines(build_session())]
     sender = entries[0].address

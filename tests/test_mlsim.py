@@ -35,6 +35,7 @@ from oracles import (
     ref_fine_tune,
     ref_metrics,
     ref_mse_gradient,
+    ref_parse_dataset,
     ref_room_rows,
 )
 
@@ -370,3 +371,44 @@ def test_a_twelve_thousand_row_fit_is_bit_identical_to_the_reference():
     assert mse_gradient(base, d) == ref_mse_gradient(base.weights, base.bias, d.rows)
     tuned = fine_tune(base, d, 3, 0.05)
     assert (tuned.weights, tuned.bias) == ref_fine_tune(base.weights, base.bias, d.rows, 3, 0.05)
+
+
+# ------------------------------------------------ the CSV parser against its row-by-row form
+
+cell = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), format_float(v)]))
+
+
+@st.composite
+def dataset_csv(draw):
+    """A well-formed dataset CSV with 1-4 features, maybe with blank lines, then with
+    up to two single-byte edits: a byte replaced, inserted or deleted."""
+    p = draw(st.integers(1, 4))
+    lines = [",".join(NAMES[:p] + ("target",))]
+    lines += [",".join(draw(st.lists(cell, min_size=p + 1, max_size=p + 1)))
+              for _ in range(draw(st.integers(0, 6)))]
+    blank = st.lists(st.sampled_from(["", "\n"]), max_size=len(lines) + 1)
+    data = bytearray("\n".join(a + b for a, b in zip(lines, draw(blank) + [""] * len(lines))).encode())
+    for edit in draw(st.lists(st.sampled_from(["replace", "insert", "delete"]), max_size=2)):
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        byte = draw(st.sampled_from(b",\n\r .-+e0159xnaf\xff"))
+        if edit == "insert" or not data:
+            data.insert(at, byte)
+        elif edit == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@settings(max_examples=400)
+@given(dataset_csv())
+def test_from_csv_bytes_agrees_with_the_row_by_row_parser(data):
+    expected = ref_parse_dataset(data)
+    try:
+        d = TabularDataset.from_csv_bytes(data)
+    except ParseError as exc:
+        assert str(exc) == expected
+    else:
+        assert not isinstance(expected, str), expected
+        assert (d.feature_names, repr(d.rows)) == (expected[0], repr(expected[1]))

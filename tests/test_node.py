@@ -448,6 +448,41 @@ class TestSharing:
         ]
         assert net.oracle.check_closure() is None
 
+    # alice's share of m1 marks d1, then m1, shared in her graph and their rows valid
+    @pytest.mark.parametrize("owner, method, call", [
+        (kgstore.KnowledgeGraph, "mark_shared", 1), (Network, "mark_valid", 1),
+        (kgstore.KnowledgeGraph, "mark_shared", 2), (Network, "mark_valid", 2),
+    ])
+    def test_a_share_interrupted_at_any_mark_is_completed_by_its_retry(
+            self, net, monkeypatch, owner, method, call):
+        alice, bob = net.node("alice"), net.node("bob")
+        alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40)
+        alice.train_model("m1", "d1", "occupancy_detection")
+        real, calls = getattr(owner, method), []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(owner, method, interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            alice.share_model("m1")
+        monkeypatch.setattr(owner, method, real)
+
+        record = alice.share_model("m1")
+        with pytest.raises(AlreadyShared):
+            alice.share_model("m1")
+        row = net.oracle.model_entry(record.content_address)
+        net.mark_valid(alice, record.content_address, row, record)  # a repeat lists nothing twice
+        hits = bob.query_models("occupancy_detection", {"co2"})
+        assert [hit.address for hit in hits] == [record.content_address]
+        assert bob.acquire_model(record.content_address, payment=0).iri == record.iri
+        dataset = alice.graph.dataset(record.dataset)
+        assert bob.acquire_model(dataset.content_address, payment=0).iri == dataset.iri
+        assert net.oracle.check_closure() is None
+
 
 class TestMarketplace:
     def test_query_filters_and_ranks(self, net):

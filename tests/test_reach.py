@@ -26,6 +26,7 @@ SRC = Path(cli.__file__).resolve().parent  # the package under test, wherever it
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.isl"))
 
 TRACER = "tracer target: perfbench/tracing.py wraps it by name and fails on a missing name"
+ROWS = "criterion 8 builds a dataset from rows and reads rows"
 UNREACHED = {
     "cas.BlobStore.contains": "criterion 6 checks that a tampered blob is not kept",
     "cas.BlobStore.path_for": "criterion 6 tampers with a stored blob at this path",
@@ -47,6 +48,8 @@ UNREACHED = {
     "ledger.Receipt.status": "criteria 1 to 5 read it, and perfbench counts reverts by it",
     "ledger._quote": "refusal path: bounds the log line a CorruptLog quotes "
                      "(test_ledger.py, test_a_huge_line_rejected_on_replay_is_quoted_in_part)",
+    "mlsim.TabularDataset.__init__": ROWS,
+    "mlsim.TabularDataset.rows": ROWS,
     "mlsim.mse_gradient": "criterion 8 checks it against finite differences",
 }
 

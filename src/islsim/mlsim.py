@@ -37,13 +37,28 @@ target noise consumes random draws (12 uniforms per row, summed and
 centered: mean 0, variance 1, bounded by ±6, no transcendentals). The
 grid depends on the row count alone, so it is computed once per count
 and kept in a small bounded cache.
+
+The draws of up to 256 rows come from one big-int multiply-add: lane
+``k`` (128 bits wide) of the multiplier and the increment holds
+``M**(k+1)`` and its jump-ahead increment mod 2**64, so lane ``k`` of
+``state * mult + inc`` stays below 2**128 (no carry into the next) and
+its low 64 bits are the ``k + 1``-th next state. One AND keeps each
+state's top 53 bits in place; a little-endian ``struct`` unpack reads
+them as ints, each exactly a float and 2**64 times its draw. A row's 12
+are added left to right (``reduce(add, ...)``) and the sum scaled by
+2**-64. That gives the loop's bits: every partial sum is a multiple of
+2**11 below 12 * 2**64, so a power-of-two scale commutes with each
+rounding. The lane tables too are kept per block size in a small cache.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import islice, repeat
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -129,13 +144,14 @@ class TabularDataset:
         width = len(header)
         if width < 2 or header[-1] != TARGET_COLUMN:
             raise ParseError(f"bad dataset header {lines[0]!r}")
-        body = lines[1:]
-        try:  # every line's column count, then each cell through one float()
-            if {line.count(",") for line in body} - {width - 1}:
+        try:  # every line's column count (the header's is right), then each cell through one float()
+            if {line.count(",") for line in lines} - {width - 1}:
                 raise ValueError("a line has another column count")
-            cells = list(map(float, ",".join(body).split(","))) if body else []
+            body = ",".join(islice(lines, 1, None))
+            del lines  # from here on the body's text alone holds the cells
+            cells = list(map(float, body.split(","))) if body else []
         except ValueError:  # refuse the first bad line, as a row-by-row parse would
-            for lineno, line in enumerate(body, start=2):
+            for lineno, line in enumerate([ln for ln in text.split("\n") if ln][1:], start=2):
                 if line.count(",") != width - 1:
                     raise ParseError(f"line {lineno}: expected {width} columns") from None
                 try:
@@ -255,8 +271,9 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
 def mse_gradient(m: LinearModel, d: TabularDataset) -> tuple[tuple[float, ...], float]:
     """Analytic gradient of mean squared error w.r.t. (weights, bias)."""
     _check_features(m, d)
-    grad_w, grad_b = _gradient(m.weights, m.bias, *_columns(d))
-    return tuple(grad_w), grad_b
+    *lead, w = m.weights
+    grad_lead, grad_w, grad_b = _gradient(lead, w, m.bias, *_columns(d))
+    return (*grad_lead, grad_w), grad_b
 
 
 def _columns(d: TabularDataset) -> tuple[list, tuple, tuple, list[float]]:
@@ -268,26 +285,23 @@ def _columns(d: TabularDataset) -> tuple[list, tuple, tuple, list[float]]:
     return head, last, d.targets, [0.0] * len(last)
 
 
-def _gradient(weights, bias: float, head, last, targets, preds) -> tuple[list[float], float]:
-    """The gradient of MSE w.r.t. each weight and the bias, adding up in the
-    order the module docstring fixes; ``preds`` is a 0.0 per row."""
-    for w, column in zip(weights, head):
-        preds = [acc + w * v for acc, v in zip(preds, column)]
-    w = weights[-1]  # the last feature's term, the bias and the target end each error
-    errs = []
-    append = errs.append
-    grad_b = grad_last = 0.0
+def _gradient(lead, w: float, bias: float, head, last, targets, preds) -> tuple[list[float], float, float]:
+    """The gradient of MSE w.r.t. the ``lead`` weights of the ``head`` columns, the
+    weight ``w`` of the ``last`` column and the bias, adding up in the order the
+    module docstring fixes; ``preds`` is a 0.0 per row."""
+    for v, column in zip(lead, head):
+        preds = [acc + v * x for acc, x in zip(preds, column)]
+    grad_b = grad_w = 0.0
     for acc, x, target in zip(preds, last, targets):
-        err = acc + w * x + bias - target
-        append(err)
+        err = acc + w * x + bias - target  # the last feature's term, the bias and the target end it
         grad_b += err
-        grad_last += err * x
-    scale = 2.0 / len(errs)
-    grad_w = []
-    for column in head:
-        grad_w.append(scale * _dot(errs, column))
-    grad_w.append(scale * grad_last)
-    return grad_w, scale * grad_b
+        grad_w += err * x
+    scale = 2.0 / len(targets)
+    grad_lead = []
+    if head:  # each other column's sum reads every error once more
+        errs = [acc + w * x + bias - target for acc, x, target in zip(preds, last, targets)]
+        grad_lead = [scale * _dot(errs, column) for column in head]
+    return grad_lead, scale * grad_w, scale * grad_b
 
 
 def require_schedule(steps: int, rate: float) -> None:
@@ -309,12 +323,15 @@ def fine_tune(base: LinearModel, d: TabularDataset, steps: int, learning_rate: f
     if steps == 0:
         return base
     head, last, targets, zeros = _columns(d)
-    weights, bias = base.weights, base.bias
+    *lead, w = base.weights
+    bias = base.bias
     for _ in range(steps):
-        grad_w, grad_b = _gradient(weights, bias, head, last, targets, zeros)
-        weights = [w - learning_rate * g for w, g in zip(weights, grad_w)]
+        grad_lead, grad_w, grad_b = _gradient(lead, w, bias, head, last, targets, zeros)
+        if lead:
+            lead = [v - learning_rate * g for v, g in zip(lead, grad_lead)]
+        w -= learning_rate * grad_w
         bias -= learning_rate * grad_b
-    return LinearModel(tuple(weights), bias, base.input_features)
+    return LinearModel((*lead, w), bias, base.input_features)
 
 
 def evaluate(m: LinearModel, d: TabularDataset) -> dict[str, float]:
@@ -346,7 +363,7 @@ def _check_features(m: LinearModel, d: TabularDataset) -> None:
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
-_LCG_SPAN = float(1 << 53)
+_BLOCK_ROWS = 256  # rows whose draws one multiply-add makes
 
 _X_SCALE = 0.1  # bulk half-width of the sensor excursion
 _X_TAIL_COEF = 10.0  # tail weight: extremes reach ~11x the bulk scale
@@ -363,27 +380,44 @@ def _grid(n_rows: int) -> tuple[float, ...]:
     return tuple(values)
 
 
+@lru_cache(maxsize=8)
+def _lanes(n_rows: int) -> tuple[int, int, int, struct.Struct]:
+    """The lane multiplier, increment, keep mask and reader of an ``n_rows`` block of draws."""
+    mults, incs, mult, inc = bytearray(), bytearray(), 1, 0
+    for _ in range(12 * n_rows):
+        mult, inc = (mult * _LCG_MULT) & _LCG_MASK, (inc * _LCG_MULT + _LCG_INC) & _LCG_MASK
+        mults += mult.to_bytes(16, "little")
+        incs += inc.to_bytes(16, "little")
+    keep = (_LCG_MASK ^ 0x7FF).to_bytes(16, "little") * (12 * n_rows)  # a state's top 53 bits
+    return (int.from_bytes(mults, "little"), int.from_bytes(incs, "little"),
+            int.from_bytes(keep, "little"), struct.Struct("<" + "Q8x" * (12 * n_rows)))
+
+
 def make_synthetic_room(seed: int, profile: RoomProfile, n_rows: int) -> TabularDataset:
     """Deterministic single-feature room dataset for the given seed.
 
     Feature values sit on the fixed quantile grid described in the
     module docstring (they do not depend on the seed); the seed drives
     only the target noise, so equal seeds give byte-identical datasets.
+    A profile whose targets overflow is refused like a non-finite one.
     """
     if type(seed) is not int or type(n_rows) is not int:  # a bool is no seed or count
         raise TypeError(f"seed and n_rows must be ints, got {seed!r}, {n_rows!r}")
     if n_rows < 1 or not all(map(math.isfinite, profile)):
         raise ValueError(f"n_rows must be at least 1 and the profile finite, got {n_rows}, {profile}")
-    mult, inc, mask, span = _LCG_MULT, _LCG_INC, _LCG_MASK, _LCG_SPAN
     slope, intercept, noise_scale = profile
-    state = seed & mask
+    state, sums = seed & _LCG_MASK, []
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        mult, inc, keep, lanes = _lanes(min(_BLOCK_ROWS, n_rows - start))
+        states = state * mult + inc
+        state = (states >> 8 * lanes.size - 128) & _LCG_MASK  # the last lane's, whole
+        draws = map(float, lanes.unpack((states & keep).to_bytes(lanes.size, "little")))
+        sums += map(reduce, repeat(add), zip(*[draws] * 12))  # 12 draws a row, in order
     grid = _grid(n_rows)
-    targets = []
-    for x in grid:
-        noise = 0.0  # 12 uniform draws in [0, 1), 53 bits of the 64-bit state each
-        for _ in range(12):
-            state = (mult * state + inc) & mask
-            noise += (state >> 11) / span
-        y = slope * x + intercept + noise_scale * (noise - 6.0)
-        targets.append(float("%.9g" % y))  # quantize(y), without its two calls
-    return TabularDataset._of(("co2",), (grid,), tuple(targets))
+    noise = map(sub, map(mul, sums, repeat(2.0**-64)), repeat(6.0))
+    ys = map(add, map(add, map(mul, repeat(slope), grid), repeat(intercept)),
+             map(mul, repeat(noise_scale), noise))
+    targets = tuple(map(float, map("%.9g".__mod__, ys)))  # quantize(y), without its two calls
+    if not all(map(math.isfinite, targets)):
+        raise ValueError(f"the profile {profile} overflows a target of {n_rows} rows")
+    return TabularDataset._of(("co2",), (grid,), targets)

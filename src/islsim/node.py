@@ -308,6 +308,7 @@ class IslNode:
         self.graph = KnowledgeGraph(name)
         self.depgraph = DependencyGraph(self.graph, lambda addr: [
             (s.model_iri, s.dataset_iri) for s in walk_provenance(network.oracle, addr)])
+        self._built: tuple[str, mlsim.TabularDataset | None] = ("", None)  # the last generated
 
     @property
     def balance(self) -> int:
@@ -337,11 +338,15 @@ class IslNode:
         )
         self.graph.register_dataset(descriptor)
         self._put_registered(descriptor.iri, blob)
+        self._built = (addr, data)
         return descriptor
 
     def load_dataset(self, ref: str) -> mlsim.TabularDataset:
-        _, data = self._verified_blob(self.graph.dataset(self._iri(ref, DatasetDescriptor)))
-        return mlsim.TabularDataset.from_csv_bytes(data)
+        """The dataset ``ref`` names, whose stored bytes must hash to its address; the one
+        this node generated last comes back unparsed (its values are quantized at birth)."""
+        addr, data = self._verified_blob(self.graph.dataset(self._iri(ref, DatasetDescriptor)))
+        built_addr, built = self._built
+        return built if addr == built_addr else mlsim.TabularDataset.from_csv_bytes(data)
 
     def load_model(self, ref: str) -> mlsim.LinearModel:
         _, data = self._verified_blob(self.graph.model(self._iri(ref, ModelRecord)))

@@ -295,19 +295,27 @@ class TestGenerator:
             (1, RoomProfile(math.nan, 0.0, 0.1), 10, ValueError),
             (1, RoomProfile(1.0, math.inf, 0.1), 10, ValueError),
             (1, RoomProfile(1.0, 0.0, -math.inf), 10, ValueError),
+            (11, RoomProfile(1e308, 1e308, 0.05), 40, ValueError),  # finite, but a target is inf
         ],
-        ids=["seed-float", "seed-bool", "rows-bool", "slope-nan", "intercept-inf", "noise-minus-inf"],
+        ids=["seed-float", "seed-bool", "rows-bool", "slope-nan", "intercept-inf", "noise-minus-inf",
+             "target-overflow"],
     )
     def test_rejects_what_it_cannot_generate(self, seed, profile, n_rows, error):
         with pytest.raises(error):
             make_synthetic_room(seed, profile, n_rows)
 
     def test_a_repeated_size_equals_the_reference(self):
-        # the grid of a size seen before comes from the cache, also after
-        # other sizes and seeds, and after more sizes than the cache holds
+        # the grid and the draw lanes of a size seen before come from their caches, also
+        # after other sizes and seeds, and after more sizes than the caches hold; the sizes
+        # around 256 rows and 513 span one block of draws, two, and three
         p = RoomProfile(2.0, 1.0, 0.05)
-        for seed, n in [(1, 40), (2, 5), (3, 40), (4, 8), *((5, k) for k in range(1, 41)), (6, 40)]:
-            assert make_synthetic_room(seed, p, n).rows == ref_room_rows(seed, 2.0, 1.0, 0.05, n)
+        sizes = [(1, 40), (2, 5), (3, 40), (4, 8), *((5, k) for k in range(1, 41)), (6, 40),
+                 (7, 255), (8, 256), (9, 257), (10, 513), (11, 256), (12, 40)]
+        for seed, n in sizes:
+            d = make_synthetic_room(seed, p, n)
+            ref = ref_room_rows(seed, 2.0, 1.0, 0.05, n)
+            assert d.rows == ref
+            assert d.to_csv_bytes() == TabularDataset(("co2",), ref).to_csv_bytes()
 
     def test_values_are_quantized_at_birth(self):
         d = make_synthetic_room(17, RoomProfile(2.0, 1.0, 0.05), 40)
@@ -322,6 +330,22 @@ def test_generator_row_count_and_schema(seed, n):
     d = make_synthetic_room(seed, RoomProfile(1.0, 0.5, 0.1), n)
     assert d.n_rows == n
     assert d.feature_names == ("co2",)
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(-(2**70), 2**70),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, 0.05]) | st.floats(0.0, 10.0),
+    st.integers(1, 300),
+)
+def test_a_generated_dataset_equals_the_parse_of_its_csv(seed, slope, intercept, noise_scale, n):
+    # what lets a node hand back the dataset it generated in place of parsing its blob
+    d = make_synthetic_room(seed, RoomProfile(slope, intercept, noise_scale), n)
+    back = TabularDataset.from_csv_bytes(d.to_csv_bytes())
+    assert back.feature_names == d.feature_names
+    assert (repr(back.columns), repr(back.targets)) == (repr(d.columns), repr(d.targets))
 
 
 # ------------------------------------------------ bit-exact references

@@ -373,7 +373,7 @@ class TestSharing:
         assert oracles.stored_addresses(alice.root) == blobs
         assert alice.graph.export_bytes() == triples
 
-    @pytest.mark.parametrize("tampered", ["dataset", "model"])
+    @pytest.mark.parametrize("tampered", ["dataset", "last built dataset", "model"])
     def test_tampered_blob_trains_nothing(self, net, tampered):
         alice = net.node("alice")
         d1 = alice.create_local_dataset("d1", seed=11, profile=PROFILE, n_rows=40)
@@ -381,20 +381,20 @@ class TestSharing:
         m1 = alice.train_model("m1", "d1", "occupancy_detection")
         m2 = alice.train_model("m2", "d2", "occupancy_detection")
         alice.share_model("m1")
-        # the stored blob of d1 (or m1) now holds d2's (or m2's) valid bytes
-        victim, donor = (d1.local_uri, d2.local_uri) if tampered == "dataset" else (
-            m1.local_uri, m2.local_uri)
-        alice.store.path_for(victim.rsplit("/", 1)[-1]).write_bytes(
-            alice.store.path_for(donor.rsplit("/", 1)[-1]).read_bytes())
+        # the stored blob of the victim now holds the donor's valid bytes; d2 is the
+        # dataset alice generated last, which a load hands back unparsed once its bytes check
+        victim, donor = {"dataset": (d1, d2), "last built dataset": (d2, d1), "model": (m1, m2)}[tampered]
+        alice.store.path_for(victim.local_uri.rsplit("/", 1)[-1]).write_bytes(
+            alice.store.path_for(donor.local_uri.rsplit("/", 1)[-1]).read_bytes())
         log_len = len(net.ledger.log)
         blobs = oracles.stored_addresses(alice.root)
         triples = alice.graph.export_bytes()
 
         with pytest.raises(IntegrityFailure):
-            if tampered == "dataset":
-                alice.train_model("m3", "d1", "occupancy_detection")
-            else:
+            if tampered == "model":
                 alice.fine_tune_model("m3", "m1", "d2", steps=5, learning_rate=0.05)
+            else:
+                alice.train_model("m3", victim.iri, "occupancy_detection")
         assert not alice.graph.has_model(kgstore.model_iri("alice", "m3"))
         assert len(net.ledger.log) == log_len
         assert oracles.stored_addresses(alice.root) == blobs

@@ -79,7 +79,7 @@ def _functions() -> dict[str, tuple[str, str, range]]:
 
 
 def _api_workflow(root: Path) -> None:
-    """A dataset share and acquire, a refused share and a wrong payment, through the API."""
+    """A dataset share, acquire and fit, a refused share and a wrong payment, through the API."""
     net = Network.create(root, owner_balance=1_000)
     for name in ("alice", "bob", "mallory"):
         net.add_node(name, 500)
@@ -89,6 +89,7 @@ def _api_workflow(root: Path) -> None:
     alice.create_local_dataset("d1", seed=11, profile=RoomProfile(2.0, 1.0, 0.05), n_rows=40)
     dataset = alice.share_dataset("d1")
     bob.acquire_model(dataset.content_address, payment=0)
+    bob.train_model("m1", dataset.iri, "occupancy_detection")  # parses a dataset bob did not build
     mallory.create_local_dataset("d1", seed=7, profile=RoomProfile(1.0, 0.0, 0.1), n_rows=20)
     with pytest.raises(Unauthorized):
         mallory.share_dataset("d1")

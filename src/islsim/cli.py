@@ -69,10 +69,10 @@ from .cas import is_address
 from .contracts import ChainStep, walk_provenance
 from .errors import CorruptLog, IslError, ParseError, UnknownWorkspace
 from .kgstore import ModelRecord
-from .ledger import Ledger, canonical_json, parse_log_line, replay
+from .ledger import Ledger, canonical_json, parse_log, parse_log_line, replay
 from .mlsim import RoomProfile
 from .node import (
-    ACCOUNT_FILE, CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_bytes, is_node_name,
+    ACCOUNT_FILE, CHAINSTATE_FILE, LEDGER_FILE, IslNode, Network, chainstate_frame, is_node_name,
 )
 
 
@@ -346,8 +346,8 @@ def _cmd_inspect(ns: argparse.Namespace) -> int:
 def _replayed(workspace: Path) -> tuple[Ledger, str]:
     """The replayed ledger, and why ``chainstate.json`` is not what the writer writes ("" if it is).
 
-    Each log line is parsed as replay takes it, so ``CorruptLog`` names the
-    first bad line in log order.
+    ``CorruptLog`` names the first bad line in log order, but a ``chainstate.json`` that is
+    not a JSON object is named first. A MATCH decodes only the file's ``meta``.
     """
     log_path = workspace / LEDGER_FILE
     if not log_path.is_file():
@@ -357,22 +357,37 @@ def _replayed(workspace: Path) -> tuple[Ledger, str]:
         raise UnknownWorkspace(f"{workspace} has no {CHAINSTATE_FILE}")
     data = state_path.read_bytes()
     try:
+        replica = _replay_log(log_path)
+    except CorruptLog:
+        _stored_state(data)
+        raise
+    state = replica.state_dict()
+    head, tail = chainstate_frame(state)
+    framed = data[len(head):len(data) - len(tail)]
+    try:
+        meta = json.loads(framed) if data.startswith(head) and data.endswith(tail) else None
+    except (ValueError, RecursionError):  # bad JSON, not UTF-8, or nested too deep
+        meta = None
+    if canonical_json(meta) == framed and _meta_holds(meta, state, workspace):
+        return replica, ""
+    stored = _stored_state(data)  # not MATCH: decode the whole file to say where it differs
+    meta = stored.get("meta")
+    path = next(_differences(stored, {**state, "meta": meta}),
+                None if _meta_holds(meta, state, workspace) else ("meta",))
+    if path is None:
+        return replica, "holds the replayed state, but not in the bytes the writer writes"
+    # escaped, so a planted key cannot break the reason's one line
+    return replica, f"differs from the replay at {'.'.join(path).encode('unicode_escape').decode()}"
+
+
+def _stored_state(data: bytes) -> dict:
+    try:
         stored = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise UnknownWorkspace(f"unreadable {CHAINSTATE_FILE}: {exc}") from None
     if not isinstance(stored, dict):
         raise UnknownWorkspace(f"{CHAINSTATE_FILE} is not a JSON object")
-    meta = stored.get("meta")
-    del stored  # the replica rebuilds the state; only a mismatch parses the file again
-    replica = _replay_log(log_path)
-    state = replica.state_dict()
-    if (holds := _meta_holds(meta, state, workspace)) and chainstate_bytes(state, meta) == data:
-        return replica, ""
-    path = next(_differences(json.loads(data), {**state, "meta": meta}), None if holds else ("meta",))
-    if path is None:
-        return replica, "holds the replayed state, but not in the bytes the writer writes"
-    # escaped, so a planted key cannot break the reason's one line
-    return replica, f"differs from the replay at {'.'.join(path).encode('unicode_escape').decode()}"
+    return stored
 
 
 def _differences(found: object, want: object, path: tuple = ()) -> Iterator[tuple]:
@@ -410,17 +425,23 @@ def _holds(path: Path, data: bytes) -> bool:
 
 
 def _replay_log(log_path: Path) -> Ledger:
-    """The ledger ``log_path`` replays to; its text is gone once this returns.
+    """The ledger ``log_path`` replays to; its text is gone once it is parsed.
 
-    The bytes are split at ``\\n`` only, so a ``\\r`` stays in its line.
+    Only a log with a line the writer would not write is parsed line by line, as replay
+    takes it. The bytes are split at ``\\n`` only, so a ``\\r`` stays in its line.
     """
     try:
-        lines = log_path.read_bytes().decode("ascii").split("\n")
+        text = log_path.read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
         raise CorruptLog(f"{LEDGER_FILE} is not ASCII: {exc}") from None
-    if lines.pop():
-        raise CorruptLog(f"{LEDGER_FILE} does not end with a newline")
-    return replay(map(parse_log_line, lines), Network.contract_factory)
+    entries = parse_log(text)
+    if entries is None:
+        lines = text.split("\n")
+        if lines.pop():
+            raise CorruptLog(f"{LEDGER_FILE} does not end with a newline")
+        entries = map(parse_log_line, lines)
+    del text
+    return replay(entries, Network.contract_factory)
 
 
 def _cmd_replay(ns: argparse.Namespace) -> int:

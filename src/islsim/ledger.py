@@ -31,13 +31,20 @@ account creation (address, starting balance, owner flag) so that a log
 alone reconstructs balances during replay. :func:`parse_log_line` takes
 only a line that :func:`format_log_entry` writes back byte for byte, and
 :func:`replay` requires the replica to log each entry exactly as written.
+
+:func:`parse_log` takes a whole log in one regex pass, or gives None. Each line's
+``args`` text is decoded on its own and must end where its array ends, so the texts
+line up with the arrays, and one dump of all the arrays equal to the texts joined
+proves every line canonical, as :func:`parse_log_line`'s re-render would.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import CorruptLog, InsufficientFunds, IslError, PayoutFailed, UnknownSender
@@ -293,6 +300,36 @@ def parse_log_line(line: str) -> AccountCreation | Transaction:
     if format_log_entry(entry) != line:
         raise CorruptLog(f"log line is not as the ledger writes it: {_quote(line)}")
     return entry
+
+
+_NUMBER = r"(0|[1-9][0-9]{0,77})"  # canonical, and short enough for int(): WORD has 78 digits
+_FIELD = r"([^\t\n]*)"
+_LOG_LINE = re.compile(  # ``args`` is checked by its decode; ``.`` stops at the line's end
+    rf"^(?:account\taddress={_FIELD}\tbalance={_NUMBER}\towner=([01])|tx\tseq={_NUMBER}"
+    rf"\tsender={_FIELD}\tcontract={_FIELD}\tmethod={_FIELD}\tvalue={_NUMBER}\targs=(\[.*))\n",
+    re.MULTILINE)
+_scan_json = json.JSONDecoder().scan_once
+
+
+def parse_log(text: str) -> list[AccountCreation | Transaction] | None:
+    """The entries of a log of ``\\n``-ended lines, each as :func:`parse_log_line` gives it;
+    None if some line is not one :func:`format_log_entry` writes with non-negative numbers."""
+    rows = _LOG_LINE.findall(text)
+    texts = [row[8] for row in rows if not row[2]]  # the args of tx lines, which have no owner
+    try:
+        decoded = [_scan_json(t, 0) for t in texts]
+    except (StopIteration, ValueError, RecursionError):  # RecursionError: nested too deep
+        return None
+    arrays = [array for array, _ in decoded]
+    if (len(rows) != text.count("\n") or text[-1:] not in ("", "\n")
+            or [end for _, end in decoded] != list(map(len, texts))
+            or not _SCALARS.issuperset(map(type, chain.from_iterable(arrays)))
+            or json.dumps(arrays, separators=(",", ":")) != "[" + ",".join(texts) + "]"):
+        return None
+    args = map(tuple, arrays)
+    return [AccountCreation(address, int(balance), owner == "1") if owner
+            else Transaction(int(seq), sender, contract, method, next(args), int(value))
+            for address, balance, owner, seq, sender, contract, method, value, _ in rows]
 
 
 def log_lines(ledger: Ledger) -> list[str]:

@@ -72,10 +72,12 @@ class RankedModel(NamedTuple):
 _RANK = itemgetter(3, 0)  # a RankedModel's (mse, address)
 
 
-def chainstate_bytes(state: dict, meta: object) -> bytes:
-    """The bytes of ``chainstate.json``: a ledger's ``state_dict()``, which replay must
-    reproduce, plus ``meta``."""
-    return canonical_json({**state, "meta": meta}) + b"\n"
+def chainstate_frame(state: dict) -> tuple[bytes, bytes]:
+    """The bytes of ``chainstate.json`` before and after the ``meta`` value it holds beside
+    a ledger's ``state_dict()``, which replay must reproduce; its keys are sorted."""
+    head = canonical_json({**{k: v for k, v in state.items() if k < "meta"}, "meta": 0})
+    tail = canonical_json({"meta": 0, **{k: v for k, v in state.items() if k > "meta"}})
+    return head[:-len(b"0}")], tail[len(b'{"meta":0'):] + b"\n"
 
 
 def is_node_name(name: str) -> bool:
@@ -98,7 +100,8 @@ class Network:
         self.ledger = ledger
         self._nodes: dict[str, IslNode] = {}
         self._valid: dict[str, tuple[IslNode, Record]] = {}  # addr -> (registrant, its record)
-        self._listed: dict[str, dict[tuple, list[RankedModel]]] = {}  # task -> features -> rows
+        # task -> features -> (rows sorted by _RANK, their addresses, the prices they show)
+        self._listed: dict[str, dict[tuple, tuple[list[RankedModel], list[str], list[int]]]] = {}
 
     @classmethod
     def create(cls, root: str | Path, owner_balance: int) -> "Network":
@@ -184,11 +187,14 @@ class Network:
         valid; the next share of that record calls this (``IslNode._pending``).
         """
         if isinstance(record, ModelRecord):
-            rows = self._listed.setdefault(row["task"], {}).setdefault(record.input_features, [])
+            listed = self._listed.setdefault(row["task"], {})
+            rows, addrs, shown = listed.setdefault(record.input_features, ([], [], []))
             at = bisect.bisect_left(rows, (record.mse, addr), key=_RANK)
             if at == len(rows) or rows[at].address != addr:
                 rows.insert(at, RankedModel(addr, row["task"], record.input_features, record.mse,
                                             record.mae, node.name, 0))
+                addrs.insert(at, addr)
+                shown.insert(at, 0)
         self._valid[addr] = (node, record)  # last: a row recorded valid is listed
 
     def valid_row(self, addr: str) -> tuple[IslNode, Record] | None:
@@ -197,15 +203,19 @@ class Network:
 
     def listed_models(self, task: str, sensors: set[str]) -> list[RankedModel]:
         """A new list of the valid model rows of ``task`` (see ``mark_valid``) whose inputs
-        ``sensors`` cover, sorted by ``_RANK``; only a row whose posted price moved is rebuilt."""
+        ``sensors`` cover, sorted by ``_RANK``; only a row whose posted price moved is rebuilt,
+        and one covered feature set is already sorted."""
         covered, prices = [], self.isl.state["prices"]
-        for features, rows in self._listed.get(task, {}).items():
+        for features, (rows, addrs, shown) in self._listed.get(task, {}).items():
             if sensors.issuperset(features):
-                posted = list(map(prices.get, map(itemgetter(0), rows), repeat(0)))
-                if posted != list(map(itemgetter(6), rows)):
-                    rows[:] = [r if r.price == p else r._replace(price=p)
-                               for r, p in zip(rows, posted)]
+                posted = list(map(prices.get, addrs, repeat(0)))
+                if posted != shown:
+                    rows[:] = [r if p == q else r._replace(price=p)
+                               for r, p, q in zip(rows, posted, shown)]
+                    shown[:] = posted
                 covered.append(rows)
+        if len(covered) == 1:
+            return covered[0][:]
         return sorted(chain.from_iterable(covered), key=_RANK)
 
     # ------------------------------------------------------------- references
@@ -293,7 +303,8 @@ class Network:
         write_atomic(self.root / LEDGER_FILE, log.encode("ascii"))
         meta = {"owner": self.owner_account,
                 "nodes": {name: self._nodes[name].account for name in self.node_names()}}
-        write_atomic(self.root / CHAINSTATE_FILE, chainstate_bytes(self.ledger.state_dict(), meta))
+        head, tail = chainstate_frame(self.ledger.state_dict())
+        write_atomic(self.root / CHAINSTATE_FILE, head + canonical_json(meta) + tail)
 
 
 class IslNode:

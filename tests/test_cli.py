@@ -843,6 +843,24 @@ class TestReplay:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("UnknownWorkspace: ")
 
+    # the log is replayed before chainstate.json is read, but a file that is not a JSON
+    # object is still named ahead of a log that does not replay
+    @pytest.mark.parametrize("command", [["replay"], ["inspect", "registry"]], ids=["replay", "inspect"])
+    @pytest.mark.parametrize("text", ["{", "[1]"], ids=["unreadable", "not-an-object"])
+    def test_a_corrupt_log_beside_an_unreadable_chainstate_is_unknown_workspace(
+        self, tmp_path, capsys, command, text
+    ):
+        ws = tmp_path / "ws"
+        run(["run", str(TWO_NODE), "--workspace", str(ws)])
+        capsys.readouterr()
+        log_path = ws / cli.LEDGER_FILE
+        log_path.write_text(log_path.read_text() + "not a log line\n")
+        (ws / cli.CHAINSTATE_FILE).write_text(text)
+
+        assert run([command[0], str(ws), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("UnknownWorkspace: ")
+
     @pytest.mark.parametrize("command", [["replay"], ["inspect", "registry"]], ids=["replay", "inspect"])
     def test_log_args_nested_too_deep_to_parse_are_a_corrupt_log(self, tmp_path, capsys, command):
         ws = tmp_path / "ws"

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import re
 import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from islsim.cli import _replay_log
 from islsim.errors import (
     CorruptLog, InsufficientFunds, PayoutFailed, UnknownMethod, UnknownResource, UnknownSender,
 )
@@ -18,6 +20,7 @@ from islsim.ledger import (
     Transaction,
     format_log_entry,
     log_lines,
+    parse_log,
     parse_log_line,
     replay,
 )
@@ -374,6 +377,136 @@ def test_parse_log_line_accepts_only_what_format_log_entry_writes(line):
     except CorruptLog:
         return
     assert format_log_entry(entry) == line
+
+
+# ----------------------------------------------------------- whole-log text
+
+_SCALAR_ARGS = st.lists(
+    st.one_of(
+        st.integers(-WORD, WORD),
+        st.text(st.characters(blacklist_categories=())),  # surrogates and controls too
+        st.booleans(),
+        st.none(),
+    ),
+    max_size=4,
+)
+_ENTRIES = st.one_of(
+    st.builds(AccountCreation, st.text("0123456789abcdef", min_size=40, max_size=40),
+              st.integers(0, WORD), st.booleans()),
+    st.builds(Transaction, st.integers(0, 10**6), st.text("0123456789abcdef", max_size=40),
+              st.sampled_from(["oracle", "isl", "counter"]),
+              st.sampled_from(["bump", "share_dataset", "acquire"]),
+              _SCALAR_ARGS.map(tuple), st.integers(0, WORD)),
+)
+
+
+def _log_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def edited_log_lines(draw):
+    """A line the ledger writes, with one field's value drawn as ``near_log_lines`` draws it."""
+    kind, *fields = format_log_entry(draw(_ENTRIES)).split("\t")
+    at = draw(st.integers(0, len(fields) - 1))
+    key, values = _LINE_FIELDS[kind][at]
+    fields[at] = f"{key}={draw(values)}"
+    return "\t".join([kind] + fields)
+
+
+@st.composite
+def near_logs(draw):
+    """Log texts of lines the ledger writes with up to two lines close to them put in, at
+    times with two lines swapped, the final newline dropped, or every newline a CRLF."""
+    lines = draw(st.lists(_ENTRIES.map(format_log_entry), max_size=4))
+    for near in draw(st.lists(st.one_of(edited_log_lines(), near_log_lines()), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), near)
+    if len(lines) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(lines))))[:2]
+        lines[i], lines[j] = lines[j], lines[i]
+    edit = draw(st.sampled_from(["none"] * 4 + ["no final newline", "crlf"]))
+    text = "".join(line + ("\r\n" if edit == "crlf" else "\n") for line in lines)
+    return text[:-1] if edit == "no final newline" else text
+
+
+@given(near_logs())
+def test_the_whole_log_parse_is_the_line_by_line_parse_or_none(text):
+    entries = parse_log(text)
+    if entries is None:
+        return
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    # repr, so that True and 1 (or 0 and False) in args are told apart
+    assert repr(entries) == repr([parse_log_line(line) for line in lines])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["bump", "boom", "no_such_method"]), st.integers(0, 2),
+                          st.integers(0, 40), _SCALAR_ARGS), max_size=12),
+       st.integers(0, WORD))
+def test_the_whole_log_parse_takes_every_log_the_ledger_writes(ops, balance):
+    led = Ledger()
+    led.register_contract(Counter())
+    accounts = [led.create_account(balance, owner=n == 0).address for n in range(3)]
+    for method, who, value, args in ops:
+        try:
+            led.submit(accounts[who], "counter", method, args, value=value)
+        except InsufficientFunds:
+            pass
+    assert repr(parse_log(_log_text(log_lines(led)))) == repr(led.log)
+
+
+@pytest.mark.parametrize("field, near", [
+    ("owner", "2"), ("owner", "00"), ("owner", ""), ("balance", "01"), ("balance", "-0"),
+    ("balance", "1" * 5000), ("seq", "+1"), ("seq", " 1"), ("value", "1_0"), ("value", "0x1"),
+    ("args", "[1,2] "), ("args", "[1.0]"), ("args", "[[1]]"), ("args", '["\\u00E9"]'),
+    ("args", "[true ]"), ("args", "[NaN]"), ("args", '{"a":1}'), ("args", "[-0]"),
+])
+def test_the_whole_log_parse_refuses_a_field_the_line_parse_refuses(field, near):
+    lines = log_lines(build_session())
+    at = next(i for i, line in enumerate(lines) if f"\t{field}=" in line)
+    lines[at] = re.sub(rf"\t{field}=[^\t]*", lambda _: f"\t{field}={near}", lines[at])
+    with pytest.raises(CorruptLog):
+        parse_log_line(lines[at])
+    assert parse_log(_log_text(lines)) is None
+
+
+def _bump_lines(args_texts, first_seq):
+    sender = "ab" * 20
+    return [f"tx\tseq={seq}\tsender={sender}\tcontract=counter\tmethod=bump\tvalue=0\targs={args}"
+            for seq, args in enumerate(args_texts, start=first_seq)]
+
+
+# one decode of these lines' args joined would give three flat arrays of scalars, each on
+# the wrong line, and dump back to the joined text
+ALIGNMENT_TRIO = ['["a]', '[",1]', '[2],[3]']
+
+
+def test_each_line_args_are_decoded_on_their_own():
+    joined = "[" + ",".join(ALIGNMENT_TRIO) + "]"
+    assert json.loads(joined) == [["a],[", 1], [2], [3]]
+    assert json.dumps(json.loads(joined), separators=(",", ":")) == joined
+    lines = log_lines(build_session()) + _bump_lines(ALIGNMENT_TRIO, first_seq=5)
+    assert parse_log(_log_text(lines)) is None
+    with pytest.raises(CorruptLog, match="^unparseable log line"):
+        parse_log_line(lines[-3])
+
+
+def test_a_late_line_not_as_the_ledger_writes_it_fails_the_whole_log_parse():
+    lines = log_lines(build_session())
+    assert parse_log(_log_text(lines + _bump_lines(["[1,2]"], first_seq=5)))[-1].args == (1, 2)
+    assert parse_log(_log_text(lines + _bump_lines(["[1, 2]"], first_seq=5))) is None
+
+
+def test_a_line_rejected_on_replay_is_named_before_a_later_unparseable_one(tmp_path):
+    led = Ledger()
+    for contract in Network.contract_factory():
+        led.register_contract(contract)
+    led.create_account(100, owner=True)
+    rejected = f"tx\tseq=1\tsender={'f' * 40}\tcontract=oracle\tmethod=register_node\tvalue=0\targs=[]"
+    log_path = tmp_path / "ledger.log"
+    log_path.write_text(_log_text(log_lines(led) + [rejected, "tx\tseq=nine"]))
+    with pytest.raises(CorruptLog, match=f"^'tx\\\\tseq=1\\\\t.* rejected on replay: no account {'f' * 40}$"):
+        _replay_log(log_path)
 
 
 # -------------------------------------------------------------------- replay

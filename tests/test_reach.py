@@ -32,6 +32,9 @@ UNREACHED = {
     "cas.BlobStore.path_for": "criterion 6 tampers with a stored blob at this path",
     "cli._differences": "refusal path: names where a chainstate.json that is not MATCH differs "
                         "(test_cli.py, test_a_planted_entry_is_named_as_the_first_difference)",
+    "cli._stored_state": "refusal path: decodes a chainstate.json that is not MATCH, or one "
+                         "beside a log that does not replay (test_cli.py, "
+                         "test_a_corrupt_log_beside_an_unreadable_chainstate_is_unknown_workspace)",
     "contracts.IslContract.price_of": TRACER,
     "contracts.OracleContract.check_closure": "criterion 1 checks the chain rule over the registry",
     "contracts.OracleContract.find_dataset_by_iri": TRACER,
@@ -48,6 +51,7 @@ UNREACHED = {
     "ledger.Receipt.status": "criteria 1 to 5 read it, and perfbench counts reverts by it",
     "ledger._quote": "refusal path: bounds the log line a CorruptLog quotes "
                      "(test_ledger.py, test_a_huge_line_rejected_on_replay_is_quoted_in_part)",
+    "ledger.parse_log_line": "refusal path: names the first line the whole-log parse refuses",
     "mlsim.TabularDataset.__init__": ROWS,
     "mlsim.TabularDataset.rows": ROWS,
     "mlsim.mse_gradient": "criterion 8 checks it against finite differences",
@@ -125,6 +129,10 @@ def test_every_function_no_product_path_enters_is_listed(tmp_path, capsys):
             code = frame.f_code
             entered.add((code.co_filename, code.co_name, code.co_firstlineno))
 
+    for name, module in list(sys.modules.items()):  # a warm lru_cache would skip its function
+        if name.startswith("islsim."):
+            for obj in vars(module).values():
+                getattr(obj, "cache_clear", lambda: None)()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
